@@ -26,6 +26,7 @@ from .errors import (
     NoConvergenceWithinBudget,
     NonFiniteWeight,
     NotSubstochastic,
+    NumericOverflow,
 )
 from .families import Cycle, FamilySpec, Jordan, Line, Star, build, closed_form_pwp, line_argmax_offset
 from .graph import (
@@ -104,6 +105,7 @@ __all__ = [
     "NoConvergenceWithinBudget",
     "NonFiniteWeight",
     "NotSubstochastic",
+    "NumericOverflow",
     "PWPConfig",
     "PageRankConfig",
     "Path",

@@ -6,7 +6,8 @@ are emitted sorted, so parsing a report and re-serializing it gives the
 identical text.
 
 Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure
-(no convergence, bad column sums).
+(no convergence, overflow, bad column sums); each InfluenceError names its
+own code in `exit_code`.
 """
 
 import argparse
@@ -18,18 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import families
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    DomainError,
-    DuplicateEdge,
-    IndexOutOfRange,
-    MalformedLine,
-    NoConvergence,
-    NoConvergenceWithinBudget,
-    NonFiniteWeight,
-    NotSubstochastic,
-)
+from .errors import InfluenceError
 from .graph import (
     DirectInfluenceGraph,
     format_edge_list,
@@ -49,24 +39,6 @@ from .methods import (
     rank_vertices,
 )
 from .stochastic import make_rng, moments, estimate_from_lengths, sample_lengths
-
-# bad input files or parameter values -> exit 2; numeric failures -> exit 3
-_PARSE_ERRORS = (
-    MalformedLine,
-    DuplicateEdge,
-    IndexOutOfRange,
-    NonFiniteWeight,
-    ValueError,
-)
-_NUMERIC_ERRORS = (
-    NoConvergence,
-    NoConvergenceWithinBudget,
-    NotSubstochastic,
-    BudgetExceeded,
-    DimensionMismatch,
-    DomainError,
-)
-
 
 def canonical_float(x: float) -> float:
     """Round to 12 significant digits so repr() is short and stable."""
@@ -229,9 +201,7 @@ def cmd_compare(args) -> int:
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [m for m in names if m not in {"pwp", "micmac", "pagerank"}]
     if not names or unknown:
-        print(f"error: --methods must name pwp, micmac, or pagerank, got {args.methods!r}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--methods must name pwp, micmac, or pagerank, got {args.methods!r}")
     g = _load_graph(args.graph)
     blocks = []
     for name in names:
@@ -263,18 +233,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        if args.family == "line":
-            spec = families.Line(args.n)
-        elif args.family == "cycle":
-            spec = families.Cycle(args.n)
-        elif args.family == "jordan":
-            spec = families.Jordan(args.n, args.a)
-        else:
-            spec = families.Star(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.family == "line":
+        spec = families.Line(args.n)
+    elif args.family == "cycle":
+        spec = families.Cycle(args.n)
+    elif args.family == "jordan":
+        spec = families.Jordan(args.n, args.a)
+    else:
+        spec = families.Star(args.n)
     g = families.build(spec)
     _emit(format_edge_list(g), args.output)
     return 0
@@ -282,8 +248,7 @@ def cmd_generate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     if args.samples < 1:
-        print(f"error: -N must be >= 1, got {args.samples}", file=sys.stderr)
-        return 2
+        raise ValueError(f"-N must be >= 1, got {args.samples}")
     g = _load_graph(args.graph)
     d = to_matrix(g)
     lengths = sample_lengths(args.lam, args.samples, make_rng(args.seed))
@@ -294,7 +259,7 @@ def cmd_montecarlo(args) -> int:
         "lambda": args.lam,
         "samples": args.samples,
         "seed": args.seed,
-        "max_abs_error": float(np.abs(estimate - exact).max()),
+        "max_abs_error": float(np.abs(estimate - exact).max(initial=0.0)),
         "mean_length": {
             "empirical": float(lengths.mean()),
             "expected": moments(args.lam).mean,
@@ -394,15 +359,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
+    except (InfluenceError, ValueError, OSError) as exc:
+        # an InfluenceError carries its own code; bad values and files are usage errors
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,22 @@
-"""Exceptions raised by the influx library."""
+"""Exceptions raised by the influx library.
+
+Each class carries the command-line exit code it maps to: 2 for input that
+does not parse, 3 for everything numeric.
+"""
+
+import math
 
 
 class InfluenceError(Exception):
     """Base class for every error this package raises deliberately."""
 
+    exit_code = 3
+
 
 class MalformedLine(InfluenceError):
     """An edge-list line that does not read as "source,target,weight"."""
+
+    exit_code = 2
 
     def __init__(self, line_no: int, text: str):
         super().__init__(f"line {line_no}: expected 'source,target,weight', got {text!r}")
@@ -16,6 +26,8 @@ class MalformedLine(InfluenceError):
 
 class NonFiniteWeight(InfluenceError):
     """An edge weight that parses as a real number but is nan or infinite."""
+
+    exit_code = 2
 
     def __init__(self, value, line_no=None):
         where = f"line {line_no}: " if line_no is not None else ""
@@ -27,6 +39,8 @@ class NonFiniteWeight(InfluenceError):
 class DuplicateEdge(InfluenceError):
     """Two edges share the same (source, target) pair."""
 
+    exit_code = 2
+
     def __init__(self, source: int, target: int):
         super().__init__(f"duplicate edge {source}->{target}")
         self.source = source
@@ -36,13 +50,15 @@ class DuplicateEdge(InfluenceError):
 class IndexOutOfRange(InfluenceError):
     """A vertex index outside [1, n]."""
 
+    exit_code = 2
+
     def __init__(self, index: int, n: int):
         super().__init__(f"vertex index {index} outside [1, {n}]")
         self.index = index
         self.n = n
 
 
-class DimensionMismatch(InfluenceError):
+class DimensionMismatch(InfluenceError, ValueError):
     """Matrix shapes incompatible with the requested operation."""
 
 
@@ -55,6 +71,21 @@ class NoConvergenceWithinBudget(InfluenceError):
         )
         self.terms = terms
         self.bound = bound
+        self.tol = tol
+
+
+class NumericOverflow(NoConvergenceWithinBudget):
+    """A finite input whose result leaves the float range.
+
+    Raised when e^lam - 1, a matrix product or a series term overflows.  A
+    series whose terms overflow can never meet its tolerance, hence the base
+    class; `terms` counts the series terms summed before the overflow.
+    """
+
+    def __init__(self, what: str, terms: int = 0, tol: float = math.nan):
+        InfluenceError.__init__(self, f"{what} overflows the float range")
+        self.terms = terms
+        self.bound = math.inf
         self.tol = tol
 
 

@@ -20,7 +20,9 @@ from .graph import DirectInfluenceGraph, Edge
 
 
 @dataclass(frozen=True)
-class Line:
+class _Family:
+    """A family member of size n >= 1; subclasses compare unequal to each other."""
+
     n: int
 
     def __post_init__(self):
@@ -28,34 +30,23 @@ class Line:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
 
+class Line(_Family):
+    """The directed line 1 -> 2 -> ... -> n."""
+
+
+class Cycle(_Family):
+    """The directed line closed by n -> 1."""
+
+
 @dataclass(frozen=True)
-class Cycle:
-    n: int
+class Jordan(_Family):
+    """The line plus a self-loop of weight a on every vertex."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Jordan:
-    n: int
     a: float = 1.0
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
 
-
-@dataclass(frozen=True)
-class Star:
+class Star(_Family):
     """Hub-and-spoke graph with `n` leaves; the hub is vertex n + 1."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
 
     @property
     def center(self) -> int:

@@ -19,6 +19,7 @@ from .errors import (
     MalformedLine,
     NonFiniteWeight,
 )
+from .linalg import _square
 
 
 class Edge(NamedTuple):
@@ -119,9 +120,7 @@ def to_matrix(g: DirectInfluenceGraph) -> np.ndarray:
 
 def from_matrix(d: np.ndarray) -> DirectInfluenceGraph:
     """Inverse of :func:`to_matrix`; nonzero entries become edges."""
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {d.shape}")
+    d = _square(d)
     n = d.shape[0]
     edges = tuple(
         Edge(j + 1, i + 1, float(d[i, j]))
@@ -166,9 +165,7 @@ def format_edge_list(g: DirectInfluenceGraph) -> str:
 
 def format_matrix_text(d: np.ndarray) -> str:
     """Matrix file format: first line n, then n comma-separated rows."""
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {d.shape}")
+    d = _square(d)
     lines = [str(d.shape[0])]
     for row in d:
         lines.append(",".join(repr(float(x)) for x in row))

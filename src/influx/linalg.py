@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergenceWithinBudget
+from .errors import DimensionMismatch, NoConvergenceWithinBudget, NumericOverflow
 
 MAX_SERIES_TERMS = 10_000
 
@@ -29,10 +29,22 @@ class SeriesReport:
 
 
 def _square(a) -> np.ndarray:
+    """The package's one matrix check: 2-D, square and finite."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return a
+
+
+def _product(a, b, what: str) -> np.ndarray:
+    """a @ b, raising NumericOverflow instead of returning inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = a @ b
+    if not np.isfinite(c).all():
+        raise NumericOverflow(what)
+    return c
 
 
 def mat_mul(a, b) -> np.ndarray:
@@ -45,18 +57,22 @@ def mat_mul(a, b) -> np.ndarray:
 
 
 def mat_pow(d, k: int) -> np.ndarray:
-    """k-th power of a square matrix by repeated squaring; d^0 is the identity."""
+    """k-th power of a square matrix by repeated squaring; d^0 is the identity.
+
+    Raises NumericOverflow at the first product that leaves the float range.
+    """
     d = _square(d)
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
+    what = f"matrix power {k}"
     result = np.eye(d.shape[0])
-    base = d.copy()
+    base = d
     while k:
         if k & 1:
-            result = result @ base
+            result = _product(result, base, what)
         k >>= 1
         if k:
-            base = base @ base
+            base = _product(base, base, what)
     return result
 
 
@@ -68,46 +84,57 @@ def exp_plus(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, Serie
     u_K / (1 - r) < tol, where u_K is the max-absolute-entry norm of term K
     and r = lam*||d||_inf / (K+1) < 1; the terms beyond K are then bounded by
     the geometric series u_K * r / (1 - r).  Raises NoConvergenceWithinBudget
-    if the bound is still above tol after MAX_SERIES_TERMS terms.
+    if the bound is still above tol after MAX_SERIES_TERMS terms, and its
+    subclass NumericOverflow at the first term or sum that overflows.
     """
     d = _square(d)
     if not (lam > 0):
         raise ValueError(f"lam must be > 0, got {lam}")
     if not (tol > 0):
         raise ValueError(f"tol must be > 0, got {tol}")
-    if d.size and not np.all(np.isfinite(d)):
-        raise ValueError("matrix entries must be finite")
     if d.shape[0] == 0:
         return d.copy(), SeriesReport(terms_used=1, tail_bound=0.0)
 
-    ld = lam * d
-    norm = float(np.abs(ld).sum(axis=1).max())
-    term = ld.copy()
-    total = np.zeros_like(ld)
-    comp = np.zeros_like(ld)
-    k = 1
-    while True:
-        t = total + term
-        bigger = np.abs(total) >= np.abs(term)
-        comp += np.where(bigger, (total - t) + term, (term - t) + total)
-        total = t
-        u = float(np.abs(term).max())
-        if u == 0.0:
-            # term K is exactly zero, hence so is every later term
-            return total + comp, SeriesReport(terms_used=k, tail_bound=0.0)
-        r = norm / (k + 1)
-        if r < 1.0 and u / (1.0 - r) < tol:
-            return total + comp, SeriesReport(terms_used=k, tail_bound=u * r / (1.0 - r))
-        if k >= MAX_SERIES_TERMS:
-            bound = u / (1.0 - r) if r < 1.0 else math.inf
-            raise NoConvergenceWithinBudget(k, bound, tol)
-        term = term @ ld / (k + 1)
-        k += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        ld = lam * d
+        norm = float(np.abs(ld).sum(axis=1).max())
+        term = ld.copy()
+        total = np.zeros_like(ld)
+        comp = np.zeros_like(ld)
+        k = 1
+        while True:
+            u = float(np.abs(term).max())
+            if not math.isfinite(u):
+                raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
+            t = total + term
+            bigger = np.abs(total) >= np.abs(term)
+            comp += np.where(bigger, (total - t) + term, (term - t) + total)
+            total = t
+            if u == 0.0:
+                # term K is exactly zero, hence so is every later term
+                report = SeriesReport(terms_used=k, tail_bound=0.0)
+                break
+            r = norm / (k + 1)
+            if r < 1.0 and u / (1.0 - r) < tol:
+                report = SeriesReport(terms_used=k, tail_bound=u * r / (1.0 - r))
+                break
+            if k >= MAX_SERIES_TERMS:
+                bound = u / (1.0 - r) if r < 1.0 else math.inf
+                raise NoConvergenceWithinBudget(k, bound, tol)
+            term = term @ ld / (k + 1)
+            k += 1
+        s = total + comp
+    if not np.isfinite(s).all():
+        raise NumericOverflow("exponential series sum", k, tol)
+    return s, report
 
 
 def pwp_matrix_report(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, SeriesReport]:
     """Like :func:`pwp_matrix` but also returns the truncation report."""
-    scale = math.expm1(lam)
+    try:
+        scale = math.expm1(lam)
+    except OverflowError:
+        raise NumericOverflow(f"e^lambda - 1 for lambda = {lam!r}") from None
     s, report = exp_plus(d, lam, tol * scale)
     return s / scale, report
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSubstochastic
-from .linalg import SeriesReport, mat_pow, pwp_matrix_report
+from .errors import DimensionMismatch, NoConvergence, NotSubstochastic, NumericOverflow
+from .linalg import SeriesReport, _square, mat_pow, pwp_matrix_report
 
 SUBSTOCHASTIC_TOL = 1e-9
 
@@ -81,10 +81,12 @@ class IndirectInfluenceResult:
 
 def influence_dependence(t) -> InfluenceVectors:
     """Row sums -> dependence d, column sums -> influence f."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {t.shape}")
-    return InfluenceVectors(d=t.sum(axis=1), f=t.sum(axis=0))
+    t = _square(t)
+    with np.errstate(over="ignore"):
+        d, f = t.sum(axis=1), t.sum(axis=0)
+    if not (np.isfinite(d).all() and np.isfinite(f).all()):
+        raise NumericOverflow("a row or column sum")
+    return InfluenceVectors(d=d, f=f)
 
 
 def micmac(d, k: int = 4) -> IndirectInfluenceResult:
@@ -110,9 +112,7 @@ def pagerank_repair(d) -> np.ndarray:
     1 (within 1e-9); the result is column stochastic.  Column indices in
     error messages are 1-based.
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {d.shape}")
+    d = _square(d)
     n = d.shape[0]
     repaired = d.copy()
     for j in range(n):

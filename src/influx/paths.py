@@ -25,6 +25,7 @@ from .errors import BudgetExceeded, IndexOutOfRange
 from .graph import DirectInfluenceGraph, Edge, to_matrix
 from .linalg import mat_pow
 from .methods import pagerank_repair
+from .stochastic import _log_expm1
 
 DEFAULT_BUDGET = 10_000_000
 _AUTO_LITERAL_CAP = 100_000
@@ -69,10 +70,18 @@ class Path:
         return w
 
 
-def _check_pair(g: DirectInfluenceGraph, i: int, j: int):
+def _check_walk(g: DirectInfluenceGraph, i: int, j: int, k: int):
     for v in (i, j):
         if not 1 <= v <= g.n:
             raise IndexOutOfRange(v, g.n)
+    if k < 1:
+        raise ValueError(f"path length must be >= 1, got {k}")
+
+
+def _refuse_over_budget(total: int, cap: int):
+    if total > cap:
+        warnings.warn(f"refusing to enumerate {total} paths (budget {cap})")
+        raise BudgetExceeded(total, cap)
 
 
 def _adjacency(g: DirectInfluenceGraph) -> list[list[Edge]]:
@@ -84,8 +93,9 @@ def _adjacency(g: DirectInfluenceGraph) -> list[list[Edge]]:
     return adj
 
 
-def _count_table(g: DirectInfluenceGraph, i: int, k: int) -> list[list[int]]:
-    """counts[m][v] = number of length-m walks from v to i, as exact ints."""
+def _walk_table(g: DirectInfluenceGraph, i: int, k: int, factor) -> list[list]:
+    """table[m][v] = sum over length-m walks from v to i of the product of
+    factor(edge) along the walk; exact ints when factor returns ints."""
     adj = _adjacency(g)
     row = [0] * (g.n + 1)
     row[i] = 1
@@ -94,17 +104,23 @@ def _count_table(g: DirectInfluenceGraph, i: int, k: int) -> list[list[int]]:
         prev = table[-1]
         cur = [0] * (g.n + 1)
         for v in range(1, g.n + 1):
-            cur[v] = sum(prev[e.target] for e in adj[v])
+            cur[v] = sum(factor(e) * prev[e.target] for e in adj[v])
         table.append(cur)
     return table
 
 
+def _one(e: Edge) -> int:
+    return 1
+
+
+def _weight(e: Edge) -> float:
+    return e.weight
+
+
 def count_paths(g: DirectInfluenceGraph, i: int, j: int, k: int) -> int:
     """Exact number of length-k paths from j to i."""
-    _check_pair(g, i, j)
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
-    return _count_table(g, i, k)[k][j]
+    _check_walk(g, i, j, k)
+    return _walk_table(g, i, k, _one)[k][j]
 
 
 def enumerate_paths(
@@ -115,15 +131,11 @@ def enumerate_paths(
     Refuses with BudgetExceeded (after a warning) when the exact path count
     is larger than the budget.
     """
-    _check_pair(g, i, j)
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
+    _check_walk(g, i, j, k)
     cap = _budget(budget)
-    counts = _count_table(g, i, k)
+    counts = _walk_table(g, i, k, _one)
     total = counts[k][j]
-    if total > cap:
-        warnings.warn(f"refusing to enumerate {total} paths (budget {cap})")
-        raise BudgetExceeded(total, cap)
+    _refuse_over_budget(total, cap)
     adj = _adjacency(g)
     out: list[Path] = []
     acc: list[Edge] = []
@@ -152,21 +164,6 @@ def _literal_omega(adj, v: int, target: int, remaining: int) -> float:
     return total
 
 
-def _weight_table(g: DirectInfluenceGraph, i: int, k: int) -> list[list[float]]:
-    """sums[m][v] = total weight product over length-m walks from v to i."""
-    adj = _adjacency(g)
-    row = [0.0] * (g.n + 1)
-    row[i] = 1.0
-    table = [row]
-    for _ in range(k):
-        prev = table[-1]
-        cur = [0.0] * (g.n + 1)
-        for v in range(1, g.n + 1):
-            cur[v] = sum(e.weight * prev[e.target] for e in adj[v])
-        table.append(cur)
-    return table
-
-
 def omega_sum(
     g: DirectInfluenceGraph,
     i: int,
@@ -181,20 +178,15 @@ def omega_sum(
     graph itself: literally edge by edge when the path count is small, and by
     memoized recursion over the identical walk set otherwise.
     """
-    _check_pair(g, i, j)
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
-    cap = _budget(budget)
-    if literal is False:
-        return _weight_table(g, i, k)[k][j]
-    total = count_paths(g, i, j, k)
-    if literal is None:
-        if total > min(cap, _AUTO_LITERAL_CAP):
-            return _weight_table(g, i, k)[k][j]
-    elif total > cap:
-        warnings.warn(f"refusing to enumerate {total} paths (budget {cap})")
-        raise BudgetExceeded(total, cap)
-    return _literal_omega(_adjacency(g), j, i, k)
+    _check_walk(g, i, j, k)
+    if literal is not False:
+        total = count_paths(g, i, j, k)
+        cap = _budget(budget)
+        if literal:
+            _refuse_over_budget(total, cap)
+        if literal or total <= min(cap, _AUTO_LITERAL_CAP):
+            return _literal_omega(_adjacency(g), j, i, k)
+    return float(_walk_table(g, i, k, _weight)[k][j])
 
 
 def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
@@ -222,9 +214,7 @@ def rho_sum(
     up to the budget; beyond it the value is read off the k-th power of the
     damped matrix, which equals the same sum.
     """
-    _check_pair(g, i, j)
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
+    _check_walk(g, i, j, k)
     m = damped_matrix(g, p)
     n = g.n
     total = n ** (k - 1)
@@ -233,9 +223,7 @@ def rho_sum(
         literal = total <= min(cap, _AUTO_LITERAL_CAP)
     if not literal:
         return float(mat_pow(m, k)[i - 1, j - 1])
-    if total > cap:
-        warnings.warn(f"refusing to enumerate {total} paths (budget {cap})")
-        raise BudgetExceeded(total, cap)
+    _refuse_over_budget(total, cap)
     acc = 0.0
     for mid in itertools.product(range(n), repeat=k - 1):
         seq = (j - 1, *mid, i - 1)
@@ -262,16 +250,14 @@ def omega_lambda_sum(
     (budget applies); the default evaluates the same sums by recursion.
     Use :func:`omega_lambda_tail_bound` for the discarded k > K mass.
     """
-    _check_pair(g, i, j)
-    if K < 1:
-        raise ValueError(f"truncation length must be >= 1, got {K}")
+    _check_walk(g, i, j, K)
     if not (lam > 0):
         raise ValueError(f"lam must be > 0, got {lam}")
     scale = math.expm1(lam)
     if literal:
         sums = [omega_sum(g, i, j, k, budget=budget, literal=True) for k in range(1, K + 1)]
     else:
-        table = _weight_table(g, i, K)
+        table = _walk_table(g, i, K, _weight)
         sums = [table[k][j] for k in range(1, K + 1)]
     coef = 1.0
     terms = []
@@ -299,9 +285,3 @@ def omega_lambda_tail_bound(g: DirectInfluenceGraph, lam: float, K: int) -> floa
         return math.inf
     log_u = K * math.log(x) - math.lgamma(K + 1) - _log_expm1(lam)
     return math.exp(log_u) * r / (1.0 - r)
-
-
-def _log_expm1(lam: float) -> float:
-    if lam > 30.0:
-        return lam + math.log1p(-math.exp(-lam))
-    return math.log(math.expm1(lam))

@@ -117,13 +117,9 @@ def estimate_from_lengths(d, lengths) -> np.ndarray:
     if lengths.size == 0:
         raise ValueError("need at least one sampled length")
     values, counts = np.unique(lengths, return_counts=True)
-    powers: dict[int, np.ndarray] = {}
     total = None
     for k, count in zip(values, counts):
-        k = int(k)
-        if k not in powers:
-            powers[k] = mat_pow(d, k)
-        contribution = (count / lengths.size) * powers[k]
+        contribution = (count / lengths.size) * mat_pow(d, int(k))
         total = contribution if total is None else total + contribution
     return total
 

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import influx
+from influx import errors
 from influx.cli import dumps_report, kendall_tau, main
 from influx import parse_edge_list
 
@@ -154,6 +160,91 @@ def test_bad_parameter_exit_2(line3, capsys):
     assert code == 2
 
 
+def test_every_influence_error_names_its_exit_code():
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.InfluenceError)
+    ]
+    assert all(c.exit_code in {2, 3} for c in classes)
+    parse = {errors.MalformedLine, errors.NonFiniteWeight, errors.DuplicateEdge,
+             errors.IndexOutOfRange}
+    assert {c for c in classes if c.exit_code == 2} == parse
+
+
+def test_pagerank_empty_graph_exit_3(tmp_path, capsys):
+    # DimensionMismatch is also a ValueError; it must keep its own code
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code, _, err = run(capsys, "compute", "--method", "pagerank", str(path))
+    assert code == 3
+    assert "empty" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--method", "pwp", "--lambda", "800"],
+        ["compute", "--method", "pwp", "--lambda", "1e308"],
+        ["compute", "--method", "pwp", "--lambda", "800", "--paper-scale"],
+        ["compare", "--lambda", "800"],
+        ["montecarlo", "--lambda", "800", "-N", "10"],
+    ],
+)
+def test_overflowing_lambda_exit_3(line3, capsys, argv):
+    code, out, err = run(capsys, *argv, line3)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "overflow" in err
+
+
+BIG_PAIR = "1,2,1e200\n2,1,1e200\n"
+K50_WEIGHT_20 = "".join(f"{i},{j},20\n" for i in range(1, 51) for j in range(1, 51) if i != j)
+
+
+@pytest.mark.parametrize(
+    "flags, edges",
+    [
+        (["micmac"], BIG_PAIR),
+        (["pwp"], BIG_PAIR),
+        (["pwp"], K50_WEIGHT_20),  # used to run all 10 000 series terms
+        (["micmac", "-k", "1"], "1,2,1.7e308\n3,2,1.7e308\n"),  # finite T, infinite row sum
+    ],
+    ids=["micmac-1e200", "pwp-1e200", "pwp-K50", "micmac-row-sum"],
+)
+def test_kernel_overflow_exit_3(tmp_path, capsys, flags, edges):
+    path = tmp_path / "big.csv"
+    path.write_text(edges)
+    code, out, err = run(capsys, "compute", "--method", *flags, str(path))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "overflows the float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv, edges",
+    [
+        (["compute", "--method", "pwp", "--lambda", "800"], LINE3),
+        (["compute", "--method", "micmac"], BIG_PAIR),
+    ],
+    ids=["lambda-800", "micmac-1e200"],
+)
+def test_overflow_stderr_is_one_line_in_a_real_process(tmp_path, argv, edges):
+    # numpy warnings and tracebacks go to the process's stderr, which capsys
+    # does not see
+    path = tmp_path / "g.csv"
+    path.write_text(edges)
+    src = str(Path(influx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "influx.cli", *argv, str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
 def test_compare_unknown_method_exit_2(line3, capsys):
     code, _, err = run(capsys, "compare", "--methods", "pwp,sorcery", line3)
     assert code == 2
@@ -259,6 +350,16 @@ def test_montecarlo_identity_graph_zero_error(tmp_path, capsys):
     # every power of I is I, so there is no sampling noise at all; what is
     # left is the rounding of the series-computed reference
     assert report["max_abs_error"] < 1e-12
+
+
+def test_montecarlo_empty_graph(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code, out, _ = run(capsys, "montecarlo", str(path), "-N", "10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["graph"] == {"n": 0, "edges": 0}
+    assert report["max_abs_error"] == 0.0
 
 
 def test_montecarlo_zero_samples_usage_error(line3, capsys):

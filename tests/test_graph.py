@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from influx import (
+    DimensionMismatch,
     DirectInfluenceGraph,
     DuplicateEdge,
     Edge,
@@ -230,6 +231,14 @@ def test_matrix_text_round_trip():
     text = format_matrix_text(d)
     assert text.splitlines()[0] == "4"
     assert np.array_equal(read_matrix_text(text), d)
+
+
+@pytest.mark.parametrize("fn", [from_matrix, format_matrix_text])
+def test_matrix_functions_reject_non_square(fn):
+    with pytest.raises(ValueError):
+        fn(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        fn(np.zeros(3))
 
 
 def test_matrix_text_bad_input():

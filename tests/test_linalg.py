@@ -14,10 +14,14 @@ import pytest
 from influx import (
     DimensionMismatch,
     NoConvergenceWithinBudget,
+    NumericOverflow,
     exp_plus,
+    influence_dependence,
     is_column_stochastic,
     mat_mul,
     mat_pow,
+    pagerank,
+    pagerank_repair,
     parse_edge_list,
     pwp_matrix,
     pwp_matrix_report,
@@ -154,6 +158,51 @@ def test_exp_plus_rejects_bad_args():
         exp_plus(np.eye(2), lam=1.0, tol=0.0)
     with pytest.raises(ValueError):
         exp_plus(np.array([[np.inf]]), lam=1.0)
+
+
+# -- the shared matrix check and overflow ----------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "kernel",
+    [lambda d: mat_pow(d, 2), exp_plus, pagerank_repair, pagerank, influence_dependence],
+    ids=["mat_pow", "exp_plus", "pagerank_repair", "pagerank", "influence_dependence"],
+)
+def test_non_finite_entry_rejected_at_entry(kernel, bad):
+    # column stochastic but for one entry: pagerank used to iterate to its
+    # cap on nan and call an inf column not substochastic
+    d = np.full((3, 3), 1.0 / 3.0)
+    d[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kernel(d)
+
+
+def test_mat_pow_overflow_is_typed():
+    d = np.array([[0.0, 1e200], [1e200, 0.0]])
+    with pytest.raises(NumericOverflow):
+        mat_pow(d, 4)
+
+
+def test_exp_plus_overflow_stops_at_first_bad_term():
+    k50 = 20.0 * (np.ones((50, 50)) - np.eye(50))
+    with pytest.raises(NumericOverflow) as err:
+        exp_plus(k50, lam=1.0)
+    assert err.value.terms < 1000
+    assert isinstance(err.value, NoConvergenceWithinBudget)
+
+
+def test_exp_plus_overflowing_sum_of_finite_terms():
+    # d is idempotent, so term k is d / k! and stays finite; the sum is
+    # (e - 1) * d, whose corner entry is past the float range
+    d = np.array([[1.0, 1.1e308], [0.0, 0.0]])
+    with pytest.raises(NumericOverflow, match="sum"):
+        exp_plus(d, lam=1.0)
+
+
+@pytest.mark.parametrize("lam", [800.0, 1e308])
+def test_pwp_matrix_overflowing_lambda_is_typed(lam):
+    with pytest.raises(NumericOverflow):
+        pwp_matrix(L3, lam=lam)
 
 
 # -- pwp_matrix -----------------------------------------------------------------
