@@ -41,7 +41,17 @@ from .graph import (
     to_matrix,
     web_normalize,
 )
-from .linalg import SeriesReport, exp_plus, mat_mul, mat_pow, pwp_matrix, pwp_matrix_report
+from .linalg import (
+    SeriesReport,
+    exp_plus,
+    exp_plus_vectors,
+    mat_mul,
+    mat_pow,
+    mat_pow_vectors,
+    pwp_matrix,
+    pwp_matrix_report,
+    pwp_vectors_report,
+)
 from .methods import (
     IndirectInfluenceResult,
     InfluenceVectors,
@@ -51,9 +61,11 @@ from .methods import (
     PWPConfig,
     influence_dependence,
     micmac,
+    micmac_vectors,
     pagerank,
     pagerank_repair,
     pwp,
+    pwp_vectors,
     rank_vertices,
 )
 from .paths import (
@@ -121,6 +133,7 @@ __all__ = [
     "enumerate_paths",
     "estimate_from_lengths",
     "exp_plus",
+    "exp_plus_vectors",
     "format_edge_list",
     "format_matrix_text",
     "from_matrix",
@@ -130,7 +143,9 @@ __all__ = [
     "make_rng",
     "mat_mul",
     "mat_pow",
+    "mat_pow_vectors",
     "micmac",
+    "micmac_vectors",
     "moments",
     "monte_carlo_pwp",
     "omega_lambda_sum",
@@ -143,6 +158,8 @@ __all__ = [
     "pwp",
     "pwp_matrix",
     "pwp_matrix_report",
+    "pwp_vectors",
+    "pwp_vectors_report",
     "rank_vertices",
     "read_matrix_text",
     "rho_sum",

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,15 @@ from .graph import (
     to_matrix,
     web_normalize,
 )
-from .linalg import SeriesReport, pwp_matrix
+from .linalg import SeriesReport, mat_pow, pwp_matrix
 from .methods import (
     IndirectInfluenceResult,
     MicmacConfig,
     PageRankConfig,
     PWPConfig,
-    micmac,
+    micmac_vectors,
     pagerank,
-    pwp,
+    pwp_vectors,
     rank_vertices,
 )
 from .stochastic import make_rng, moments, estimate_from_lengths, sample_lengths
@@ -68,26 +69,60 @@ def dumps_report(report: dict) -> str:
     return json.dumps(_canonical(report), sort_keys=True, indent=2) + "\n"
 
 
+def _tied_pairs(differs: np.ndarray) -> int:
+    """Pairs within runs of equal values, given where neighbours differ."""
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], differs, [True]))))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _inversions(r: np.ndarray) -> int:
+    """Pairs i < j with r[i] > r[j], for integer ranks 0 <= r < r.size.
+
+    Bottom-up merge: at width w, each element of the right half of a block
+    of 2w counts the elements of the left half above it, found by one
+    searchsorted over the left halves sorted on (block, rank).
+    """
+    n = r.size
+    position = np.arange(n)
+    count = 0
+    width = 1
+    while width < n:
+        block = position // (2 * width)
+        right = (position // width) % 2 == 1
+        left = np.sort(block[~right] * n + r[~right])
+        at_most = np.searchsorted(left, block[right] * n + r[right], side="right")
+        block_end = np.searchsorted(left, (block[right] + 1) * n, side="left")
+        count += int((block_end - at_most).sum())
+        width *= 2
+    return count
+
+
 def kendall_tau(x, y) -> float:
     """Kendall tau-b between two score vectors.
 
     Both-constant vectors agree perfectly (1.0); exactly one constant
-    vector counts as no agreement (0.0).
+    vector counts as no agreement (0.0).  O(n log n) by Knight's method
+    (JASA 61, 1966): sort by (x, y), count ties, and count the discordant
+    pairs as inversions of y.  The pair counts are exact integers, so the
+    result equals the pairwise definition bit for bit.
     """
-    x = list(map(float, x))
-    y = list(map(float, y))
-    if len(x) != len(y):
+    x = np.fromiter(map(float, x), dtype=float)
+    y = np.fromiter(map(float, y), dtype=float)
+    if x.size != y.size:
         raise ValueError("vectors must have equal length")
-    s = dx = dy = 0
-    for i in range(len(x)):
-        for j in range(i + 1, len(x)):
-            a = (x[i] > x[j]) - (x[i] < x[j])
-            b = (y[i] > y[j]) - (y[i] < y[j])
-            s += a * b
-            dx += a * a
-            dy += b * b
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    x_differs = x[1:] != x[:-1]
+    y_sorted = np.sort(y)
+    pairs = x.size * (x.size - 1) // 2
+    dx = pairs - _tied_pairs(x_differs)
+    dy = pairs - _tied_pairs(y_sorted[1:] != y_sorted[:-1])
     if dx == 0 or dy == 0:
         return 1.0 if dx == dy else 0.0
+    joint = _tied_pairs(x_differs | (y[1:] != y[:-1]))
+    discordant = _inversions(np.searchsorted(y_sorted, y))
+    # concordant + discordant = pairs tied in neither vector
+    s = dx + dy - pairs + joint - 2 * discordant
     return s / math.sqrt(dx * dy)
 
 
@@ -148,11 +183,19 @@ def _method_block(
     return block
 
 
-def _run_method(g: DirectInfluenceGraph, name: str, args) -> IndirectInfluenceResult:
+def _run_method(
+    g: DirectInfluenceGraph, name: str, args, emit_matrix: bool = False
+) -> IndirectInfluenceResult:
+    """d, f and diagnostics from the vector kernels; the dense T only when
+    it is printed, so neither depends on emit_matrix."""
     if name == "pwp":
-        return pwp(to_matrix(g), lam=args.lam, tol=args.tol)
+        d = to_matrix(g)
+        result = pwp_vectors(d, lam=args.lam, tol=args.tol)
+        return replace(result, T=pwp_matrix(d, args.lam, args.tol)) if emit_matrix else result
     if name == "micmac":
-        return micmac(to_matrix(g), k=args.k)
+        d = to_matrix(g)
+        result = micmac_vectors(d, k=args.k)
+        return replace(result, T=mat_pow(d, args.k)) if emit_matrix else result
     if name == "pagerank":
         # ranking works on link structure: entry (i, j) becomes 1/out(j)
         return pagerank(web_normalize(g), p=args.p, tol=args.tol, max_iter=args.max_iter)
@@ -187,7 +230,7 @@ def _csv_table(block: dict, n: int) -> str:
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.graph)
-    result = _run_method(g, args.method, args)
+    result = _run_method(g, args.method, args, args.emit_matrix)
     block = _method_block(result, args.paper_scale, args.emit_matrix)
     if args.csv:
         _emit(_csv_table(block, g.n), args.output)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectInfluenceGraph, Edge
+from .linalg import _expm1, _positive
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,8 @@ def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
             hub<->leaf    sinh(lam sqrt n) / (sqrt n  e_plus(lam)),
             leaf-leaf     (cosh(lam sqrt n) - 1) / (n e_plus(lam)).
     """
-    if not (lam > 0):
-        raise ValueError(f"lam must be > 0, got {lam}")
-    eplus = math.expm1(lam)
+    _positive("lam", lam)
+    eplus = _expm1(lam)
     if isinstance(spec, Line):
         n = spec.n
         t = np.zeros((n, n))
@@ -152,6 +152,5 @@ def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
 
 def line_argmax_offset(lam: float) -> int:
     """Offset s at which the line's T[j+s, j] peaks: floor(lam) if lam >= 1, else 1."""
-    if not (lam > 0):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _positive("lam", lam)
     return math.floor(lam) if lam >= 1.0 else 1

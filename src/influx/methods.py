@@ -3,7 +3,8 @@
 Every method produces a square matrix T of indirect influences.  Row sums of
 T give the dependence vector d (how much each vertex is acted on), column
 sums give the influence vector f (how much each vertex acts), and vertices
-are ranked by those scores.
+are ranked by those scores.  pwp_vectors and micmac_vectors compute d and f
+by matrix-vector products without forming T.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotSubstochastic, NumericOverflow
-from .linalg import SeriesReport, _square, mat_pow, pwp_matrix_report
+from .linalg import (
+    SeriesReport,
+    _positive,
+    _square,
+    mat_pow,
+    mat_pow_vectors,
+    pwp_matrix_report,
+    pwp_vectors_report,
+)
 
 SUBSTOCHASTIC_TOL = 1e-9
 
@@ -22,10 +31,8 @@ class PWPConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        _positive("lam", self.lam)
+        _positive("tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,7 @@ class PageRankConfig:
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly inside (0, 1), got {self.p}")
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        _positive("tol", self.tol)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -69,10 +75,12 @@ class IndirectInfluenceResult:
 
     For the damped stationary method, `stationary` holds the probability
     vector with sum 1 (the per-vertex ranking weight); `vectors.d` holds the
-    row sums of T, which equal n times the stationary vector.
+    row sums of T, which equal n times the stationary vector.  T is None
+    when only the vectors were computed (:func:`pwp_vectors`,
+    :func:`micmac_vectors`).
     """
 
-    T: np.ndarray
+    T: np.ndarray | None
     vectors: InfluenceVectors
     config: MethodConfig
     diagnostics: SeriesReport | int | None = None
@@ -96,12 +104,30 @@ def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     return IndirectInfluenceResult(T=t, vectors=influence_dependence(t), config=config)
 
 
+def micmac_vectors(d, k: int = 4) -> IndirectInfluenceResult:
+    """The vectors of :func:`micmac` from k matrix-vector products each; T is None."""
+    config = MicmacConfig(k=k)
+    rows, cols = mat_pow_vectors(d, k)
+    return IndirectInfluenceResult(T=None, vectors=InfluenceVectors(d=rows, f=cols), config=config)
+
+
 def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
     """Exponential walk-weighting method: T = e_plus(lam*d) / e_plus(lam)."""
     config = PWPConfig(lam=lam, tol=tol)
     t, report = pwp_matrix_report(d, lam, tol)
     return IndirectInfluenceResult(
         T=t, vectors=influence_dependence(t), config=config, diagnostics=report
+    )
+
+
+def pwp_vectors(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
+    """The vectors of :func:`pwp` from matrix-vector series, each accurate to
+    tol in max norm; T is None.  The diagnostics describe the two vector
+    series (see :func:`influx.linalg.exp_plus_vectors`)."""
+    config = PWPConfig(lam=lam, tol=tol)
+    rows, cols, report = pwp_vectors_report(d, lam, tol)
+    return IndirectInfluenceResult(
+        T=None, vectors=InfluenceVectors(d=rows, f=cols), config=config, diagnostics=report
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, IndexOutOfRange
 from .graph import DirectInfluenceGraph, Edge, to_matrix
-from .linalg import mat_pow
+from .linalg import _expm1, _positive, mat_pow
 from .methods import pagerank_repair
 from .stochastic import _log_expm1
 
@@ -251,9 +251,8 @@ def omega_lambda_sum(
     Use :func:`omega_lambda_tail_bound` for the discarded k > K mass.
     """
     _check_walk(g, i, j, K)
-    if not (lam > 0):
-        raise ValueError(f"lam must be > 0, got {lam}")
-    scale = math.expm1(lam)
+    _positive("lam", lam)
+    scale = _expm1(lam)
     if literal:
         sums = [omega_sum(g, i, j, k, budget=budget, literal=True) for k in range(1, K + 1)]
     else:
@@ -273,6 +272,7 @@ def omega_lambda_tail_bound(g: DirectInfluenceGraph, lam: float, K: int) -> floa
     Uses |omega_sum(k)| <= ||D||_inf^k, the same rule that truncates the
     dense exponential series.
     """
+    _positive("lam", lam)
     if K < 1:
         raise ValueError(f"truncation length must be >= 1, got {K}")
     d = to_matrix(g)

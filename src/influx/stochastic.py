@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .linalg import mat_pow
+from .linalg import _positive, mat_pow
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,18 +39,21 @@ def _log_expm1(lam: float) -> float:
 def pmf(lam: float, k: int) -> float:
     """Probability of walk length k: lam^k / (e_plus(lam) * k!).
 
-    The distribution has no mass at 0, so k = 0 is a DomainError.  Large k
-    is evaluated in log space.
+    The distribution has no mass at 0, so k = 0 is a DomainError.  Large k,
+    and any lam or k whose direct form overflows, is evaluated in log space.
     """
-    if not (lam > 0):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _positive("lam", lam)
     if k < 1:
         raise DomainError(f"length distribution has no mass at k = {k}")
     if k <= 170:
-        num = lam**k
-        den = math.expm1(lam) * math.factorial(k)
-        if math.isfinite(num) and math.isfinite(den):
-            return num / den
+        try:
+            num = lam**k
+            den = math.expm1(lam) * math.factorial(k)
+        except OverflowError:
+            pass  # the log-space form below stays finite
+        else:
+            if math.isfinite(num) and math.isfinite(den):
+                return num / den
     return math.exp(k * math.log(lam) - math.lgamma(k + 1) - _log_expm1(lam))
 
 
@@ -71,8 +74,7 @@ def moments(lam: float) -> MomentSummary:
     evaluated in the overflow-free form obtained by scaling numerator and
     denominator with e^{-2 lam}.
     """
-    if not (lam > 0):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _positive("lam", lam)
     em = -math.expm1(-lam)  # 1 - e^{-lam}
     mean = lam / em
     second = (lam * lam + lam) / em
@@ -89,8 +91,7 @@ def chebyshev_bound(lam: float, c: float) -> float:
 
 def sample_length(lam: float, rng: np.random.Generator) -> int:
     """One draw from the length law: Poisson(lam) rejection-resampled on 0."""
-    if not (lam > 0):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _positive("lam", lam)
     while True:
         k = int(rng.poisson(lam))
         if k >= 1:
@@ -99,8 +100,7 @@ def sample_length(lam: float, rng: np.random.Generator) -> int:
 
 def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draws from the length law; all entries are >= 1."""
-    if not (lam > 0):
-        raise ValueError(f"lam must be > 0, got {lam}")
+    _positive("lam", lam)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     ks = rng.poisson(lam, size)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import influx
 from influx import errors
@@ -388,3 +389,91 @@ def test_kendall_tau_constant_vectors():
 def test_kendall_tau_partial_ties():
     value = kendall_tau([1, 1, 2], [1, 2, 3])
     assert value == pytest.approx(2 / math.sqrt(2 * 3), abs=1e-12)
+
+
+def _kendall_pairwise(x, y) -> float:
+    """The O(n^2) definition over all pairs, kept as the reference."""
+    x = list(map(float, x))
+    y = list(map(float, y))
+    s = dx = dy = 0
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            a = (x[i] > x[j]) - (x[i] < x[j])
+            b = (y[i] > y[j]) - (y[i] < y[j])
+            s += a * b
+            dx += a * a
+            dy += b * b
+    if dx == 0 or dy == 0:
+        return 1.0 if dx == dy else 0.0
+    return s / math.sqrt(dx * dy)
+
+
+@st.composite
+def _tied_pairs(draw):
+    n = draw(st.integers(0, 60))
+    x = draw(st.lists(st.integers(0, draw(st.integers(0, 6))), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(-3, draw(st.integers(-3, 6))), min_size=n, max_size=n))
+    return x, y
+
+
+@given(_tied_pairs())
+def test_kendall_tau_equals_pairwise_definition(pair):
+    x, y = pair
+    assert kendall_tau(x, y) == _kendall_pairwise(x, y)
+
+
+def test_kendall_tau_equals_pairwise_on_signed_zeros_and_infinities():
+    x = [0.0, -0.0, math.inf, -math.inf, 1.0, 0.0]
+    y = [-0.0, 0.0, 1.0, math.inf, math.inf, -math.inf]
+    assert kendall_tau(x, y) == _kendall_pairwise(x, y)
+
+
+@given(_tied_pairs())
+def test_kendall_tau_matches_scipy(pair):
+    stats = pytest.importorskip("scipy.stats")
+    x, y = pair
+    if len(set(x)) < 2 or len(set(y)) < 2:
+        return  # scipy returns nan where the report convention gives 1.0 or 0.0
+    assert kendall_tau(x, y) == pytest.approx(stats.kendalltau(x, y).statistic, abs=1e-14)
+
+
+def test_kendall_tau_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        kendall_tau([1, 2, 3], [1, 2])
+
+
+# -- vectors without the dense T --------------------------------------------------
+
+@pytest.mark.parametrize("method", [["pwp", "--lambda", "2.5"], ["micmac", "-k", "3"]])
+def test_compute_emit_matrix_leaves_vectors_unchanged(tmp_path, capsys, method):
+    rng = np.random.default_rng(21)
+    path = tmp_path / "g.csv"
+    path.write_text("".join(
+        f"{i},{j},{rng.uniform(0.05, 0.6)!r}\n"
+        for i in range(1, 13) for j in range(1, 13) if rng.random() < 0.3
+    ))
+    _, plain, _ = run(capsys, "compute", "--method", *method, str(path))
+    _, full, _ = run(capsys, "compute", "--method", *method, "--emit-matrix", str(path))
+    plain, full = json.loads(plain), json.loads(full)
+    assert "T" not in plain and "T" in full
+    del full["T"]
+    assert plain == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--method", "pwp", "--lambda", "inf"],
+        ["compute", "--method", "pwp", "--lambda", "nan"],
+        ["compute", "--method", "pwp", "--tol", "inf"],
+        ["compute", "--method", "pagerank", "--tol", "nan"],
+        ["compare", "--lambda", "inf"],
+        ["montecarlo", "--lambda", "inf", "-N", "10"],
+        ["montecarlo", "--tol", "inf", "-N", "10"],
+    ],
+)
+def test_non_finite_parameter_exit_2(line3, capsys, argv):
+    code, out, err = run(capsys, *argv, line3)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err

@@ -11,20 +11,28 @@ import math
 import numpy as np
 import pytest
 
+import influx
 from influx import (
     DimensionMismatch,
+    Line,
     NoConvergenceWithinBudget,
     NumericOverflow,
+    PageRankConfig,
+    PWPConfig,
+    build,
     exp_plus,
+    exp_plus_vectors,
     influence_dependence,
     is_column_stochastic,
     mat_mul,
     mat_pow,
+    mat_pow_vectors,
     pagerank,
     pagerank_repair,
     parse_edge_list,
     pwp_matrix,
     pwp_matrix_report,
+    pwp_vectors_report,
     to_matrix,
 )
 
@@ -145,6 +153,40 @@ def test_exp_plus_tail_bound_is_honest():
         assert np.abs(coarse - fine).max() <= report.tail_bound + 1e-15
 
 
+def test_exp_plus_vectors_tail_bound_is_honest():
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        d = rng.uniform(-1, 1, (n, n))
+        rows, cols, report = exp_plus_vectors(d, lam=1.0, tol=1e-6)
+        fine_rows, fine_cols, _ = exp_plus_vectors(d, lam=1.0, tol=1e-7)
+        assert np.abs(rows - fine_rows).max() <= report.tail_bound + 1e-15
+        assert np.abs(cols - fine_cols).max() <= report.tail_bound + 1e-15
+
+
+def test_exp_plus_vectors_are_sums_of_exp_plus():
+    rng = np.random.default_rng(8)
+    d = rng.uniform(-1, 1, (6, 6))
+    rows, cols, report = exp_plus_vectors(d, lam=1.5, tol=1e-14)
+    s, _ = exp_plus(d, lam=1.5, tol=1e-15)
+    assert np.allclose(rows, s.sum(axis=1), rtol=0, atol=1e-12)
+    assert np.allclose(cols, s.sum(axis=0), rtol=0, atol=1e-12)
+    assert 0.0 < report.tail_bound < 1e-14
+
+
+def test_vector_kernels_on_an_empty_matrix():
+    rows, cols, report = exp_plus_vectors(np.zeros((0, 0)))
+    assert rows.shape == cols.shape == (0,) and report.tail_bound == 0.0
+    assert [v.shape for v in mat_pow_vectors(np.zeros((0, 0)), 3)] == [(0,), (0,)]
+
+
+def test_mat_pow_vectors_zero_power_and_bad_power():
+    rows, cols = mat_pow_vectors(L3, 0)
+    assert np.array_equal(rows, np.ones(3)) and np.array_equal(cols, np.ones(3))
+    with pytest.raises(ValueError):
+        mat_pow_vectors(L3, -1)
+
+
 def test_exp_plus_diverging_budget():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NoConvergenceWithinBudget):
@@ -197,6 +239,57 @@ def test_exp_plus_overflowing_sum_of_finite_terms():
     d = np.array([[1.0, 1.1e308], [0.0, 0.0]])
     with pytest.raises(NumericOverflow, match="sum"):
         exp_plus(d, lam=1.0)
+
+
+def test_vector_kernels_overflow_is_typed():
+    big = np.array([[0.0, 1e200], [1e200, 0.0]])
+    with pytest.raises(NumericOverflow, match="row or column sum"):
+        mat_pow_vectors(big, 4)
+    with pytest.raises(NumericOverflow, match="term"):
+        exp_plus_vectors(big)
+    with pytest.raises(NumericOverflow, match="matrix power 1"):
+        mat_pow_vectors(np.array([[0.0, 0.0], [1.7e308, 1.7e308]]), 1)  # finite d, infinite row sum
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: pwp_vectors_report(L3, lam),
+        lambda lam: influx.omega_lambda_sum(build(Line(2)), 2, 1, lam, 5),
+        lambda lam: influx.closed_form_pwp(Line(3), lam),
+    ],
+    ids=["pwp_vectors_report", "omega_lambda_sum", "closed_form_pwp"],
+)
+def test_e_plus_lambda_overflow_is_typed_everywhere(call):
+    with pytest.raises(NumericOverflow, match="e\\^lambda - 1"):
+        call(800.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: PWPConfig(lam=v),
+        lambda v: PWPConfig(tol=v),
+        lambda v: PageRankConfig(tol=v),
+        lambda v: exp_plus(L3, lam=v),
+        lambda v: exp_plus(L3, tol=v),
+        lambda v: exp_plus_vectors(L3, lam=v),
+        lambda v: pwp_matrix(L3, tol=v),
+        lambda v: pwp_vectors_report(L3, lam=v),
+        lambda v: influx.pmf(v, 1),
+        lambda v: influx.moments(v),
+        lambda v: influx.sample_length(v, influx.make_rng(0)),
+        lambda v: influx.sample_lengths(v, 3, influx.make_rng(0)),
+        lambda v: influx.closed_form_pwp(Line(3), v),
+        lambda v: influx.line_argmax_offset(v),
+        lambda v: influx.omega_lambda_sum(build(Line(2)), 2, 1, v, 5),
+        lambda v: influx.omega_lambda_tail_bound(build(Line(2)), v, 5),
+    ],
+)
+def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        call(bad)
 
 
 @pytest.mark.parametrize("lam", [800.0, 1e308])

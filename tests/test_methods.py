@@ -10,18 +10,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from influx import (
+    Cycle,
     DimensionMismatch,
+    Jordan,
+    Line,
     NoConvergence,
     NotSubstochastic,
+    Star,
+    build,
+    closed_form_pwp,
     influence_dependence,
     mat_pow,
     micmac,
+    micmac_vectors,
     pagerank,
     pagerank_repair,
     parse_edge_list,
     pwp,
+    pwp_vectors,
     rank_vertices,
     to_matrix,
     web_normalize,
@@ -270,3 +280,55 @@ def test_pwp_result_consistent_vectors():
     result = pwp(L3, lam=1.0)
     assert np.allclose(result.vectors.d, result.T.sum(axis=1), rtol=0, atol=1e-15)
     assert np.allclose(result.vectors.f, result.T.sum(axis=0), rtol=0, atol=1e-15)
+
+
+# -- vectors without the dense T --------------------------------------------------
+
+FAMILIES = [Line(1), Line(6), Cycle(5), Jordan(4, 0.5), Jordan(3, 2.0), Star(7)]
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("spec", FAMILIES, ids=repr)
+def test_pwp_vectors_match_closed_forms(spec, lam):
+    result = pwp_vectors(to_matrix(build(spec)), lam=lam)
+    exact = influence_dependence(closed_form_pwp(spec, lam))
+    assert result.T is None
+    assert np.allclose(result.vectors.d, exact.d, rtol=1e-12, atol=1e-12)
+    assert np.allclose(result.vectors.f, exact.f, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("spec", FAMILIES, ids=repr)
+def test_micmac_vectors_match_dense_power(spec, k):
+    d = to_matrix(build(spec))
+    result = micmac_vectors(d, k)
+    exact = influence_dependence(mat_pow(d, k))
+    assert result.T is None
+    assert np.allclose(result.vectors.d, exact.d, rtol=1e-14, atol=0)
+    assert np.allclose(result.vectors.f, exact.f, rtol=1e-14, atol=0)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    n = draw(st.integers(0, 8))
+    weights = arrays(float, (n, n), elements=st.floats(-1.0, 1.0))
+    present = arrays(bool, (n, n))
+    return np.where(draw(present), draw(weights), 0.0)
+
+
+@given(_sparse_matrices(), st.floats(0.05, 2.0))
+def test_pwp_vectors_agree_with_dense_t(d, lam):
+    fast = pwp_vectors(d, lam=lam)
+    dense = pwp(d, lam=lam)
+    # the dense T meets tol entrywise, so its row sums only within n * tol
+    assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-10, atol=1e-11)
+    assert np.allclose(fast.vectors.f, dense.vectors.f, rtol=1e-10, atol=1e-11)
+    assert fast.config == dense.config
+
+
+@given(_sparse_matrices(), st.integers(1, 6))
+def test_micmac_vectors_agree_with_dense_t(d, k):
+    fast = micmac_vectors(d, k)
+    dense = micmac(d, k)
+    assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-12, atol=1e-12)
+    assert np.allclose(fast.vectors.f, dense.vectors.f, rtol=1e-12, atol=1e-12)

@@ -30,6 +30,15 @@ def test_pmf_first_value():
     assert pmf(1.0, 1) == pytest.approx(1.0 / math.expm1(1.0), abs=1e-16)
 
 
+def test_pmf_where_e_lambda_overflows():
+    # e^800 - 1 leaves the float range; the log-space form does not
+    assert pmf(800.0, 3) == 0.0
+    assert pmf(800.0, 170) == pytest.approx(
+        math.exp(170 * math.log(800.0) - math.lgamma(171) - 800.0), rel=1e-12
+    )
+    assert math.fsum(pmf(800.0, k) for k in range(1, 2_000)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_pmf_no_mass_at_zero():
     with pytest.raises(DomainError):
         pmf(1.0, 0)
