@@ -47,6 +47,7 @@ from .linalg import (
     exp_plus_vectors,
     mat_mul,
     mat_pow,
+    mat_pow_sum,
     mat_pow_vectors,
     pwp_matrix,
     pwp_matrix_report,
@@ -143,6 +144,7 @@ __all__ = [
     "make_rng",
     "mat_mul",
     "mat_pow",
+    "mat_pow_sum",
     "mat_pow_vectors",
     "micmac",
     "micmac_vectors",

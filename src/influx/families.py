@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericOverflow
 from .graph import DirectInfluenceGraph, Edge
 from .linalg import _expm1, _positive
 
@@ -109,9 +110,23 @@ def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
     Star:   hub-hub       (cosh(lam sqrt n) - 1) / e_plus(lam),
             hub<->leaf    sinh(lam sqrt n) / (sqrt n  e_plus(lam)),
             leaf-leaf     (cosh(lam sqrt n) - 1) / (n e_plus(lam)).
+
+    The Jordan and star exponentials are divided by e_plus(lam) in log space,
+    so they stay finite wherever the quotient is.  Raises NumericOverflow
+    when e_plus(lam) or an entry of the matrix leaves the float range.
     """
     _positive("lam", lam)
     eplus = _expm1(lam)
+    try:
+        t = _closed_form(spec, lam, eplus)
+    except OverflowError:
+        t = None
+    if t is None or not np.isfinite(t).all():
+        raise NumericOverflow(f"closed form of {spec!r} at lambda = {lam!r}")
+    return t
+
+
+def _closed_form(spec: FamilySpec, lam: float, eplus: float) -> np.ndarray:
     if isinstance(spec, Line):
         n = spec.n
         t = np.zeros((n, n))
@@ -129,23 +144,28 @@ def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
         return t
     if isinstance(spec, Jordan):
         n = spec.n
-        ealam = math.exp(spec.a * lam)
+        x = spec.a * lam
+        growth = math.exp(x - math.log(eplus))  # e^x / e_plus(lam), e^x unformed
+        # e^x - 1 = e^x (1 - e^-x) keeps the diagonal finite for large x > 0
+        diag = growth * -math.expm1(-x) if x > 0 else math.expm1(x) / eplus
         t = np.zeros((n, n))
         for j in range(1, n + 1):
-            t[j - 1, j - 1] = math.expm1(spec.a * lam) / eplus
+            t[j - 1, j - 1] = diag
             for s in range(1, n - j + 1):
-                t[j + s - 1, j - 1] = ealam * lam**s / (eplus * math.factorial(s))
+                t[j + s - 1, j - 1] = growth * lam**s / math.factorial(s)
         return t
     if isinstance(spec, Star):
         m = spec.n
         hub = m  # 0-based index of the hub
         x = lam * math.sqrt(m)
-        cosh_minus_one = (math.expm1(x) + math.expm1(-x)) / 2.0
-        hub_leaf = math.sinh(x) / (math.sqrt(m) * eplus)
-        t = np.full((m + 1, m + 1), cosh_minus_one / (m * eplus))
+        # cosh x - 1 = e^x (1 - e^-x)^2 / 2 and sinh x = e^x (1 - e^-2x) / 2
+        half_growth = math.exp(x - math.log(eplus)) / 2.0
+        cosh_minus_one = half_growth * math.expm1(-x) ** 2
+        hub_leaf = half_growth * -math.expm1(-2.0 * x) / math.sqrt(m)
+        t = np.full((m + 1, m + 1), cosh_minus_one / m)
         t[hub, :] = hub_leaf
         t[:, hub] = hub_leaf
-        t[hub, hub] = cosh_minus_one / eplus
+        t[hub, hub] = cosh_minus_one
         return t
     raise TypeError(f"unknown family spec {spec!r}")
 

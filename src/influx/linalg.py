@@ -75,15 +75,61 @@ def mat_pow(d, k: int) -> np.ndarray:
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     what = f"matrix power {k}"
-    result = np.eye(d.shape[0])
+    result = None
     base = d
     while k:
         if k & 1:
-            result = _product(result, base, what)
+            # the first factor is copied, not multiplied by the identity;
+            # + 0.0 turns -0.0 into +0.0 as that product did
+            result = base + 0.0 if result is None else _product(result, base, what)
         k >>= 1
         if k:
             base = _product(base, base, what)
-    return result
+    return np.eye(d.shape[0]) if result is None else result
+
+
+def mat_pow_sum(d, ks, weights) -> np.ndarray:
+    """sum_i weights[i] * d^ks[i] for strictly ascending integer powers ks >= 0.
+
+    One pass over ks: the first power comes from :func:`mat_pow`, and each
+    later one is the previous power times d when the powers are consecutive,
+    or times d^gap (formed once per distinct gap in a row) when they are not,
+    so len(ks) consecutive powers cost len(ks) - 1 products after the first.
+    Contributions are added in ascending power.  Raises NumericOverflow at
+    the first product, or a sum, that leaves the float range.
+    """
+    d = _square(d)
+    ks = np.asarray(ks)
+    weights = np.asarray(weights, dtype=float)
+    if ks.ndim != 1 or weights.shape != ks.shape:
+        raise ValueError(f"need one weight per power, got shapes {ks.shape} and {weights.shape}")
+    if ks.size and not np.issubdtype(ks.dtype, np.integer):
+        raise ValueError(f"powers must be integers, got dtype {ks.dtype}")
+    if ks.size and ks[0] < 0:
+        raise ValueError(f"power must be >= 0, got {ks[0]}")
+    if np.any(np.diff(ks) <= 0):
+        raise ValueError("powers must be strictly ascending")
+    total = None
+    at, gap, step = 0, 1, d  # power = d^at once at > 0; step = d^gap
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, weight in zip(ks.tolist(), weights.tolist()):
+            if at == 0:
+                power = mat_pow(d, k)
+            else:
+                if k - at != gap:
+                    gap = k - at
+                    step = mat_pow(d, gap)
+                power = _product(power, step, f"matrix power {k}")
+            at = k
+            if total is None:
+                total = weight * power
+            else:
+                total += weight * power
+    if total is None:
+        return np.zeros(d.shape)
+    if not np.isfinite(total).all():
+        raise NumericOverflow("weighted sum of matrix powers")
+    return total
 
 
 def mat_pow_vectors(d, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _positive, mat_pow
+from .linalg import _positive, mat_pow_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,16 +112,13 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
 
 
 def estimate_from_lengths(d, lengths) -> np.ndarray:
-    """Average of d^k over the given walk lengths; each power computed once."""
+    """Average of d^k over the given integer walk lengths; each distinct power
+    is formed once, from the previous one (:func:`mat_pow_sum`)."""
     lengths = np.asarray(lengths)
     if lengths.size == 0:
         raise ValueError("need at least one sampled length")
     values, counts = np.unique(lengths, return_counts=True)
-    total = None
-    for k, count in zip(values, counts):
-        contribution = (count / lengths.size) * mat_pow(d, int(k))
-        total = contribution if total is None else total + contribution
-    return total
+    return mat_pow_sum(d, values, counts / lengths.size)
 
 
 def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:

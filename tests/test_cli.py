@@ -374,6 +374,21 @@ def test_montecarlo_deterministic(line3, capsys):
     assert a == b
 
 
+def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys):
+    # cmd_montecarlo draws its own lengths (it reports their mean), so it
+    # must stay the same estimate as the library's monte_carlo_pwp
+    text = "1,2,0.5\n2,3,0.7\n3,1,0.9\n3,4,0.4\n4,2,0.3\n4,4,0.2\n"
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    code, out, _ = run(
+        capsys, "montecarlo", str(path), "--lambda", "2", "-N", "5000", "--seed", "3", "--emit-matrix"
+    )
+    assert code == 0
+    d = influx.to_matrix(parse_edge_list(text))
+    library = influx.monte_carlo_pwp(d, 2.0, 5000, 3)
+    assert json.loads(out)["estimate"] == json.loads(dumps_report({"e": library}))["e"]
+
+
 # -- kendall tau ----------------------------------------------------------------------------
 
 def test_kendall_tau_perfect_and_reversed():

@@ -10,6 +10,7 @@ from influx import (
     Edge,
     Jordan,
     Line,
+    NumericOverflow,
     Star,
     build,
     closed_form_pwp,
@@ -125,6 +126,49 @@ def test_star_hub_leaf_series_form():
     hub = spec.center - 1
     assert t[0, hub] == pytest.approx(series, abs=1e-14)
     assert t[hub, 0] == pytest.approx(series, abs=1e-14)
+
+
+def test_large_lambda_closed_forms_stay_finite():
+    # e^{a lam} and cosh/sinh(lam sqrt n) leave the float range at lam = 400,
+    # their quotients by e_plus(lam) do not: both are e^400 times a constant
+    y = math.exp(400.0)
+    jordan = closed_form_pwp(Jordan(3, 2.0), 400.0)
+    assert jordan[0, 0] == pytest.approx(y, rel=1e-12)
+    assert jordan[1, 0] == pytest.approx(400.0 * y, rel=1e-12)
+    assert jordan[2, 0] == pytest.approx(80_000.0 * y, rel=1e-12)
+    star = closed_form_pwp(Star(4), 400.0)
+    hub = Star(4).center - 1
+    assert star[hub, hub] == pytest.approx(y / 2, rel=1e-12)
+    assert star[hub, 0] == pytest.approx(y / 4, rel=1e-12)
+    assert star[0, 1] == pytest.approx(y / 8, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 30.0])
+@pytest.mark.parametrize("spec", [Jordan(4, 0.5), Jordan(4, -0.3), Jordan(4, 2.0), Star(1), Star(5)], ids=str)
+def test_scaled_closed_forms_match_direct_forms(spec, lam):
+    # the direct forms, which are finite at these lambdas
+    eplus = math.expm1(lam)
+    t = closed_form_pwp(spec, lam)
+    if isinstance(spec, Jordan):
+        for j in range(spec.n):
+            assert t[j, j] == pytest.approx(math.expm1(spec.a * lam) / eplus, rel=1e-13)
+            for s in range(1, spec.n - j):
+                direct = math.exp(spec.a * lam) * lam**s / (eplus * math.factorial(s))
+                assert t[j + s, j] == pytest.approx(direct, rel=1e-13)
+    else:
+        x, hub = lam * math.sqrt(spec.n), spec.center - 1
+        assert t[hub, hub] == pytest.approx((math.cosh(x) - 1) / eplus, rel=1e-13)
+        assert t[hub, 0] == pytest.approx(math.sinh(x) / (math.sqrt(spec.n) * eplus), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "spec, lam",
+    [(Jordan(3, 3.0), 700.0), (Star(100), 700.0), (Line(200), 700.0)],
+    ids=str,
+)
+def test_closed_form_overflow_is_typed(spec, lam):
+    with pytest.raises(NumericOverflow):
+        closed_form_pwp(spec, lam)
 
 
 def test_star_closed_form_against_oracle():

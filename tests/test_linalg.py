@@ -26,6 +26,7 @@ from influx import (
     is_column_stochastic,
     mat_mul,
     mat_pow,
+    mat_pow_sum,
     mat_pow_vectors,
     pagerank,
     pagerank_repair,
@@ -96,6 +97,117 @@ def test_mat_pow_cycle_is_shift_permutation(n, k):
 def test_mat_pow_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         mat_pow(np.zeros((2, 3)), 2)
+
+
+def _mat_pow_from_identity(d, k):
+    """Repeated squaring that starts from the identity: the reference that
+    mat_pow must equal bit for bit, signed zeros included."""
+    result, base = np.eye(d.shape[0]), d
+    while k:
+        if k & 1:
+            result = result @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return result
+
+
+def test_mat_pow_equals_identity_started_powers_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        d = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 3.0], (n, n)) * rng.uniform(0.5, 1.5, (n, n))
+        d[rng.random((n, n)) < 0.4] = -0.0
+        k = int(rng.integers(0, 12))
+        got, want = mat_pow(d, k), _mat_pow_from_identity(d, k)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_mat_pow_one_is_a_copy_with_positive_zeros():
+    d = np.array([[-0.0, 1.0], [0.0, 0.0]])
+    p = mat_pow(d, 1)
+    assert np.array_equal(p, d) and not np.signbit(p).any()
+    p[0, 1] = 5.0
+    assert d[0, 1] == 1.0
+
+
+# -- mat_pow_sum and the number of dense products ----------------------------------
+
+@pytest.fixture
+def products(monkeypatch):
+    """The dense products the power kernels take, one entry per product."""
+    calls = []
+    real = influx.linalg._product
+
+    def counted(a, b, what):
+        calls.append(what)
+        return real(a, b, what)
+
+    monkeypatch.setattr(influx.linalg, "_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, expected", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (15, 6)])
+def test_mat_pow_takes_no_identity_product(products, k, expected):
+    mat_pow(C3, k)
+    assert len(products) == expected
+
+
+def test_consecutive_lengths_take_one_product_each(products):
+    d = np.random.default_rng(10).uniform(0, 0.2, (6, 6))
+    influx.estimate_from_lengths(d, np.arange(1, 16))
+    assert len(products) <= 15
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 15, 16, 33, 1000])
+def test_single_power_costs_no_more_than_mat_pow(products, k):
+    alone = mat_pow(C3, k)
+    cost = len(products)
+    products.clear()
+    assert np.array_equal(mat_pow_sum(C3, [k], [1.0]), alone)
+    assert len(products) <= cost
+
+
+def test_far_power_is_reached_by_squaring(products):
+    # a cycle's powers are shift permutations, so the answer is exact
+    cycle = to_matrix(parse_edge_list("\n".join(f"{i},{i % 7 + 1},1" for i in range(1, 8))))
+    got = mat_pow_sum(cycle, [1, 10**6], [0.5, 0.5])
+    assert np.array_equal(got, 0.5 * cycle + 0.5 * np.linalg.matrix_power(cycle, 10**6 % 7))
+    assert len(products) <= 2 * (10**6).bit_length()
+
+
+def test_mat_pow_sum_zero_power_is_identity():
+    d = np.random.default_rng(11).uniform(-1, 1, (4, 4))
+    got = mat_pow_sum(d, [0, 2], [0.25, 0.75])
+    assert np.array_equal(got, 0.25 * np.eye(4) + 0.75 * mat_pow(d, 2))
+
+
+def test_mat_pow_sum_of_nothing_is_zero():
+    assert np.array_equal(mat_pow_sum(L3, [], []), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "ks, weights, match",
+    [
+        ([-1, 2], [0.5, 0.5], ">= 0"),
+        ([2, 1], [0.5, 0.5], "ascending"),
+        ([2, 2], [0.5, 0.5], "ascending"),
+        ([1.5], [1.0], "integers"),
+        ([True], [1.0], "integers"),
+        ([1, 2], [1.0], "one weight per power"),
+    ],
+)
+def test_mat_pow_sum_rejects_bad_powers(ks, weights, match):
+    with pytest.raises(ValueError, match=match):
+        mat_pow_sum(L3, ks, weights)
+
+
+def test_mat_pow_sum_overflow_is_typed():
+    with pytest.raises(NumericOverflow, match="matrix power 2"):
+        mat_pow_sum(np.array([[1e200]]), [1, 2], [0.5, 0.5])
+    with pytest.raises(NumericOverflow, match="weighted sum"):
+        mat_pow_sum(np.array([[1.7e308]]), [1], [2.0])
 
 
 # -- exp_plus ------------------------------------------------------------------

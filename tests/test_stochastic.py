@@ -1,17 +1,21 @@
 """Length law, moments, tail bound, sampling, and the Bernoulli series."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from influx import (
     DomainError,
+    NumericOverflow,
     bernoulli_numbers,
     bernoulli_series,
     build,
     chebyshev_bound,
+    estimate_from_lengths,
     Line,
     make_rng,
     moments,
@@ -186,6 +190,42 @@ def test_monte_carlo_single_draw():
 def test_monte_carlo_rejects_zero_samples():
     with pytest.raises(ValueError):
         monte_carlo_pwp(np.eye(2), 1.0, 0, seed=0)
+
+
+@st.composite
+def _matrix_and_lengths(draw):
+    n = draw(st.integers(1, 5))
+    entries = draw(st.lists(st.floats(-1, 1), min_size=n * n, max_size=n * n))
+    lengths = draw(st.lists(st.integers(0, 20), min_size=1, max_size=40))
+    return np.array(entries).reshape(n, n) / n, lengths
+
+
+@given(_matrix_and_lengths())
+def test_estimate_from_lengths_matches_matrix_power_average(case):
+    d, lengths = case
+    values, counts = np.unique(lengths, return_counts=True)
+    weights = counts / len(lengths)
+    want = sum(w * np.linalg.matrix_power(d, int(k)) for k, w in zip(values, weights))
+    # rounding in a product of k factors is at most ~k n eps times |d|^k
+    scale = sum(w * np.linalg.matrix_power(np.abs(d), int(k)) for k, w in zip(values, weights))
+    assert np.all(np.abs(estimate_from_lengths(d, lengths) - want) <= 1e-12 * scale)
+
+
+def test_estimate_from_lengths_empty_matrix():
+    assert estimate_from_lengths(np.zeros((0, 0)), [1, 3, 3]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("lengths", [[], [1.5], [1.7, 1.2], [True]])
+def test_estimate_from_lengths_rejects_empty_or_non_integer_lengths(lengths):
+    with pytest.raises(ValueError):
+        estimate_from_lengths(to_matrix(build(Line(4))), lengths)
+
+
+def test_estimate_from_lengths_overflow_is_typed():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow):
+            estimate_from_lengths(np.array([[0.0, 1e200], [1e200, 0.0]]), [1, 2, 3])
 
 
 def test_monte_carlo_error_scales_with_samples():
