@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +27,8 @@ from .graph import (
     to_matrix,
     web_normalize,
 )
-from .linalg import SeriesReport, mat_pow, pwp_matrix
-from .methods import (
-    IndirectInfluenceResult,
-    MicmacConfig,
-    PageRankConfig,
-    PWPConfig,
-    micmac_vectors,
-    pagerank,
-    pwp_vectors,
-    rank_vertices,
-)
+from .linalg import mat_pow, pwp_matrix
+from .methods import micmac_vectors, pagerank, pwp_vectors, rank_vertices
 from .stochastic import make_rng, moments, estimate_from_lengths, sample_lengths
 
 def canonical_float(x: float) -> float:
@@ -135,71 +125,73 @@ def _ranking(scores) -> list[list]:
     return [[v, s] for v, s in rank_vertices(scores)]
 
 
-def _method_block(
-    result: IndirectInfluenceResult, paper_scale: bool, emit_matrix: bool
-) -> dict:
-    cfg = result.config
-    if isinstance(cfg, PWPConfig):
-        method = {"name": "pwp", "lambda": cfg.lam, "tol": cfg.tol}
-    elif isinstance(cfg, MicmacConfig):
-        method = {"name": "micmac", "k": cfg.k}
-    elif isinstance(cfg, PageRankConfig):
-        method = {"name": "pagerank", "p": cfg.p, "tol": cfg.tol, "max_iter": cfg.max_iter}
-    else:
-        raise TypeError(f"unknown config {cfg!r}")
+# One entry per engine: (graph, args, emit_matrix) -> report block with the
+# engine's "method" parameters, "paper_scale", raw "d" and "f", "diagnostics"
+# and any fields of its own.  d, f and diagnostics come from the vector
+# kernels; the dense T is formed only when it is printed, so neither depends
+# on emit_matrix.
 
-    d = result.vectors.d
-    f = result.vectors.f
-    block = {"method": method, "paper_scale": False}
-    if isinstance(cfg, PageRankConfig):
+def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
+    d = to_matrix(g)
+    result = pwp_vectors(d, lam=args.lam, tol=args.tol)
+    report = result.diagnostics
+    scale = math.expm1(args.lam) if args.paper_scale else 1.0
+    block = {
+        "method": {"name": "pwp", "lambda": args.lam, "tol": args.tol},
+        "paper_scale": args.paper_scale,
+        "d": result.vectors.d * scale,
+        "f": result.vectors.f * scale,
+        "diagnostics": {"terms_used": report.terms_used, "tail_bound": report.tail_bound},
+    }
+    if emit_matrix:
+        block["T"] = pwp_matrix(d, args.lam, args.tol)
+    return block
+
+
+def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
+    d = to_matrix(g)
+    result = micmac_vectors(d, k=args.k)
+    block = {
+        "method": {"name": "micmac", "k": args.k},
+        "paper_scale": False,
+        "d": result.vectors.d,
+        "f": result.vectors.f,
+        "diagnostics": {},
+    }
+    if emit_matrix:
+        block["T"] = mat_pow(d, args.k)
+    return block
+
+
+def _pagerank_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
+    # ranking works on link structure: entry (i, j) becomes 1/out(j)
+    result = pagerank(web_normalize(g), p=args.p, tol=args.tol, max_iter=args.max_iter)
+    block = {
+        "method": {"name": "pagerank", "p": args.p, "tol": args.tol, "max_iter": args.max_iter},
+        "paper_scale": False,
         # the stationary probabilities are the headline numbers; the raw
         # row sums of T are n times larger
-        block["d"] = _published(result.stationary)
-        block["f"] = _published(f)
-        block["dependence_row_sums"] = _published(d)
-        block["diagnostics"] = {"iterations": int(result.diagnostics)}
-    elif isinstance(cfg, PWPConfig):
-        if paper_scale:
-            scale = math.expm1(cfg.lam)
-            d = d * scale
-            f = f * scale
-            block["paper_scale"] = True
-        block["d"] = _published(d)
-        block["f"] = _published(f)
-        report = result.diagnostics
-        assert isinstance(report, SeriesReport)
-        block["diagnostics"] = {
-            "terms_used": report.terms_used,
-            "tail_bound": report.tail_bound,
-        }
-    else:
-        block["d"] = _published(d)
-        block["f"] = _published(f)
-        block["diagnostics"] = {}
-    block["ranking_by_dependence"] = _ranking(block["d"])
-    block["ranking_by_influence"] = _ranking(block["f"])
+        "d": result.stationary,
+        "f": result.vectors.f,
+        "dependence_row_sums": _published(result.vectors.d),
+        "diagnostics": {"iterations": result.diagnostics},
+    }
     if emit_matrix:
         block["T"] = result.T
     return block
 
 
-def _run_method(
-    g: DirectInfluenceGraph, name: str, args, emit_matrix: bool = False
-) -> IndirectInfluenceResult:
-    """d, f and diagnostics from the vector kernels; the dense T only when
-    it is printed, so neither depends on emit_matrix."""
-    if name == "pwp":
-        d = to_matrix(g)
-        result = pwp_vectors(d, lam=args.lam, tol=args.tol)
-        return replace(result, T=pwp_matrix(d, args.lam, args.tol)) if emit_matrix else result
-    if name == "micmac":
-        d = to_matrix(g)
-        result = micmac_vectors(d, k=args.k)
-        return replace(result, T=mat_pow(d, args.k)) if emit_matrix else result
-    if name == "pagerank":
-        # ranking works on link structure: entry (i, j) becomes 1/out(j)
-        return pagerank(web_normalize(g), p=args.p, tol=args.tol, max_iter=args.max_iter)
-    raise ValueError(f"unknown method {name!r}")
+_METHODS = {"pwp": _pwp_block, "micmac": _micmac_block, "pagerank": _pagerank_block}
+
+
+def _method_block(name: str, g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
+    """The engine's block with d and f as published and both rankings."""
+    block = _METHODS[name](g, args, emit_matrix)
+    block["d"] = _published(block["d"])
+    block["f"] = _published(block["f"])
+    block["ranking_by_dependence"] = _ranking(block["d"])
+    block["ranking_by_influence"] = _ranking(block["f"])
+    return block
 
 
 def _graph_summary(g: DirectInfluenceGraph) -> dict:
@@ -217,74 +209,61 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _csv_cell(x: float) -> str:
-    return repr(canonical_float(float(x)))
-
-
-def _csv_table(block: dict, n: int) -> str:
-    lines = ["vertex,d,f"]
+def _csv(header: str, blocks: list[dict], n: int) -> str:
+    """One row per vertex: its published d and f from each block in turn."""
+    lines = [header]
     for v in range(n):
-        lines.append(f"{v + 1},{_csv_cell(block['d'][v])},{_csv_cell(block['f'][v])}")
+        cells = [str(v + 1)]
+        for block in blocks:
+            cells += [repr(block["d"][v]), repr(block["f"][v])]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.graph)
-    result = _run_method(g, args.method, args, args.emit_matrix)
-    block = _method_block(result, args.paper_scale, args.emit_matrix)
+    block = _method_block(args.method, g, args, args.emit_matrix)
     if args.csv:
-        _emit(_csv_table(block, g.n), args.output)
-        return 0
-    report = {"graph": _graph_summary(g), **block}
-    _emit(dumps_report(report), args.output)
+        _emit(_csv("vertex,d,f", [block], g.n), args.output)
+    else:
+        _emit(dumps_report({"graph": _graph_summary(g), **block}), args.output)
     return 0
 
 
 def cmd_compare(args) -> int:
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in names if m not in {"pwp", "micmac", "pagerank"}]
-    if not names or unknown:
-        raise ValueError(f"--methods must name pwp, micmac, or pagerank, got {args.methods!r}")
+    if not names or not set(names) <= _METHODS.keys():
+        *others, last = _METHODS
+        raise ValueError(
+            f"--methods must name {', '.join(others)}, or {last}, got {args.methods!r}"
+        )
     g = _load_graph(args.graph)
-    blocks = []
-    for name in names:
-        result = _run_method(g, name, args)
-        blocks.append(_method_block(result, args.paper_scale, False))
+    blocks = [_method_block(name, g, args, False) for name in names]
+    if args.csv:
+        header = "vertex," + ",".join(f"d_{name},f_{name}" for name in names)
+        _emit(_csv(header, blocks, g.n), args.output)
+        return 0
     agreement = {"dependence": {}, "influence": {}}
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             key = f"{names[a]}|{names[b]}"
             agreement["dependence"][key] = kendall_tau(blocks[a]["d"], blocks[b]["d"])
             agreement["influence"][key] = kendall_tau(blocks[a]["f"], blocks[b]["f"])
-    if args.csv:
-        lines = ["vertex," + ",".join(f"d_{n},f_{n}" for n in names)]
-        for v in range(g.n):
-            cells = [str(v + 1)]
-            for block in blocks:
-                cells.append(_csv_cell(block["d"][v]))
-                cells.append(_csv_cell(block["f"][v]))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.output)
-        return 0
-    report = {
-        "graph": _graph_summary(g),
-        "methods": blocks,
-        "rank_agreement": agreement,
-    }
+    report = {"graph": _graph_summary(g), "methods": blocks, "rank_agreement": agreement}
     _emit(dumps_report(report), args.output)
     return 0
 
 
+_FAMILIES = {
+    "line": lambda args: families.Line(args.n),
+    "cycle": lambda args: families.Cycle(args.n),
+    "jordan": lambda args: families.Jordan(args.n, args.a),
+    "star": lambda args: families.Star(args.n),
+}
+
+
 def cmd_generate(args) -> int:
-    if args.family == "line":
-        spec = families.Line(args.n)
-    elif args.family == "cycle":
-        spec = families.Cycle(args.n)
-    elif args.family == "jordan":
-        spec = families.Jordan(args.n, args.a)
-    else:
-        spec = families.Star(args.n)
-    g = families.build(spec)
+    g = families.build(_FAMILIES[args.family](args))
     _emit(format_edge_list(g), args.output)
     return 0
 
@@ -353,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="run one method on an edge-list file")
     compute.add_argument("graph", help="edge-list file: source,target,weight per line")
     compute.add_argument(
-        "--method", required=True, choices=["pwp", "micmac", "pagerank"]
+        "--method", required=True, choices=list(_METHODS)
     )
     _add_method_flags(compute)
     compute.add_argument("--emit-matrix", dest="emit_matrix", action="store_true")
@@ -365,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("graph")
     compare.add_argument(
         "--methods",
-        default="pwp,micmac,pagerank",
-        help="comma-separated subset of pwp,micmac,pagerank (default all)",
+        default=",".join(_METHODS),
+        help=f"comma-separated subset of {','.join(_METHODS)} (default all)",
     )
     _add_method_flags(compare)
     compare.add_argument("--csv", action="store_true")
@@ -374,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     generate = sub.add_parser("generate", help="emit a named example family")
-    generate.add_argument("family", choices=["line", "cycle", "jordan", "star"])
+    generate.add_argument("family", choices=list(_FAMILIES))
     generate.add_argument("-n", type=int, required=True, help="size parameter")
     generate.add_argument(
         "-a", type=float, default=1.0, help="jordan self-loop weight (default 1)"

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NumericOverflow
 from .graph import DirectInfluenceGraph, Edge
 from .linalg import _expm1, _positive
+from .stochastic import pmf
 
 
 @dataclass(frozen=True)
@@ -87,33 +88,35 @@ def build(spec: FamilySpec) -> DirectInfluenceGraph:
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-def _mod_factorial_series(lam: float, s: int, n: int) -> float:
-    """sum_{k>=0} lam^(nk+s) / (nk+s)!, truncated when terms underflow."""
-    m = s
-    term = lam**s / math.factorial(s)
-    total = 0.0
-    while term > 1e-22 and m <= 1_000:
-        total += term
-        for _ in range(n):
-            m += 1
-            term *= lam / m
+def _residue_mass(lam: float, s: int, n: int) -> float:
+    """P(K = s mod n) under the length law: the sum of pmf(lam, nk + s) over
+    k >= 0, stopped past the mode once a term no longer changes the sum."""
+    total, m = 0.0, s
+    p = pmf(lam, m)
+    while p > 0.0 and (m <= lam or total + p != total):
+        total += p
+        m += n
+        p = pmf(lam, m)
     return total
 
 
 def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
     """Exact influence matrix of the family under exponential walk weighting.
 
-    Line:   T[j+s, j] = lam^s / (e_plus(lam) s!)            for 1 <= s <= n-j.
-    Cycle:  T[j+s mod n, j] = sum_k lam^{nk+s}/(nk+s)! / e_plus(lam), s in 1..n.
+    Line:   T[j+s, j] = lam^s / (e_plus(lam) s!) = pmf(lam, s)  for 1 <= s <= n-j.
+    Cycle:  T[j+s mod n, j] = sum_k pmf(lam, nk+s)               for s in 1..n.
     Jordan: T[j+s, j] = e^{a lam} lam^s / ((e^lam - 1) s!)  for s >= 1,
             T[j, j]   = (e^{a lam} - 1) / (e^lam - 1).
     Star:   hub-hub       (cosh(lam sqrt n) - 1) / e_plus(lam),
             hub<->leaf    sinh(lam sqrt n) / (sqrt n  e_plus(lam)),
             leaf-leaf     (cosh(lam sqrt n) - 1) / (n e_plus(lam)).
 
-    The Jordan and star exponentials are divided by e_plus(lam) in log space,
-    so they stay finite wherever the quotient is.  Raises NumericOverflow
-    when e_plus(lam) or an entry of the matrix leaves the float range.
+    Line and cycle entries are probabilities of the length law
+    (:func:`influx.stochastic.pmf`, which moves to log space where the direct
+    form would overflow).  The Jordan and star exponentials are divided by
+    e_plus(lam) in log space, so they stay finite wherever the quotient is.
+    Raises NumericOverflow when e_plus(lam) or an entry of the matrix leaves
+    the float range.
     """
     _positive("lam", lam)
     eplus = _expm1(lam)
@@ -127,20 +130,16 @@ def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
 
 
 def _closed_form(spec: FamilySpec, lam: float, eplus: float) -> np.ndarray:
-    if isinstance(spec, Line):
+    if isinstance(spec, (Line, Cycle)):
         n = spec.n
+        j = np.arange(n)
         t = np.zeros((n, n))
-        for j in range(1, n):
-            for s in range(1, n - j + 1):
-                t[j + s - 1, j - 1] = lam**s / (eplus * math.factorial(s))
-        return t
-    if isinstance(spec, Cycle):
-        n = spec.n
-        column = [_mod_factorial_series(lam, s, n) / eplus for s in range(1, n + 1)]
-        t = np.zeros((n, n))
-        for j in range(n):
+        if isinstance(spec, Line):
+            for s in range(1, n):
+                t[j[s:], j[:-s]] = pmf(lam, s)
+        else:
             for s in range(1, n + 1):
-                t[(j + s) % n, j] = column[s - 1]
+                t[(j + s) % n, j] = _residue_mass(lam, s, n)
         return t
     if isinstance(spec, Jordan):
         n = spec.n

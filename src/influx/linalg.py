@@ -48,6 +48,15 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _at_least(name: str, value, least: int) -> None:
+    """The package's one integer parameter check: an integer (numpy's too,
+    but not a bool) that is >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _product(a, b, what: str) -> np.ndarray:
     """a @ b, raising NumericOverflow instead of returning inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -72,8 +81,7 @@ def mat_pow(d, k: int) -> np.ndarray:
     Raises NumericOverflow at the first product that leaves the float range.
     """
     d = _square(d)
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {k}")
+    _at_least("power", k, 0)
     what = f"matrix power {k}"
     result = None
     base = d
@@ -138,8 +146,7 @@ def mat_pow_vectors(d, k: int) -> tuple[np.ndarray, np.ndarray]:
     Raises NumericOverflow at the first product that leaves the float range.
     """
     d = _square(d)
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {k}")
+    _at_least("power", k, 0)
     what = f"a row or column sum of matrix power {k}"
     rows = cols = np.ones(d.shape[0])
     for _ in range(k):

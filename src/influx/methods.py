@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotSubstochastic, NumericOverflow
 from .linalg import (
     SeriesReport,
+    _at_least,
     _positive,
     _square,
     mat_pow,
@@ -40,8 +41,7 @@ class MicmacConfig:
     k: int = 4
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _at_least("k", self.k, 1)
 
 
 @dataclass(frozen=True)

@@ -64,22 +64,38 @@ class MomentSummary:
     variance: float
 
 
+def _expm1_minus_x_over_x2(lam: float) -> float:
+    """(e^lam - 1 - lam) / lam^2 = sum_{k>=2} lam^(k-2) / k! for 0 < lam < 1,
+    summed until a term no longer changes the sum."""
+    total, term, k = 0.0, 0.5, 2
+    while total + term != total:
+        total += term
+        k += 1
+        term *= lam / k
+    return total
+
+
 def moments(lam: float) -> MomentSummary:
     """Closed-form mean, second moment, and variance of the length law.
 
     mean      = lam e^lam / (e^lam - 1)
     EX^2      = (lam^2 + lam) e^lam / (e^lam - 1)
-    variance  = (lam e^{2 lam} - (lam^2 + lam) e^lam) / (e^lam - 1)^2
+    variance  = mean (e^lam - 1 - lam) / (e^lam - 1)
 
-    evaluated in the overflow-free form obtained by scaling numerator and
-    denominator with e^{-2 lam}.
+    The mean and second moment are scaled by e^-lam so they do not overflow.
+    The variance's factor is summed as a series below lam = 1, where
+    e^lam - 1 - lam cancels, and evaluated as
+    (1 - (1 + lam) e^-lam) / (1 - e^-lam) from there on.
     """
     _positive("lam", lam)
     em = -math.expm1(-lam)  # 1 - e^{-lam}
     mean = lam / em
     second = (lam * lam + lam) / em
-    variance = (lam - (lam * lam + lam) * math.exp(-lam)) / (em * em)
-    return MomentSummary(mean=mean, second_moment=second, variance=variance)
+    if lam < 1.0:
+        share = lam * _expm1_minus_x_over_x2(lam) * (lam / math.expm1(lam))
+    else:
+        share = (1.0 - (1.0 + lam) * math.exp(-lam)) / em
+    return MomentSummary(mean=mean, second_moment=second, variance=mean * share)
 
 
 def chebyshev_bound(lam: float, c: float) -> float:
@@ -90,25 +106,25 @@ def chebyshev_bound(lam: float, c: float) -> float:
 
 
 def sample_length(lam: float, rng: np.random.Generator) -> int:
-    """One draw from the length law: Poisson(lam) rejection-resampled on 0."""
-    _positive("lam", lam)
-    while True:
-        k = int(rng.poisson(lam))
-        if k >= 1:
-            return k
+    """One draw from the length law (see :func:`sample_lengths`)."""
+    return int(sample_lengths(lam, 1, rng)[0])
 
 
 def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draws from the length law; all entries are >= 1."""
+    """Vectorized draws from the length law; all entries are >= 1.
+
+    Exact at every lam, with no redrawing: the first arrival T of a unit-rate
+    Poisson process, given that it lands in (0, lam], is
+    -log1p(U (e^-lam - 1)) for U uniform on [0, 1), and the number of
+    further arrivals in (T, lam] is Poisson(lam - T), so
+    K = 1 + Poisson(lam - T) is zero-truncated Poisson(lam).
+    """
     _positive("lam", lam)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    ks = rng.poisson(lam, size)
-    zero = ks == 0
-    while np.any(zero):
-        ks[zero] = rng.poisson(lam, int(zero.sum()))
-        zero = ks == 0
-    return ks
+    first = -np.log1p(rng.random(size) * math.expm1(-lam))
+    # rounding may put the first arrival a hair past lam
+    return 1 + rng.poisson(np.maximum(lam - first, 0.0))
 
 
 def estimate_from_lengths(d, lengths) -> np.ndarray:

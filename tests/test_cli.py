@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,17 @@ def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys):
     assert json.loads(out)["estimate"] == json.loads(dumps_report({"e": library}))["e"]
 
 
+@pytest.mark.parametrize("lam", ["1e-300", "1e-8", "1e-4"])
+def test_montecarlo_small_lambda_is_quick(line3, capsys, lam):
+    # nearly every Poisson(lambda) draw is 0 here, so zeros must not be redrawn
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "montecarlo", line3, "--lambda", lam, "-N", "100000")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    report = json.loads(out)
+    assert report["mean_length"]["expected"] == pytest.approx(1.0, abs=1e-4)
+    assert report["mean_length"]["empirical"] == pytest.approx(1.0, abs=1e-3)
+
+
 # -- kendall tau ----------------------------------------------------------------------------
 
 def test_kendall_tau_perfect_and_reversed():
@@ -492,3 +504,45 @@ def test_non_finite_parameter_exit_2(line3, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+
+
+# -- compute and compare share one report block per method -----------------------
+
+@pytest.fixture
+def random12(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "r12.csv"
+    path.write_text("".join(
+        f"{i},{j},{rng.uniform(0.05, 0.6)!r}\n"
+        for i in range(1, 13) for j in range(1, 13) if i != j and rng.random() < 0.3
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize("methods", ["pwp,micmac,pagerank", "pagerank,pwp", "micmac"])
+def test_compare_csv_cells_are_the_published_values(random12, capsys, methods):
+    _, table, _ = run(capsys, "compare", "--methods", methods, "--csv", random12)
+    _, out, _ = run(capsys, "compare", "--methods", methods, random12)
+    blocks = json.loads(out)["methods"]
+    names = methods.split(",")
+    lines = table.splitlines()
+    assert table.endswith("\n")
+    assert lines[0] == "vertex," + ",".join(f"d_{m},f_{m}" for m in names)
+    assert len(lines) == 1 + 12
+    for v, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert cells[0] == str(v + 1)
+        expected = [x for b in blocks for x in (b["d"][v], b["f"][v])]
+        assert [float(c) for c in cells[1:]] == expected
+        assert cells[1:] == [repr(x) for x in expected]
+
+
+@pytest.mark.parametrize("flags", [[], ["--paper-scale"], ["--lambda", "2.5", "-k", "3", "-p", "0.7"]])
+@pytest.mark.parametrize("method", ["pwp", "micmac", "pagerank"])
+def test_compute_block_is_compare_block(random12, capsys, method, flags):
+    _, out, _ = run(capsys, "compute", "--method", method, *flags, random12)
+    alone = json.loads(out)
+    del alone["graph"]
+    _, out, _ = run(capsys, "compare", *flags, random12)
+    by_name = {b["method"]["name"]: b for b in json.loads(out)["methods"]}
+    assert alone == by_name[method]

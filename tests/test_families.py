@@ -1,5 +1,6 @@
 """Example families: construction, closed forms, and the peak-offset rule."""
 
+import decimal
 import math
 
 import numpy as np
@@ -163,12 +164,44 @@ def test_scaled_closed_forms_match_direct_forms(spec, lam):
 
 @pytest.mark.parametrize(
     "spec, lam",
-    [(Jordan(3, 3.0), 700.0), (Star(100), 700.0), (Line(200), 700.0)],
+    [(Jordan(3, 3.0), 700.0), (Star(100), 700.0)],
     ids=str,
 )
 def test_closed_form_overflow_is_typed(spec, lam):
     with pytest.raises(NumericOverflow):
         closed_form_pwp(spec, lam)
+
+
+@pytest.mark.parametrize("lam", [1.0, 30.0])
+@pytest.mark.parametrize("spec", [Line(200), Cycle(200)], ids=str)
+def test_long_line_and_cycle_match_series(spec, lam):
+    # s! alone leaves the float range from s = 171 on, at every lambda
+    exact = closed_form_pwp(spec, lam)
+    series = pwp_matrix(to_matrix(build(spec)), lam, 1e-14)
+    assert np.abs(exact - series).max() < 1e-12
+
+
+def _length_law(lam: int, lengths) -> float:
+    """sum of lam^m / (m! (e^lam - 1)) over the given lengths, in 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(lam)
+        eplus = x.exp() - 1
+        return float(sum(x**m / (math.factorial(m) * eplus) for m in lengths))
+
+
+def test_long_line_and_cycle_at_lambda_700():
+    # e^700 is finite but lam^s / s! is not for most s; every entry is a
+    # probability of the length law
+    line = closed_form_pwp(Line(200), 700.0)
+    cycle = closed_form_pwp(Cycle(200), 700.0)
+    assert np.isfinite(line).all() and np.isfinite(cycle).all()
+    assert np.abs(cycle.sum(axis=0) - 1.0).max() < 1e-12
+    for s in (1, 2, 50, 170, 171, 199):
+        assert line[s, 0] == pytest.approx(_length_law(700, [s]), rel=1e-12)
+    for s in (1, 100, 200):
+        # the cycle's mode sits at s = 700 mod 200 = 100
+        expected = _length_law(700, range(s, 4_000, 200))
+        assert cycle[s % 200, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_star_closed_form_against_oracle():

@@ -404,6 +404,33 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: mat_pow(L3, k),
+        lambda k: mat_pow_vectors(L3, k),
+        lambda k: influx.micmac(L3, k),
+        lambda k: influx.micmac_vectors(L3, k),
+        lambda k: influx.MicmacConfig(k=k),
+    ],
+    ids=["mat_pow", "mat_pow_vectors", "micmac", "micmac_vectors", "MicmacConfig"],
+)
+def test_single_power_must_be_an_integer(call, bad):
+    # a bool is an int to Python, but True is not a power
+    with pytest.raises(ValueError, match="must be an integer" if bad != -1 else ">= "):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda k: mat_pow(L3, k), lambda k: mat_pow_vectors(L3, k)[0], lambda k: influx.micmac(L3, k).T],
+    ids=["mat_pow", "mat_pow_vectors", "micmac"],
+)
+def test_numpy_integer_powers_are_accepted(call):
+    assert np.array_equal(call(np.int64(2)), call(2))
+
+
 @pytest.mark.parametrize("lam", [800.0, 1e308])
 def test_pwp_matrix_overflowing_lambda_is_typed(lam):
     with pytest.raises(NumericOverflow):

@@ -1,5 +1,6 @@
 """Length law, moments, tail bound, sampling, and the Bernoulli series."""
 
+import decimal
 import math
 import warnings
 from fractions import Fraction
@@ -116,6 +117,27 @@ def test_large_lambda_mean_approaches_lambda():
     assert 0.999 < moments(20.0).mean / 20.0 < 1.001
 
 
+def _decimal_variance(lam: float) -> float:
+    """mean (e^lam - 1 - lam) / (e^lam - 1) in 1 000 digits, enough to resolve
+    e^lam - 1 - lam ~ lam^2 / 2 next to 1 at lam = 1e-300."""
+    with decimal.localcontext(decimal.Context(prec=1_000)):
+        x = decimal.Decimal(lam)
+        eplus = x.exp() - 1
+        return float(x * (eplus + 1) / eplus * (eplus - x) / eplus)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-8, 1e-5, 0.5, 1.0, 4.0, 30.0, 700.0])
+def test_variance_matches_decimal(lam):
+    # e^lam - 1 - lam cancels for small lam, and (e^lam - 1)^2 underflows at 1e-300
+    assert moments(lam).variance == pytest.approx(_decimal_variance(lam), rel=1e-12, abs=0.0)
+
+
+def test_huge_lambda_variance_is_lambda():
+    m = moments(1e200)
+    assert m.mean == 1e200
+    assert math.isfinite(m.variance) and m.variance == pytest.approx(1e200, rel=1e-15)
+
+
 # -- Chebyshev ------------------------------------------------------------------------
 
 def test_chebyshev_at_one_sigma_is_one():
@@ -136,6 +158,12 @@ def test_chebyshev_dominates_exact_tail(lam, c):
         pmf(lam, k) for k in range(1, 300) if abs(k - mean) >= c
     )
     assert tail <= chebyshev_bound(lam, c) + 1e-15
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-5])
+def test_chebyshev_stays_honest_at_small_lambda(lam):
+    tail = math.fsum(pmf(lam, k) for k in range(2, 30))  # |k - mean| >= 0.5 for k >= 2
+    assert 0.0 < tail <= chebyshev_bound(lam, 0.5)
 
 
 # -- sampling --------------------------------------------------------------------------
@@ -164,6 +192,27 @@ def test_sample_pmf_at_one():
     n = 1_000_000
     ks = sample_lengths(1.0, n, make_rng(17))
     assert np.mean(ks == 1) == pytest.approx(1.0 / math.expm1(1.0), abs=0.002)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.3, 4.0, 30.0])
+def test_sample_lengths_follow_the_length_law(lam):
+    n = 200_000
+    values, counts = np.unique(sample_lengths(lam, n, make_rng(5)), return_counts=True)
+    assert values[0] >= 1
+    for k, c in zip(values.tolist(), counts.tolist()):
+        p = pmf(lam, k)
+        assert abs(c - n * p) <= 5.0 * math.sqrt(n * p) + 1.0
+
+
+def test_sample_lengths_at_tiny_lambda_draw_no_zeros():
+    # nearly every Poisson(1e-300) draw is 0, so zeros must not be redrawn
+    ks = sample_lengths(1e-300, 100_000, make_rng(0))
+    assert ks.dtype.kind == "i" and np.array_equal(ks, np.ones(100_000, dtype=ks.dtype))
+
+
+def test_sample_length_is_one_vectorized_draw():
+    for lam in (1e-300, 0.2, 4.0):
+        assert sample_length(lam, make_rng(3)) == int(sample_lengths(lam, 1, make_rng(3))[0])
 
 
 # -- Monte Carlo estimator ----------------------------------------------------------------
