@@ -84,6 +84,7 @@ from .stochastic import (
     bernoulli_numbers,
     bernoulli_series,
     chebyshev_bound,
+    estimate_and_exact,
     estimate_from_lengths,
     make_rng,
     moments,
@@ -132,6 +133,7 @@ __all__ = [
     "count_paths",
     "damped_matrix",
     "enumerate_paths",
+    "estimate_and_exact",
     "estimate_from_lengths",
     "exp_plus",
     "exp_plus_vectors",

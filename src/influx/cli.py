@@ -27,9 +27,9 @@ from .graph import (
     to_matrix,
     web_normalize,
 )
-from .linalg import mat_pow, pwp_matrix
+from .linalg import _expm1, mat_pow, pwp_matrix
 from .methods import micmac_vectors, pagerank, pwp_vectors, rank_vertices
-from .stochastic import make_rng, moments, estimate_from_lengths, sample_lengths
+from .stochastic import estimate_and_exact, make_rng, moments, sample_lengths
 
 def canonical_float(x: float) -> float:
     """Round to 12 significant digits so repr() is short and stable."""
@@ -273,9 +273,11 @@ def cmd_montecarlo(args) -> int:
         raise ValueError(f"-N must be >= 1, got {args.samples}")
     g = _load_graph(args.graph)
     d = to_matrix(g)
+    # e^lambda - 1 first: past its range lambda is a numeric failure (exit 3),
+    # whatever the sampler would make of it
+    _expm1(args.lam)
     lengths = sample_lengths(args.lam, args.samples, make_rng(args.seed))
-    estimate = estimate_from_lengths(d, lengths)
-    exact = pwp_matrix(d, args.lam, args.tol)
+    estimate, exact = estimate_and_exact(d, args.lam, lengths, args.tol)
     report = {
         "graph": _graph_summary(g),
         "lambda": args.lam,

@@ -3,7 +3,10 @@ exponential series that defines the exponential walk-weighting method.
 
 e_plus(x) = e^x - 1 = sum_{k>=1} x^k / k!  is summed directly term by term
 rather than as expm(x) - I, which would cancel catastrophically for small
-arguments.  Truncation is controlled by a rigorous geometric tail bound.
+arguments; the walk-weighting matrix e_plus(lam d) / e_plus(lam) is summed
+as sum_k pmf(lam, k) d^k, with the walk-length law's probabilities as
+weights.  One power chain serves both, and truncation is controlled by a
+rigorous geometric tail bound.
 The row and column sums of e_plus(x) and of integer powers, which are all
 the rankings need, come from matrix-vector products without forming the
 matrix (the action of the matrix function, Al-Mohy & Higham, SIAM J. Sci.
@@ -11,6 +14,7 @@ Comput. 33(2), 2011).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,80 +159,197 @@ def mat_pow_vectors(d, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _series(term, step, norm: float, tol: float) -> tuple[np.ndarray, SeriesReport]:
-    """The package's one truncated series: term_1 = term and
-    term_{k+1} = step(term_k) / (k+1), summed with Neumaier compensation.
+def _log_expm1(lam: float) -> float:
+    """log(e^lam - 1), finite for every finite lam > 0."""
+    if lam > 30.0:
+        return lam + math.log1p(-math.exp(-lam))
+    return math.log(math.expm1(lam))
 
-    `norm` must bound each step along the series in the max-absolute-entry
-    norm: |step(term_k)| <= norm * |term_k|.  After adding term K the loop
-    stops once u_K / (1 - r) < tol, where u_K is the max-absolute-entry norm
-    of term K and r = norm / (K+1) < 1; the terms beyond K are then bounded
-    by the geometric series u_K * r / (1 - r).  Raises
-    NoConvergenceWithinBudget if the bound is still above tol after
+
+def _poisson_weight(lam: float, k: int, normalised: bool) -> tuple[float, int]:
+    """lam^k / k!, divided by e^lam - 1 when normalised (the length law's
+    probability of k), as (m, e) with weight m * 2^e.
+
+    The direct form where it is a normal float; log space where it over- or
+    underflows, so the pair is finite and nonzero at every lam and k.
+    """
+    if k <= 170:
+        try:
+            num = lam**k
+            den = math.expm1(lam) * math.factorial(k) if normalised else math.factorial(k)
+        except OverflowError:
+            pass  # the log-space form below stays finite
+        else:
+            tiny = sys.float_info.min
+            w = num / den if num >= tiny and den >= tiny else 0.0
+            if tiny <= w <= sys.float_info.max:
+                return math.frexp(w)
+    log_w = k * math.log(lam) - math.lgamma(k + 1) - (_log_expm1(lam) if normalised else 0.0)
+    e = math.floor(log_w / math.log(2.0))
+    return math.exp(log_w - e * math.log(2.0)), e
+
+
+def _ldexp(m: float, e: int) -> float:
+    """m * 2^e, inf where that leaves the float range."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
+
+
+def _add_term(total, q, c: float, comp, new, err, term) -> None:
+    """new + err = total + c*q exactly (TwoSum), and err is added to comp;
+    term is scratch.  Works through row blocks of about 256 KB, so that the
+    eight passes over each block run in cache."""
+    rows = max(1, 32_768 * len(q) // max(1, q.size))
+    for i in range(0, len(q), rows):
+        a, b, s, e = total[i:i + rows], term[i:i + rows], new[i:i + rows], err[i:i + rows]
+        np.multiply(q[i:i + rows], c, out=b)
+        np.add(a, b, out=s)
+        np.subtract(s, a, out=e)
+        np.subtract(b, e, out=b)
+        np.subtract(s, e, out=e)
+        np.subtract(a, e, out=e)
+        e += b
+        comp[i:i + rows] += e
+
+
+def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, sampled=()):
+    """The package's one power series: sum_{k>=1} w_k P_k with P_1 = first,
+    P_{k+1} = step(P_k) and w_k = lam^k / k! (divided by e^lam - 1 when
+    normalised), and along the same pass sum_k v P_k over the ascending
+    (k >= 1, v) pairs in `sampled`.  Returns (series sum, sampled sum or
+    None, report).
+
+    `norm` must bound each step in the max-absolute-entry norm:
+    |step(P)| <= norm * |P|.  After adding term K, with u_K the max norm of
+    w_K P_K and r = lam * norm / (K+1), the series stops once r < 1 and
+    u_K / (1 - r) < tol; the terms beyond K are then bounded by the
+    geometric series u_K * r / (1 - r).  The pass goes on, adding no more
+    series terms, until it has reached the last sampled power.
+
+    Each power is held as 2^s * q, and q is rescaled by a power of two
+    into [1, 2) whenever its largest entry leaves [1, 2^64].  A term
+    w_k 2^s q is then at least its coefficient w_k 2^s, so neither a power
+    nor a coefficient leaves the float range where the term does not; the
+    rescaling is exact, so in range the terms are those of w_k P_k bit for
+    bit.  Terms are added with TwoSum compensation.  Every array the pass
+    writes is allocated before it starts: step(q, out) writes the next
+    power into out.
+
+    Raises NoConvergenceWithinBudget if the bound is still above tol after
     MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
     term or sum that overflows.
     """
+    sampled = list(sampled)
+    q = first + 0.0  # P_1 = 2^s q; + 0.0 turns -0.0 into +0.0 as mat_pow does
+    spare, total, new, err, comp = (np.zeros_like(q) for _ in range(5))
+    estimate = np.zeros_like(q) if sampled else None
+    s, k, at, report = 0, 1, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
-        # no other name holds term_1, so each term is freed once replaced
-        total = np.zeros_like(term)
-        comp = np.zeros_like(term)
-        k = 1
         while True:
-            u = float(np.abs(term).max(initial=0.0))
-            if not math.isfinite(u):
+            qmax = max(float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
+            if not math.isfinite(qmax):
                 raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
-            t = total + term
-            bigger = np.abs(total) >= np.abs(term)
-            comp += np.where(bigger, (total - t) + term, (term - t) + total)
-            total = t
-            if u == 0.0:
-                # term K is exactly zero, hence so is every later term
-                report = SeriesReport(terms_used=k, tail_bound=0.0)
+            if qmax and not 1.0 <= qmax <= 2.0**64:
+                shift = math.frexp(qmax)[1] - 1  # to [1, 2)
+                np.ldexp(q, -shift, out=q)
+                qmax = math.ldexp(qmax, -shift)
+                s += shift
+            if report is None:
+                m, e = _poisson_weight(lam, k, normalised)
+                c = _ldexp(m, e + s)
+                u = c * qmax if qmax else 0.0
+                if not math.isfinite(u):
+                    raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
+                _add_term(total, q, c, comp, new, err, spare)
+                total, new = new, total
+                r = lam * norm / (k + 1)
+                if u == 0.0:
+                    # term K is zero in floating point: d^K is zero, and so
+                    # is every later power, or the term has underflowed
+                    report = SeriesReport(terms_used=k, tail_bound=0.0)
+                elif r < 1.0 and u / (1.0 - r) < tol:
+                    report = SeriesReport(terms_used=k, tail_bound=u * r / (1.0 - r))
+                elif k >= MAX_SERIES_TERMS:
+                    bound = u / (1.0 - r) if r < 1.0 else math.inf
+                    raise NoConvergenceWithinBudget(k, bound, tol)
+            if at < len(sampled) and sampled[at][0] == k:
+                estimate += np.multiply(q, _ldexp(sampled[at][1], s), out=err)
+                at += 1
+            if report is not None and at == len(sampled):
                 break
-            r = norm / (k + 1)
-            if r < 1.0 and u / (1.0 - r) < tol:
-                report = SeriesReport(terms_used=k, tail_bound=u * r / (1.0 - r))
-                break
-            if k >= MAX_SERIES_TERMS:
-                bound = u / (1.0 - r) if r < 1.0 else math.inf
-                raise NoConvergenceWithinBudget(k, bound, tol)
-            term = step(term) / (k + 1)
+            step(q, spare)
+            q, spare = spare, q
             k += 1
-        s = total + comp
-    if not np.isfinite(s).all():
-        raise NumericOverflow("exponential series sum", k, tol)
-    return s, report
+        total += comp
+    if not np.isfinite(total).all():
+        raise NumericOverflow("exponential series sum", report.terms_used, tol)
+    if estimate is not None and not np.isfinite(estimate).all():
+        raise NumericOverflow("weighted sum of matrix powers")
+    return total, estimate, report
 
 
-def _scaled(d, lam: float, tol: float) -> np.ndarray:
-    """lam * d after checking d, lam and tol; entries may overflow to inf,
-    which the series reports as NumericOverflow at its first term."""
-    d = _square(d)
-    _positive("lam", lam)
-    _positive("tol", tol)
-    with np.errstate(over="ignore"):
-        return lam * d
-
-
-def _abs_sums(ld: np.ndarray, axis: int) -> float:
+def _abs_sums(d: np.ndarray, axis: int) -> float:
     """Largest absolute row (axis=1) or column (axis=0) sum; 0 when empty."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.abs(ld).sum(axis=axis).max(initial=0.0))
+        return float(np.abs(d).sum(axis=axis).max(initial=0.0))
+
+
+def _expm1(lam: float) -> float:
+    """e^lam - 1, raising NumericOverflow where math.expm1 would raise
+    OverflowError."""
+    try:
+        return math.expm1(lam)
+    except OverflowError:
+        raise NumericOverflow(f"e^lambda - 1 for lambda = {lam!r}") from None
+
+
+def _checked(d, lam: float, tol: float, normalised: bool) -> np.ndarray:
+    """d after checking lam, tol, e^lam - 1 when normalised, and d."""
+    _positive("lam", lam)
+    _positive("tol", tol)
+    if normalised:
+        _expm1(lam)
+    return _square(d)
+
+
+def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
+    """The series over the powers of d itself; see :func:`_chain`."""
+    d = _checked(d, lam, tol, normalised)
+    # powers of d commute with d, so the row-sum norm bounds P_k d = d P_k
+    return _chain(d, lambda q, out: np.matmul(q, d, out=out), _abs_sums(d, 1),
+                  lam, tol, normalised, sampled)
+
+
+def _vectors(d, lam: float, tol: float, normalised: bool):
+    """The series over d^k 1 and 1 d^k; see :func:`exp_plus_vectors`."""
+    d = _checked(d, lam, tol, normalised)
+    ones = np.ones(d.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        first_rows, first_cols = d @ ones, ones @ d
+    rows, _, by_row = _chain(first_rows, lambda v, out: np.matmul(d, v, out=out),
+                             _abs_sums(d, 1), lam, tol, normalised)
+    cols, _, by_col = _chain(first_cols, lambda v, out: np.matmul(v, d, out=out),
+                             _abs_sums(d, 0), lam, tol, normalised)
+    report = SeriesReport(
+        terms_used=max(by_row.terms_used, by_col.terms_used),
+        tail_bound=max(by_row.tail_bound, by_col.tail_bound),
+    )
+    return rows, cols, report
 
 
 def exp_plus(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, SeriesReport]:
     """Sum of (lam*d)^k / k! over k >= 1, without the k = 0 identity term.
 
-    Terms follow the recurrence M_{k+1} = M_k (lam d) / (k+1); the series
-    stops once its geometric tail bound, with r = lam*||d||_inf / (K+1), is
-    below tol in the max-absolute-entry norm.  Each term is a power of
-    lam*d, so M_k (lam d) = (lam d) M_k and the row-sum norm bounds a step.
-    Raises NoConvergenceWithinBudget if the bound is still above tol after
-    MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
-    term or sum that overflows.
+    Summed as lam^k / k! times d^k; the series stops once its geometric
+    tail bound, with r = lam*||d||_inf / (K+1), is below tol in the
+    max-absolute-entry norm.  Raises NoConvergenceWithinBudget if the bound
+    is still above tol after MAX_SERIES_TERMS terms, and its subclass
+    NumericOverflow at the first term or sum that overflows.
     """
-    ld = _scaled(d, lam, tol)
-    return _series(ld.copy(), lambda m: m @ ld, _abs_sums(ld, 1), tol)
+    total, _, report = _dense(d, lam, tol, normalised=False)
+    return total, report
 
 
 def exp_plus_vectors(
@@ -242,37 +363,18 @@ def exp_plus_vectors(
     below tol in max norm; the report gives the longer series' term count
     and the larger of the two bounds.  Raises like :func:`exp_plus`.
     """
-    ld = _scaled(d, lam, tol)
-    ones = np.ones(ld.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        first_rows, first_cols = ld @ ones, ones @ ld
-    rows, by_row = _series(first_rows, lambda v: ld @ v, _abs_sums(ld, 1), tol)
-    cols, by_col = _series(first_cols, lambda v: v @ ld, _abs_sums(ld, 0), tol)
-    report = SeriesReport(
-        terms_used=max(by_row.terms_used, by_col.terms_used),
-        tail_bound=max(by_row.tail_bound, by_col.tail_bound),
-    )
-    return rows, cols, report
-
-
-def _expm1(lam: float) -> float:
-    """e^lam - 1, raising NumericOverflow where math.expm1 would raise
-    OverflowError."""
-    try:
-        return math.expm1(lam)
-    except OverflowError:
-        raise NumericOverflow(f"e^lambda - 1 for lambda = {lam!r}") from None
+    return _vectors(d, lam, tol, normalised=False)
 
 
 def pwp_matrix_report(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, SeriesReport]:
-    """Like :func:`pwp_matrix` but also returns the truncation report, which
-    describes the series for e_plus(lam*d) before it is divided by
-    e_plus(lam)."""
-    _positive("lam", lam)
-    _positive("tol", tol)
-    scale = _expm1(lam)
-    s, report = exp_plus(d, lam, tol * scale)
-    return s / scale, report
+    """Like :func:`pwp_matrix` but also returns the truncation report.
+
+    T is summed as sum_k pmf(lam, k) d^k, so tol and the report's tail
+    bound are in the units of T.  Raises NumericOverflow where e^lam - 1
+    leaves the float range, and otherwise like :func:`exp_plus`.
+    """
+    t, _, report = _dense(d, lam, tol, normalised=True)
+    return t, report
 
 
 def pwp_matrix(d, lam: float = 1.0, tol: float = 1e-12) -> np.ndarray:
@@ -284,10 +386,6 @@ def pwp_vectors_report(
     d, lam: float = 1.0, tol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray, SeriesReport]:
     """Row and column sums of :func:`pwp_matrix` without forming it, each
-    accurate to tol in max norm, with the report of
+    accurate to tol in max norm, with a report like that of
     :func:`exp_plus_vectors`."""
-    _positive("lam", lam)
-    _positive("tol", tol)
-    scale = _expm1(lam)
-    rows, cols, report = exp_plus_vectors(d, lam, tol * scale)
-    return rows / scale, cols / scale, report
+    return _vectors(d, lam, tol, normalised=True)

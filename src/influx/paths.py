@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, IndexOutOfRange
 from .graph import DirectInfluenceGraph, Edge, to_matrix
-from .linalg import _expm1, _positive, mat_pow
+from .linalg import _expm1, _log_expm1, _positive, mat_pow
 from .methods import pagerank_repair
-from .stochastic import _log_expm1
 
 DEFAULT_BUDGET = 10_000_000
 _AUTO_LITERAL_CAP = 100_000

@@ -20,9 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _positive, mat_pow_sum
+from .linalg import _dense, _positive, _poisson_weight, mat_pow_sum
 
 TWO_PI = 2.0 * math.pi
+
+# numpy's Generator.poisson refuses a mean above this (its POISSON_LAM_MAX)
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -30,31 +33,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _log_expm1(lam: float) -> float:
-    if lam > 30.0:
-        return lam + math.log1p(-math.exp(-lam))
-    return math.log(math.expm1(lam))
-
-
 def pmf(lam: float, k: int) -> float:
     """Probability of walk length k: lam^k / (e_plus(lam) * k!).
 
     The distribution has no mass at 0, so k = 0 is a DomainError.  Large k,
-    and any lam or k whose direct form overflows, is evaluated in log space.
+    and any lam or k whose direct form over- or underflows, is evaluated in
+    log space; these are the weights the pwp series sums.
     """
     _positive("lam", lam)
     if k < 1:
         raise DomainError(f"length distribution has no mass at k = {k}")
-    if k <= 170:
-        try:
-            num = lam**k
-            den = math.expm1(lam) * math.factorial(k)
-        except OverflowError:
-            pass  # the log-space form below stays finite
-        else:
-            if math.isfinite(num) and math.isfinite(den):
-                return num / den
-    return math.exp(k * math.log(lam) - math.lgamma(k + 1) - _log_expm1(lam))
+    return math.ldexp(*_poisson_weight(lam, k, normalised=True))
 
 
 @dataclass(frozen=True)
@@ -120,6 +109,8 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     K = 1 + Poisson(lam - T) is zero-truncated Poisson(lam).
     """
     _positive("lam", lam)
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     first = -np.log1p(rng.random(size) * math.expm1(-lam))
@@ -127,14 +118,35 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     return 1 + rng.poisson(np.maximum(lam - first, 0.0))
 
 
-def estimate_from_lengths(d, lengths) -> np.ndarray:
-    """Average of d^k over the given integer walk lengths; each distinct power
-    is formed once, from the previous one (:func:`mat_pow_sum`)."""
+def _frequencies(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sampled lengths, ascending, and the share of each."""
     lengths = np.asarray(lengths)
     if lengths.size == 0:
         raise ValueError("need at least one sampled length")
     values, counts = np.unique(lengths, return_counts=True)
-    return mat_pow_sum(d, values, counts / lengths.size)
+    return values, counts / lengths.size
+
+
+def estimate_from_lengths(d, lengths) -> np.ndarray:
+    """Average of d^k over the given integer walk lengths; each distinct power
+    is formed once, from the previous one (:func:`mat_pow_sum`)."""
+    return mat_pow_sum(d, *_frequencies(lengths))
+
+
+def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimate_from_lengths` and the exact pwp matrix
+    (:func:`influx.linalg.pwp_matrix`) from one pass over the powers of d:
+    each D^k is formed once, for both its probability pmf(lam, k) and its
+    sampled frequency.  The pass runs to the longer of the series and the
+    longest sampled length.  The estimate equals estimate_from_lengths' bit
+    for bit when the lengths run consecutively from 1, and to rounding
+    otherwise.
+    """
+    values, shares = _frequencies(lengths)
+    if not np.issubdtype(values.dtype, np.integer) or values[0] < 1:
+        raise ValueError(f"sampled lengths must be integers >= 1, got {values[0]!r}")
+    exact, estimate, _ = _dense(d, lam, tol, normalised=True, sampled=zip(values.tolist(), shares.tolist()))
+    return estimate, exact
 
 
 def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:

@@ -190,6 +190,7 @@ def test_pagerank_empty_graph_exit_3(tmp_path, capsys):
         ["compute", "--method", "pwp", "--lambda", "800", "--paper-scale"],
         ["compare", "--lambda", "800"],
         ["montecarlo", "--lambda", "800", "-N", "10"],
+        ["montecarlo", "--lambda", "1e19", "-N", "5"],
     ],
 )
 def test_overflowing_lambda_exit_3(line3, capsys, argv):
@@ -198,6 +199,42 @@ def test_overflowing_lambda_exit_3(line3, capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "overflow" in err
+
+
+def test_montecarlo_past_the_sampler_fails_like_any_overflowing_lambda(line3, capsys):
+    # e^lambda - 1 is formed before any length is drawn; numpy's sampler
+    # would refuse 1e19 itself, with a message that names no option
+    code, out, err = run(capsys, "montecarlo", "--lambda", "1e19", "-N", "5", line3)
+    _, _, err_800 = run(capsys, "montecarlo", "--lambda", "800", "-N", "5", line3)
+    assert code == 3 and out == ""
+    assert err == err_800.replace("800.0", "1e+19")
+
+
+TINY_GRAPH = "1,2,0.5\n2,3,0.25\n3,1,0.125\n1,3,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--method", "pwp"], ["compare"], ["montecarlo", "-N", "1000"]],
+    ids=["compute", "compare", "montecarlo"],
+)
+def test_tiny_lambda_runs(tmp_path, capsys, argv):
+    # tol is not multiplied by e^lambda - 1, which underflows to 0 here
+    path = tmp_path / "g.csv"
+    path.write_text(TINY_GRAPH)
+    code, out, err = run(capsys, *argv, "--lambda", "1e-320", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    if argv[0] == "montecarlo":
+        # every walk has length 1, and T is d to double precision
+        assert report["mean_length"]["empirical"] == 1.0
+        assert report["max_abs_error"] < 1e-300
+    else:
+        # T is d to double precision, so pwp's d and f are d's row and column sums
+        block = report if argv[0] == "compute" else report["methods"][0]
+        d = influx.to_matrix(parse_edge_list(TINY_GRAPH))
+        assert block["d"] == [float(f"{x:.12g}") for x in d.sum(axis=1)]
+        assert block["f"] == [float(f"{x:.12g}") for x in d.sum(axis=0)]
 
 
 BIG_PAIR = "1,2,1e200\n2,1,1e200\n"

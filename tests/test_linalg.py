@@ -7,11 +7,15 @@ and the commuting-sum product identity.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import influx
+from influx.cli import main
 from influx import (
     DimensionMismatch,
     Line,
@@ -469,6 +473,132 @@ def test_pwp_report_scales_tolerance():
     _, report = pwp_matrix_report(L3, lam=1.0, tol=1e-12)
     assert report.terms_used == 3
     assert report.tail_bound == 0.0
+
+
+def test_pwp_tolerance_bounds_t_directly():
+    # tol is not scaled by e^lambda - 1: the report's bound is in T's units
+    d = np.random.default_rng(12).uniform(0, 0.3, (5, 5))
+    for lam in (1.0, 4.0):
+        t, report = pwp_matrix_report(d, lam, tol=1e-9)
+        _, by_exp_plus = exp_plus(d, lam, tol=1e-9 * math.expm1(lam))
+        assert report.terms_used == by_exp_plus.terms_used
+        assert report.tail_bound == pytest.approx(by_exp_plus.tail_bound / math.expm1(lam), rel=1e-12)
+        assert report.tail_bound < 1e-9
+
+
+def test_pwp_matrix_keeps_a_running_scale():
+    # d^k overflows from k = 155 on, but no term pmf(5, k) 100^k does
+    t = pwp_matrix([[100.0]], 5.0)
+    assert t[0, 0] == pytest.approx(math.expm1(500.0) / math.expm1(5.0), rel=1e-12, abs=0)
+
+
+def test_pwp_tail_bounds_are_honest():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        d = rng.uniform(-1, 1, (n, n))
+        for lam in (1.0, 4.0):
+            coarse, report = pwp_matrix_report(d, lam, tol=1e-6)
+            fine, _ = pwp_matrix_report(d, lam, tol=1e-9)
+            assert np.abs(coarse - fine).max() <= report.tail_bound + 1e-15
+            rows, cols, by_vector = pwp_vectors_report(d, lam, tol=1e-6)
+            fine_rows, fine_cols, _ = pwp_vectors_report(d, lam, tol=1e-9)
+            assert np.abs(rows - fine_rows).max() <= by_vector.tail_bound + 1e-15
+            assert np.abs(cols - fine_cols).max() <= by_vector.tail_bound + 1e-15
+
+
+@st.composite
+def _contractions(draw):
+    """Square matrices with row- and column-sum norms at most 1, so every
+    power stays in range and lambda * norm <= lambda."""
+    n = draw(st.integers(1, 6))
+    d = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    return d / max(1.0, np.abs(d).sum(axis=0).max(), np.abs(d).sum(axis=1).max())
+
+
+@given(_contractions(), st.sampled_from([1e-8, 1.0, 4.0, 30.0]))
+def test_pwp_agrees_with_poisson_weighted_powers(d, lam):
+    # the length law's definition, term by term: 150 terms leave less than
+    # pmf(30, 150) ~ 1e-50 behind at lambda = 30
+    want = sum(influx.pmf(lam, k) * np.linalg.matrix_power(d, k) for k in range(1, 150))
+    t = pwp_matrix(d, lam)
+    rows, cols, _ = pwp_vectors_report(d, lam)
+    assert np.abs(t - want).max() <= 1e-11
+    assert np.abs(rows - want.sum(axis=1)).max() <= 1e-11
+    assert np.abs(cols - want.sum(axis=0)).max() <= 1e-11
+
+
+@given(_contractions(), st.sampled_from([1e-8, 1.0, 4.0, 30.0]))
+def test_pwp_agrees_with_scipy_expm(d, lam):
+    expm = pytest.importorskip("scipy.linalg").expm
+    e = expm(lam * d)
+    want = (e - np.eye(d.shape[0])) / math.expm1(lam)
+    # expm - I cancels: its rounding, over e^lambda - 1, is the reference's error
+    slack = 1e-13 * max(1.0, np.abs(e).max()) / math.expm1(lam)
+    assert np.abs(pwp_matrix(d, lam) - want).max() <= 1e-11 + slack
+
+
+# -- how the chain spends products and memory --------------------------------------
+
+@pytest.fixture
+def matmuls(monkeypatch):
+    """The dense products the power chain takes, one entry per product."""
+    calls = []
+    real = np.matmul
+
+    def counted(a, b, **kwargs):
+        if np.ndim(a) == np.ndim(b) == 2:
+            calls.append((np.shape(a), np.shape(b)))
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return calls
+
+
+def _sparse_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((n, n)) < 5 / n, rng.uniform(0, 0.4, (n, n)), 0.0)
+
+
+def test_pwp_matrix_takes_one_product_per_term(matmuls):
+    _, report = pwp_matrix_report(_sparse_graph(40, 14), 4.0)
+    assert len(matmuls) == report.terms_used - 1
+
+
+def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products):
+    lam, samples, seed = 4.0, 20_000, 3
+    text = influx.format_edge_list(influx.from_matrix(_sparse_graph(40, 15)))
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    d = to_matrix(parse_edge_list(text))
+    argv = ["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed)]
+    assert main(argv) == 0
+    used = len(matmuls) + len(products)
+    matmuls.clear()
+    terms = pwp_matrix_report(d, lam)[1].terms_used
+    longest = int(influx.sample_lengths(lam, samples, influx.make_rng(seed)).max())
+    assert d.shape == (40, 40) and terms != longest
+    assert used == max(terms, longest) - 1
+    assert used < (terms - 1) + (longest - 1)
+
+
+def _peak_buffers(call, n):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+def test_pwp_matrix_memory_does_not_grow_with_terms():
+    n = 200
+    d = _sparse_graph(n, 16)
+    few, many = (pwp_matrix_report(d, lam)[1].terms_used for lam in (1.0, 30.0))
+    assert many > 3 * few
+    peaks = [_peak_buffers(lambda: pwp_matrix(d, lam), n) for lam in (1.0, 30.0)]
+    # the chain's six preallocated n x n buffers, whatever the term count
+    assert round(peaks[0]) == round(peaks[1]) <= 7
 
 
 # -- algebraic identities on random matrices -------------------------------------

@@ -16,6 +16,7 @@ from influx import (
     bernoulli_series,
     build,
     chebyshev_bound,
+    estimate_and_exact,
     estimate_from_lengths,
     Line,
     make_rng,
@@ -27,6 +28,7 @@ from influx import (
     sample_lengths,
     to_matrix,
 )
+from influx.stochastic import POISSON_LAM_MAX
 
 
 # -- pmf -------------------------------------------------------------------------
@@ -275,6 +277,48 @@ def test_estimate_from_lengths_overflow_is_typed():
         warnings.simplefilter("error")
         with pytest.raises(NumericOverflow):
             estimate_from_lengths(np.array([[0.0, 1e200], [1e200, 0.0]]), [1, 2, 3])
+
+
+@given(_matrix_and_lengths())
+def test_estimate_and_exact_is_both_kernels_in_one_pass(case):
+    d, lengths = case
+    lengths = [k + 1 for k in lengths]  # the length law has no mass at 0
+    estimate, exact = estimate_and_exact(d, 1.5, lengths)
+    assert np.array_equal(exact, pwp_matrix(d, 1.5))
+    # where the lengths skip a power, estimate_from_lengths reaches the next
+    # one by squaring, so the two round differently
+    values, counts = np.unique(lengths, return_counts=True)
+    scale = sum(w * np.linalg.matrix_power(np.abs(d), int(k)) for k, w in zip(values, counts / len(lengths)))
+    assert np.all(np.abs(estimate - estimate_from_lengths(d, lengths)) <= 2e-12 * scale)
+
+
+def test_estimate_and_exact_on_consecutive_lengths_is_bit_for_bit():
+    d = np.random.default_rng(21).uniform(0, 0.3, (6, 6))
+    lengths = sample_lengths(2.0, 5000, make_rng(3))
+    assert np.array_equal(np.unique(lengths), np.arange(1, lengths.max() + 1))
+    estimate, exact = estimate_and_exact(d, 2.0, lengths)
+    assert np.array_equal(estimate, estimate_from_lengths(d, lengths))
+    assert np.array_equal(exact, pwp_matrix(d, 2.0))
+
+
+def test_estimate_and_exact_reaches_lengths_past_the_series():
+    d = np.random.default_rng(22).uniform(0, 0.3, (4, 4))
+    estimate, _ = estimate_and_exact(d, 0.5, [1, 40, 40, 90])
+    want = (d + 2 * np.linalg.matrix_power(d, 40) + np.linalg.matrix_power(d, 90)) / 4
+    assert np.allclose(estimate, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lengths", [[], [0, 1], [1.5]])
+def test_estimate_and_exact_rejects_lengths_outside_the_law(lengths):
+    with pytest.raises(ValueError):
+        estimate_and_exact(np.eye(2), 1.0, lengths)
+
+
+def test_sample_lengths_reject_lambda_past_the_poisson_sampler():
+    # numpy's own refusal ("lam value too large") names no parameter
+    with pytest.raises(ValueError, match="lam must be <= "):
+        sample_lengths(1e19, 5, make_rng(0))
+    assert sample_lengths(POISSON_LAM_MAX, 2, make_rng(0)).min() >= 1
 
 
 def test_monte_carlo_error_scales_with_samples():
