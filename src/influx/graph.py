@@ -110,25 +110,27 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
     return DirectInfluenceGraph(max(max_seen, n or 0), tuple(edges))
 
 
+def _columns(g: DirectInfluenceGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g's edges as arrays of 0-based sources, 0-based targets and weights."""
+    source, target, weight = zip(*g.edges) if g.edges else ((), (), ())
+    return (np.array(source, dtype=np.intp) - 1, np.array(target, dtype=np.intp) - 1,
+            np.array(weight, dtype=float))
+
+
 def to_matrix(g: DirectInfluenceGraph) -> np.ndarray:
     """Dense direct-influence matrix: entry (i, j) is the weight of edge j -> i."""
+    source, target, weight = _columns(g)
     d = np.zeros((g.n, g.n))
-    for e in g.edges:
-        d[e.target - 1, e.source - 1] = e.weight
+    d[target, source] = weight  # no two edges share a (source, target) pair
     return d
 
 
 def from_matrix(d: np.ndarray) -> DirectInfluenceGraph:
     """Inverse of :func:`to_matrix`; nonzero entries become edges."""
     d = _square(d)
-    n = d.shape[0]
-    edges = tuple(
-        Edge(j + 1, i + 1, float(d[i, j]))
-        for i in range(n)
-        for j in range(n)
-        if d[i, j] != 0.0
-    )
-    return DirectInfluenceGraph(n, edges)
+    target, source = np.nonzero(d)
+    edges = zip((source + 1).tolist(), (target + 1).tolist(), d[target, source].tolist())
+    return DirectInfluenceGraph(d.shape[0], tuple(edges))
 
 
 def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
@@ -137,12 +139,9 @@ def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
     Edge weights are ignored.  Columns of vertices with no outgoing edges are
     all-zero; every other column sums to 1.
     """
-    out = [0] * (g.n + 1)
-    for e in g.edges:
-        out[e.source] += 1
+    source, target, _ = _columns(g)
     d = np.zeros((g.n, g.n))
-    for e in g.edges:
-        d[e.target - 1, e.source - 1] = 1.0 / out[e.source]
+    d[target, source] = 1.0 / np.bincount(source, minlength=g.n)[source]
     return d
 
 

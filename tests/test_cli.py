@@ -238,6 +238,8 @@ def test_tiny_lambda_runs(tmp_path, capsys, argv):
 
 
 BIG_PAIR = "1,2,1e200\n2,1,1e200\n"
+# sparse enough for the power chain's jagged-diagonal step
+BIG_CYCLE_400 = "".join(f"{i},{i % 400 + 1},1e200\n" for i in range(1, 401))
 K50_WEIGHT_20 = "".join(f"{i},{j},20\n" for i in range(1, 51) for j in range(1, 51) if i != j)
 
 
@@ -265,8 +267,9 @@ def test_kernel_overflow_exit_3(tmp_path, capsys, flags, edges):
     [
         (["compute", "--method", "pwp", "--lambda", "800"], LINE3),
         (["compute", "--method", "micmac"], BIG_PAIR),
+        (["montecarlo", "-N", "10"], BIG_CYCLE_400),
     ],
-    ids=["lambda-800", "micmac-1e200"],
+    ids=["lambda-800", "micmac-1e200", "montecarlo-sparse-1e200"],
 )
 def test_overflow_stderr_is_one_line_in_a_real_process(tmp_path, argv, edges):
     # numpy warnings and tracebacks go to the process's stderr, which capsys

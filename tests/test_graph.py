@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from influx import (
     DimensionMismatch,
@@ -156,6 +157,51 @@ def test_transpose_equals_reversed_graph():
                     edges.append(Edge(s, t, float(rng.uniform(-2, 2))))
         g = DirectInfluenceGraph(n, tuple(edges))
         assert np.array_equal(to_matrix(g).T, to_matrix(g.reverse()))
+
+
+# -- the array forms against the per-edge loops they replaced -------------------
+
+def _to_matrix_loop(g):
+    d = np.zeros((g.n, g.n))
+    for e in g.edges:
+        d[e.target - 1, e.source - 1] = e.weight
+    return d
+
+
+def _web_normalize_loop(g):
+    out = [0] * (g.n + 1)
+    for e in g.edges:
+        out[e.source] += 1
+    d = np.zeros((g.n, g.n))
+    for e in g.edges:
+        d[e.target - 1, e.source - 1] = 1.0 / out[e.source]
+    return d
+
+
+def _from_matrix_loop(d):
+    n = d.shape[0]
+    return DirectInfluenceGraph(
+        n, tuple(Edge(j + 1, i + 1, float(d[i, j])) for i in range(n) for j in range(n) if d[i, j] != 0.0)
+    )
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs with self-loops, -0.0 and negative weights, isolated vertices
+    and vertices of many out-edges; n = 0 included."""
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1))),
+                          unique=True, max_size=n * n))
+    weights = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+    return DirectInfluenceGraph(n, tuple(Edge(s, t, draw(weights)) for s, t in pairs))
+
+
+@given(_graphs())
+def test_matrix_encodings_equal_their_loop_forms_bit_for_bit(g):
+    d = to_matrix(g)
+    assert d.tobytes() == _to_matrix_loop(g).tobytes()
+    assert web_normalize(g).tobytes() == _web_normalize_loop(g).tobytes()
+    assert from_matrix(d) == _from_matrix_loop(d)
 
 
 # -- web normalization --------------------------------------------------------

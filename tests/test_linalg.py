@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import influx
@@ -40,6 +40,7 @@ from influx import (
     pwp_vectors_report,
     to_matrix,
 )
+from influx.linalg import SPARSE_FILL, _Jagged, _jagged
 
 L2 = to_matrix(parse_edge_list("1,2,1"))
 L3 = to_matrix(parse_edge_list("1,2,1\n2,3,1"))
@@ -48,22 +49,27 @@ C3 = to_matrix(parse_edge_list("1,2,1\n2,3,1\n3,1,1"))
 
 # -- mat_mul / mat_pow --------------------------------------------------------
 
+# mat_mul is deprecated: every call warns
+
 def test_mat_mul_identity():
     rng = np.random.default_rng(0)
     a = rng.uniform(-1, 1, (4, 4))
-    assert np.array_equal(mat_mul(a, np.eye(4)), a)
+    with pytest.warns(DeprecationWarning, match="mat_mul"):
+        assert np.array_equal(mat_mul(a, np.eye(4)), a)
 
 
 def test_mat_mul_l2_squared_is_zero():
-    assert np.array_equal(mat_mul(L2, L2), np.zeros((2, 2)))
+    with pytest.warns(DeprecationWarning, match="mat_mul"):
+        assert np.array_equal(mat_mul(L2, L2), np.zeros((2, 2)))
 
 
 def test_mat_mul_cycle_cubed_is_identity():
-    assert np.array_equal(mat_mul(mat_mul(C3, C3), C3), np.eye(3))
+    with pytest.warns(DeprecationWarning, match="mat_mul"):
+        assert np.array_equal(mat_mul(mat_mul(C3, C3), C3), np.eye(3))
 
 
 def test_mat_mul_shape_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch), pytest.warns(DeprecationWarning, match="mat_mul"):
         mat_mul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
@@ -508,11 +514,27 @@ def test_pwp_tail_bounds_are_honest():
 
 
 @st.composite
+def _sparse_matrices(draw):
+    """Matrices the chain steps by jagged diagonals: n from 8 to 40 and at
+    most n^2 / SPARSE_FILL nonzeros, anywhere (self-loops too), of either
+    sign."""
+    n = draw(st.integers(8, 40))
+    cells = draw(st.lists(st.integers(0, n * n - 1), min_size=1, max_size=n * n // SPARSE_FILL, unique=True))
+    d = np.zeros(n * n)
+    d[cells] = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(cells), max_size=len(cells)))
+    return d.reshape(n, n)
+
+
+@st.composite
 def _contractions(draw):
     """Square matrices with row- and column-sum norms at most 1, so every
-    power stays in range and lambda * norm <= lambda."""
-    n = draw(st.integers(1, 6))
-    d = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    power stays in range and lambda * norm <= lambda: dense ones of n <= 6,
+    which the chain steps by np.matmul, and sparse ones."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        d = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    else:
+        d = draw(_sparse_matrices())
     return d / max(1.0, np.abs(d).sum(axis=0).max(), np.abs(d).sum(axis=1).max())
 
 
@@ -538,6 +560,83 @@ def test_pwp_agrees_with_scipy_expm(d, lam):
     assert np.abs(pwp_matrix(d, lam) - want).max() <= 1e-11 + slack
 
 
+# -- the jagged-diagonal step ------------------------------------------------------
+
+def _entries(least):
+    """Floats in [-4, 4] that are 0.0, -0.0 or at least `least` in size, so
+    no product underflows."""
+    return st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0).filter(lambda x: abs(x) >= least))
+
+
+@st.composite
+def _step_cases(draw):
+    """(d, P): d with empty rows, self-loops and negative and -0.0 entries."""
+    n = draw(st.integers(1, 12))
+    return (draw(arrays(float, (n, n), elements=_entries(1e-100))),
+            draw(arrays(float, (n, n), elements=_entries(1e-100))))
+
+
+@given(_step_cases())
+@example((np.zeros((1, 1)), np.ones((1, 1))))
+@example((np.array([[-0.0]]), np.ones((1, 1))))
+@example((np.zeros((3, 3)), np.ones((3, 3))))
+@example((np.diag([0.0, 2.0, -3.0]), np.arange(9.0).reshape(3, 3)))
+def test_jagged_step_is_the_product(case):
+    d, p = case
+    jagged = _Jagged(d)
+    out, scratch = np.full_like(p, np.nan), np.full_like(p, np.nan)
+    jagged(jagged.enter(p), out, scratch)
+    # each of the two sums rounds by less than n eps / 2 times |d| |P|
+    slack = d.shape[0] * np.finfo(float).eps * (np.abs(d) @ np.abs(p))
+    assert np.all(np.abs(jagged.leave(out) - d @ p) <= slack)
+
+
+def test_jagged_step_takes_matrices_of_at_most_n2_over_sparse_fill_nonzeros():
+    assert _jagged(np.zeros((1, 1))) is not None  # no diagonals: every product is zero
+    assert _jagged(np.eye(SPARSE_FILL - 1)) is None
+    assert _jagged(np.eye(SPARSE_FILL)) is not None
+
+
+@given(_sparse_matrices(), st.sampled_from([1e-8, 1.0, 4.0, 30.0]))
+def test_jagged_chain_agrees_with_the_matmul_chain_and_scipy(d, lam):
+    d = d / max(1.0, np.abs(d).sum(axis=0).max(), np.abs(d).sum(axis=1).max())
+    assert _jagged(d) is not None
+    n = d.shape[0]
+    lengths = influx.sample_lengths(lam, 300, influx.make_rng(0))
+
+    def run():
+        return pwp_matrix_report(d, lam), exp_plus(d, lam), influx.estimate_and_exact(d, lam, lengths)
+
+    (t, report), (e, _), (estimate, exact) = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(influx.linalg, "_jagged", lambda d: None)
+        (t_mm, _), (e_mm, _), (estimate_mm, exact_mm) = run()
+    assert np.array_equal(exact, t)
+    # rounding, and a truncation each below tol = 1e-12
+    assert np.abs(t - t_mm).max() <= 3e-12
+    assert np.abs(e - e_mm).max() <= 3e-12 * max(1.0, math.expm1(lam))
+    values, counts = np.unique(lengths, return_counts=True)
+    scale = sum(w * np.linalg.matrix_power(np.abs(d), int(k)) for k, w in zip(values, counts / len(lengths)))
+    assert np.all(np.abs(estimate - estimate_mm) <= 4 * int(values[-1]) * n * np.finfo(float).eps * scale + 1e-300)
+    # the tail bound is honest on this path too
+    coarse, by_coarse = pwp_matrix_report(d, lam, tol=1e-6)
+    assert np.abs(coarse - t).max() <= by_coarse.tail_bound + 1e-12
+    expm = pytest.importorskip("scipy.linalg").expm
+    want = expm(lam * d) - np.eye(n)
+    slack = 1e-13 * max(1.0, np.abs(want).max() + 1.0)
+    assert np.abs(e - want).max() <= 1e-11 * max(1.0, math.expm1(lam)) + slack
+    assert np.abs(t - want / math.expm1(lam)).max() <= 1e-11 + slack / math.expm1(lam)
+
+
+def test_jagged_chain_overflow_is_typed():
+    d = _sparse_graph(400, 17) * 1e200
+    assert _jagged(d) is not None
+    with pytest.raises(NumericOverflow, match="term"):
+        pwp_matrix(d, 1.0)
+    with pytest.raises(NumericOverflow, match="matrix power 2"):
+        mat_pow_sum(d, [1, 2], [0.5, 0.5])
+
+
 # -- how the chain spends products and memory --------------------------------------
 
 @pytest.fixture
@@ -555,31 +654,58 @@ def matmuls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """The jagged-diagonal products the power chain takes, one entry per product."""
+    calls = []
+    real = _Jagged.__call__
+
+    def counted(self, q, out, scratch):
+        calls.append(q.shape)
+        return real(self, q, out, scratch)
+
+    monkeypatch.setattr(_Jagged, "__call__", counted)
+    return calls
+
+
 def _sparse_graph(n, seed):
     rng = np.random.default_rng(seed)
     return np.where(rng.random((n, n)) < 5 / n, rng.uniform(0, 0.4, (n, n)), 0.0)
 
 
-def test_pwp_matrix_takes_one_product_per_term(matmuls):
-    _, report = pwp_matrix_report(_sparse_graph(40, 14), 4.0)
-    assert len(matmuls) == report.terms_used - 1
+# about 5 nonzeros a row: n = 40 steps by np.matmul, n = 400 by jagged diagonals
+BOTH_STEPS = (40, 400)
 
 
-def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products):
+def test_pwp_matrix_takes_one_product_per_term(matmuls, steps):
+    for n in BOTH_STEPS:
+        matmuls.clear()
+        steps.clear()
+        d = _sparse_graph(n, 14)
+        assert (_jagged(d) is None) == (n == 40)
+        _, report = pwp_matrix_report(d, 4.0)
+        assert len(matmuls) + len(steps) == report.terms_used - 1
+
+
+def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, steps):
     lam, samples, seed = 4.0, 20_000, 3
-    text = influx.format_edge_list(influx.from_matrix(_sparse_graph(40, 15)))
-    path = tmp_path / "g.csv"
-    path.write_text(text)
-    d = to_matrix(parse_edge_list(text))
-    argv = ["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed)]
-    assert main(argv) == 0
-    used = len(matmuls) + len(products)
-    matmuls.clear()
-    terms = pwp_matrix_report(d, lam)[1].terms_used
-    longest = int(influx.sample_lengths(lam, samples, influx.make_rng(seed)).max())
-    assert d.shape == (40, 40) and terms != longest
-    assert used == max(terms, longest) - 1
-    assert used < (terms - 1) + (longest - 1)
+    for n in BOTH_STEPS:
+        text = influx.format_edge_list(influx.from_matrix(_sparse_graph(n, 15)))
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        d = to_matrix(parse_edge_list(text))
+        assert (_jagged(d) is None) == (n == 40)
+        argv = ["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed)]
+        matmuls.clear()
+        products.clear()
+        steps.clear()
+        assert main(argv) == 0
+        used = len(matmuls) + len(products) + len(steps)
+        terms = pwp_matrix_report(d, lam)[1].terms_used
+        longest = int(influx.sample_lengths(lam, samples, influx.make_rng(seed)).max())
+        assert d.shape == (n, n) and terms != longest
+        assert used == max(terms, longest) - 1
+        assert used < (terms - 1) + (longest - 1)
 
 
 def _peak_buffers(call, n):
@@ -592,13 +718,16 @@ def _peak_buffers(call, n):
 
 
 def test_pwp_matrix_memory_does_not_grow_with_terms():
-    n = 200
-    d = _sparse_graph(n, 16)
-    few, many = (pwp_matrix_report(d, lam)[1].terms_used for lam in (1.0, 30.0))
-    assert many > 3 * few
-    peaks = [_peak_buffers(lambda: pwp_matrix(d, lam), n) for lam in (1.0, 30.0)]
-    # the chain's six preallocated n x n buffers, whatever the term count
-    assert round(peaks[0]) == round(peaks[1]) <= 7
+    for n in (200, 400):  # the np.matmul and the jagged step
+        d = _sparse_graph(n, 16)
+        assert (_jagged(d) is None) == (n == 200)
+        few, many = (pwp_matrix_report(d, lam)[1].terms_used for lam in (1.0, 30.0))
+        assert many > 3 * few
+        peaks = [_peak_buffers(lambda: pwp_matrix(d, lam), n) for lam in (1.0, 30.0)]
+        # the chain's six preallocated n x n buffers, whatever the term
+        # count: the jagged step gathers into one of them, and the chain
+        # works in the permuted copy of d rather than beside it
+        assert round(peaks[0]) == round(peaks[1]) <= 6
 
 
 # -- algebraic identities on random matrices -------------------------------------
