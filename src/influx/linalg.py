@@ -8,9 +8,9 @@ as sum_k pmf(lam, k) d^k, with the walk-length law's probabilities as
 weights.  One power chain serves both, and truncation is controlled by a
 rigorous geometric tail bound.
 The chain over the powers of a matrix d takes one of two steps: the dense
-product P d by np.matmul, or, when d has at most n^2 / SPARSE_FILL
-nonzeros, the sparse product d P over d's jagged diagonals (Saad, SIAM J.
-Sci. Stat. Comput. 10(6), 1989), with the powers' rows held in the
+product P d by np.matmul, or, when d has few nonzeros a row (see
+SPARSE_CUTOFF), the sparse product d P over d's jagged diagonals (Saad,
+SIAM J. Sci. Stat. Comput. 10(6), 1989), with the powers' rows held in the
 diagonals' row order.
 The row and column sums of e_plus(x) and of integer powers, which are all
 the rankings need, come from matrix-vector products without forming the
@@ -29,18 +29,21 @@ from .errors import DimensionMismatch, NoConvergenceWithinBudget, NumericOverflo
 
 MAX_SERIES_TERMS = 10_000
 
-# The power chain steps by d's jagged diagonals when d has at most
-# n^2 / SPARSE_FILL nonzeros, by np.matmul otherwise.  Measured crossover,
-# median of one product with an n x n power, Xeon, one BLAS thread, graphs
-# of Poisson(deg) out-degree (np.matmul vs jagged):
-#   n =  200, deg  5 (nnz  947 >  625):   0.38 vs  0.33 ms
-#   n =  300, deg  5 (nnz 1456 > 1406):   1.26 vs  0.79 ms
-#   n =  600, deg  5 (nnz 2969 <= 5625):  8.68 vs  3.83 ms
-#   n =  600, deg  9 (nnz 5285 <= 5625):  8.86 vs  7.25 ms
-#   n =  600, deg 15 (nnz 8922 >  5625):  8.90 vs 12.24 ms
-#   n = 2000, deg  5 (nnz 9926 <= 62500):  292 vs    72 ms
-# The rule errs towards np.matmul at n = 300 and below.
-SPARSE_FILL = 64
+# The power chain steps by d's jagged diagonals when d has on average at
+# most sqrt(n / SPARSE_CUTOFF) nonzeros a row, i.e. nnz^2 * SPARSE_CUTOFF
+# <= n^3, by np.matmul otherwise.  The measured crossover grows with n, from
+# about 10 nonzeros a row at n = 600 to about 20 at n = 2000, so no fixed
+# share of n^2 fits it.  Median of one product with an n x n power, Xeon,
+# one BLAS thread, uniform random graphs (np.matmul vs jagged, ms):
+#   n =  400, nnz  3255 jagged: 2.86 vs 2.21;  nnz  4359 matmul: 2.48 vs 3.10
+#   n =  600, nnz  6055 jagged: 7.66 vs 7.45;  nnz  7289 matmul: 7.59 vs 9.47
+#   n = 1000, nnz 13289 jagged: 35.7 vs 32.4;  nnz 16093 matmul: 34.5 vs 37.2
+#   n = 2000, nnz 36018 jagged:  318 vs  235;  nnz 45624 matmul:  287 vs  334
+#   n =  600, nnz  2969 (the benchmark graphs):  8.68 vs 3.83
+#   n =  600, nnz 360000 (every entry):          7.69 vs  421
+# Below n = 400, where one product takes under 0.5 ms either way, the rule
+# can pick the slower step (n = 100, nnz 324: 0.033 vs 0.071 ms).
+SPARSE_CUTOFF = 5
 
 
 @dataclass(frozen=True)
@@ -147,11 +150,25 @@ class _Jagged:
 
 
 def _jagged(d: np.ndarray) -> _Jagged | None:
-    """d's jagged diagonals when it has at most n^2 / SPARSE_FILL nonzeros,
-    else None: the chain then steps by np.matmul."""
-    if np.count_nonzero(d) * SPARSE_FILL > d.size:
+    """d's jagged diagonals when it has at most sqrt(n / SPARSE_CUTOFF)
+    nonzeros a row on average, else None: the chain then steps by
+    np.matmul."""
+    if np.count_nonzero(d) ** 2 * SPARSE_CUTOFF > d.shape[0] ** 3:
         return None
     return _Jagged(d)
+
+
+def _stepper(d: np.ndarray):
+    """The step of a chain over the powers of d, as (enter, step, leave).
+
+    step(q, out, scratch) writes the power after q into out and may
+    overwrite scratch; the chain holds its powers as enter(power), a copy,
+    and leave(a) is a copy of such an a, or a itself, in d's basis.
+    """
+    jagged = _jagged(d)
+    if jagged is None:
+        return np.copy, lambda q, out, _: np.matmul(q, d, out=out), lambda a: a
+    return jagged.enter, jagged, jagged.leave
 
 
 def mat_mul(a, b) -> np.ndarray:
@@ -195,9 +212,8 @@ def mat_pow_sum(d, ks, weights) -> np.ndarray:
     later one is the previous power times d when the powers are consecutive,
     or times d^gap (formed once per distinct gap in a row) when they are not,
     so len(ks) consecutive powers cost len(ks) - 1 products after the first.
-    Consecutive powers take the power chain's step (d's jagged diagonals
-    where d is sparse, in their row order), so they are those of the chain
-    bit for bit.
+    Consecutive powers take the power chain's step (see :func:`_stepper`),
+    in its row order, so they are those of the chain bit for bit.
     Contributions are added in ascending power.  Raises NumericOverflow at
     the first product, or a sum, that leaves the float range.
     """
@@ -212,27 +228,25 @@ def mat_pow_sum(d, ks, weights) -> np.ndarray:
         raise ValueError(f"power must be >= 0, got {ks[0]}")
     if np.any(np.diff(ks) <= 0):
         raise ValueError("powers must be strictly ascending")
-    jagged = _jagged(d)
+    enter, step, leave = _stepper(d)
     total = spare = scratch = None
-    at, gap, step = 0, 1, d  # power = d^at once at > 0; step = d^gap
+    at, gap, jump = 0, 0, None  # power = d^at once at > 0; jump = d^gap
     with np.errstate(over="ignore", invalid="ignore"):
         for k, weight in zip(ks.tolist(), weights.tolist()):
             if at == 0:
-                power = mat_pow(d, k)
-                if jagged is not None:
-                    power = jagged.enter(power)
-            elif jagged is not None and k - at == 1:
+                power = enter(mat_pow(d, k))
+            elif k - at == 1:
                 if spare is None:
                     spare, scratch = np.empty_like(power), np.empty_like(power)
-                jagged(power, spare, scratch)
+                step(power, spare, scratch)
                 power, spare = spare, power
                 if not np.isfinite(power).all():
                     raise NumericOverflow(f"matrix power {k}")
             else:
                 if k - at != gap:
                     gap = k - at
-                    step = mat_pow(d, gap)
-                power = _product(power, step, f"matrix power {k}")
+                    jump = mat_pow(d, gap)
+                power = _product(power, jump, f"matrix power {k}")
             at = k
             if total is None:
                 total = weight * power
@@ -242,7 +256,7 @@ def mat_pow_sum(d, ks, weights) -> np.ndarray:
         return np.zeros(d.shape)
     if not np.isfinite(total).all():
         raise NumericOverflow("weighted sum of matrix powers")
-    return total if jagged is None else jagged.leave(total)
+    return leave(total)
 
 
 def mat_pow_vectors(d, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -420,13 +434,9 @@ def _checked(d, lam: float, tol: float, normalised: bool) -> np.ndarray:
 def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
     """The series over the powers of d itself; see :func:`_chain`."""
     d = _checked(d, lam, tol, normalised)
-    jagged = _jagged(d)
-    if jagged is None:
-        first, step, leave = d.copy(), lambda q, out, _: np.matmul(q, d, out=out), lambda a: a
-    else:
-        first, step, leave = jagged.enter(d), jagged, jagged.leave
+    enter, step, leave = _stepper(d)
     # the row-sum norm bounds d P_k, and P_k d = d P_k as powers of d commute
-    total, estimate, report = _chain(first, step, _abs_sums(d, 1), lam, tol, normalised, sampled)
+    total, estimate, report = _chain(enter(d), step, _abs_sums(d, 1), lam, tol, normalised, sampled)
     return leave(total), None if estimate is None else leave(estimate), report
 
 

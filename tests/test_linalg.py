@@ -40,7 +40,7 @@ from influx import (
     pwp_vectors_report,
     to_matrix,
 )
-from influx.linalg import SPARSE_FILL, _Jagged, _jagged
+from influx.linalg import SPARSE_CUTOFF, _Jagged, _jagged
 
 L2 = to_matrix(parse_edge_list("1,2,1"))
 L3 = to_matrix(parse_edge_list("1,2,1\n2,3,1"))
@@ -164,10 +164,11 @@ def test_mat_pow_takes_no_identity_product(products, k, expected):
     assert len(products) == expected
 
 
-def test_consecutive_lengths_take_one_product_each(products):
+def test_consecutive_lengths_take_one_product_each(products, matmuls):
     d = np.random.default_rng(10).uniform(0, 0.2, (6, 6))
     influx.estimate_from_lengths(d, np.arange(1, 16))
-    assert len(products) <= 15
+    # the power chain's step, np.matmul on this dense d, forms d^2 .. d^15
+    assert len(products) + len(matmuls) == 14
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 15, 16, 33, 1000])
@@ -516,10 +517,11 @@ def test_pwp_tail_bounds_are_honest():
 @st.composite
 def _sparse_matrices(draw):
     """Matrices the chain steps by jagged diagonals: n from 8 to 40 and at
-    most n^2 / SPARSE_FILL nonzeros, anywhere (self-loops too), of either
-    sign."""
+    most sqrt(n^3 / SPARSE_CUTOFF) nonzeros, anywhere (self-loops too), of
+    either sign."""
     n = draw(st.integers(8, 40))
-    cells = draw(st.lists(st.integers(0, n * n - 1), min_size=1, max_size=n * n // SPARSE_FILL, unique=True))
+    cells = draw(st.lists(st.integers(0, n * n - 1), min_size=1, max_size=math.isqrt(n**3 // SPARSE_CUTOFF),
+                          unique=True))
     d = np.zeros(n * n)
     d[cells] = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(cells), max_size=len(cells)))
     return d.reshape(n, n)
@@ -529,7 +531,8 @@ def _sparse_matrices(draw):
 def _contractions(draw):
     """Square matrices with row- and column-sum norms at most 1, so every
     power stays in range and lambda * norm <= lambda: dense ones of n <= 6,
-    which the chain steps by np.matmul, and sparse ones."""
+    which the chain steps by np.matmul unless nearly all their entries are
+    zero, and sparse ones."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 6))
         d = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
@@ -591,10 +594,11 @@ def test_jagged_step_is_the_product(case):
     assert np.all(np.abs(jagged.leave(out) - d @ p) <= slack)
 
 
-def test_jagged_step_takes_matrices_of_at_most_n2_over_sparse_fill_nonzeros():
+def test_jagged_step_takes_matrices_with_few_nonzeros_a_row():
     assert _jagged(np.zeros((1, 1))) is not None  # no diagonals: every product is zero
-    assert _jagged(np.eye(SPARSE_FILL - 1)) is None
-    assert _jagged(np.eye(SPARSE_FILL)) is not None
+    # the identity has one nonzero a row, at most sqrt(n / SPARSE_CUTOFF) from n = SPARSE_CUTOFF
+    assert _jagged(np.eye(SPARSE_CUTOFF - 1)) is None
+    assert _jagged(np.eye(SPARSE_CUTOFF)) is not None
 
 
 @given(_sparse_matrices(), st.sampled_from([1e-8, 1.0, 4.0, 30.0]))
@@ -628,8 +632,8 @@ def test_jagged_chain_agrees_with_the_matmul_chain_and_scipy(d, lam):
     assert np.abs(t - want / math.expm1(lam)).max() <= 1e-11 + slack / math.expm1(lam)
 
 
-def test_jagged_chain_overflow_is_typed():
-    d = _sparse_graph(400, 17) * 1e200
+def test_jagged_chain_overflow_is_typed(poisson_matrix):
+    d = poisson_matrix(400, 17) * 1e200
     assert _jagged(d) is not None
     with pytest.raises(NumericOverflow, match="term"):
         pwp_matrix(d, 1.0)
@@ -668,29 +672,24 @@ def steps(monkeypatch):
     return calls
 
 
-def _sparse_graph(n, seed):
-    rng = np.random.default_rng(seed)
-    return np.where(rng.random((n, n)) < 5 / n, rng.uniform(0, 0.4, (n, n)), 0.0)
-
-
 # about 5 nonzeros a row: n = 40 steps by np.matmul, n = 400 by jagged diagonals
 BOTH_STEPS = (40, 400)
 
 
-def test_pwp_matrix_takes_one_product_per_term(matmuls, steps):
+def test_pwp_matrix_takes_one_product_per_term(matmuls, steps, poisson_matrix):
     for n in BOTH_STEPS:
         matmuls.clear()
         steps.clear()
-        d = _sparse_graph(n, 14)
+        d = poisson_matrix(n, 14)
         assert (_jagged(d) is None) == (n == 40)
         _, report = pwp_matrix_report(d, 4.0)
         assert len(matmuls) + len(steps) == report.terms_used - 1
 
 
-def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, steps):
+def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, steps, poisson_matrix):
     lam, samples, seed = 4.0, 20_000, 3
     for n in BOTH_STEPS:
-        text = influx.format_edge_list(influx.from_matrix(_sparse_graph(n, 15)))
+        text = influx.format_edge_list(influx.from_matrix(poisson_matrix(n, 15)))
         path = tmp_path / "g.csv"
         path.write_text(text)
         d = to_matrix(parse_edge_list(text))
@@ -717,9 +716,9 @@ def _peak_buffers(call, n):
         tracemalloc.stop()
 
 
-def test_pwp_matrix_memory_does_not_grow_with_terms():
-    for n in (200, 400):  # the np.matmul and the jagged step
-        d = _sparse_graph(n, 16)
+def test_pwp_matrix_memory_does_not_grow_with_terms(poisson_matrix):
+    for n, degree in ((200, 12), (400, 5)):  # the np.matmul and the jagged step
+        d = poisson_matrix(n, 16, degree)
         assert (_jagged(d) is None) == (n == 200)
         few, many = (pwp_matrix_report(d, lam)[1].terms_used for lam in (1.0, 30.0))
         assert many > 3 * few

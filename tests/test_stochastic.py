@@ -293,16 +293,9 @@ def test_estimate_and_exact_is_both_kernels_in_one_pass(case):
     assert np.all(np.abs(estimate - estimate_from_lengths(d, lengths)) <= 2e-12 * scale)
 
 
-def _poisson_graph(n, seed):
-    """About 5 nonzeros a row, weights in [0, 0.4): sparse enough at n = 400
-    for the chain's jagged-diagonal step."""
-    rng = np.random.default_rng(seed)
-    return np.where(rng.random((n, n)) < 5 / n, rng.uniform(0, 0.4, (n, n)), 0.0)
-
-
-def test_estimate_and_exact_on_consecutive_lengths_is_bit_for_bit():
+def test_estimate_and_exact_on_consecutive_lengths_is_bit_for_bit(poisson_matrix):
     # np.matmul steps at n = 6, jagged diagonals at n = 400
-    for d in (np.random.default_rng(21).uniform(0, 0.3, (6, 6)), _poisson_graph(400, 21)):
+    for d in (np.random.default_rng(21).uniform(0, 0.3, (6, 6)), poisson_matrix(400, 21)):
         assert (_jagged(d) is None) == (d.shape[0] == 6)
         lengths = sample_lengths(2.0, 5000, make_rng(3))
         assert np.array_equal(np.unique(lengths), np.arange(1, lengths.max() + 1))
