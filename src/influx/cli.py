@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import families
-from .errors import InfluenceError
+from .errors import InfluenceError, NumericOverflow
 from .graph import (
     DirectInfluenceGraph,
     format_edge_list,
@@ -136,11 +136,15 @@ def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
     result = pwp_vectors(d, lam=args.lam, tol=args.tol)
     report = result.diagnostics
     scale = math.expm1(args.lam) if args.paper_scale else 1.0
+    with np.errstate(over="ignore"):
+        d_scaled, f_scaled = result.vectors.d * scale, result.vectors.f * scale
+    if not (np.isfinite(d_scaled).all() and np.isfinite(f_scaled).all()):
+        raise NumericOverflow("paper-scaled d or f")
     block = {
         "method": {"name": "pwp", "lambda": args.lam, "tol": args.tol},
         "paper_scale": args.paper_scale,
-        "d": result.vectors.d * scale,
-        "f": result.vectors.f * scale,
+        "d": d_scaled,
+        "f": f_scaled,
         "diagnostics": {"terms_used": report.terms_used, "tail_bound": report.tail_bound},
     }
     if emit_matrix:

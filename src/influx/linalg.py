@@ -312,23 +312,6 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
-def _add_term(total, q, c: float, comp, new, err, term) -> None:
-    """new + err = total + c*q exactly (TwoSum), and err is added to comp;
-    term is scratch.  Works through row blocks of about 256 KB, so that the
-    eight passes over each block run in cache."""
-    rows = max(1, 32_768 * len(q) // max(1, q.size))
-    for i in range(0, len(q), rows):
-        a, b, s, e = total[i:i + rows], term[i:i + rows], new[i:i + rows], err[i:i + rows]
-        np.multiply(q[i:i + rows], c, out=b)
-        np.add(a, b, out=s)
-        np.subtract(s, a, out=e)
-        np.subtract(b, e, out=b)
-        np.subtract(s, e, out=e)
-        np.subtract(a, e, out=e)
-        e += b
-        comp[i:i + rows] += e
-
-
 def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, sampled=()):
     """The package's one power series: sum_{k>=1} w_k P_k with P_1 = first,
     P_{k+1} = step(P_k) and w_k = lam^k / k! (divided by e^lam - 1 when
@@ -348,10 +331,14 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     w_k 2^s q is then at least its coefficient w_k 2^s, so neither a power
     nor a coefficient leaves the float range where the term does not; the
     rescaling is exact, so in range the terms are those of w_k P_k bit for
-    bit.  Terms are added with TwoSum compensation.  The pass works in
-    `first`, which it overwrites, and every other array it writes is
-    allocated before it starts: step(q, out, scratch) writes the next power
-    into out, and may overwrite scratch.
+    bit.  Terms are added in plain floating point: each entry of the sum
+    of K terms is off by at most about K eps times the sum of its terms'
+    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 4.2), so by K eps |T| for a nonnegative d, but by up to
+    eps e^{lam ||d||} where terms cancel.  The pass works in `first`, which
+    it overwrites, and in three arrays allocated before it starts (four
+    with `sampled`): step(q, out, scratch) writes the next power into out
+    and may overwrite scratch, which also holds each term.
 
     Raises NoConvergenceWithinBudget if the bound is still above tol after
     MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
@@ -360,7 +347,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     sampled = list(sampled)
     q = first  # P_1 = 2^s q
     q += 0.0  # turns -0.0 into +0.0 as mat_pow does
-    spare, total, new, err, comp = (np.zeros_like(q) for _ in range(5))
+    spare, total, scratch = (np.zeros_like(q) for _ in range(3))
     estimate = np.zeros_like(q) if sampled else None
     s, k, at, report = 0, 1, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -379,8 +366,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
                 u = c * qmax if qmax else 0.0
                 if not math.isfinite(u):
                     raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
-                _add_term(total, q, c, comp, new, err, spare)
-                total, new = new, total
+                total += np.multiply(q, c, out=scratch)
                 r = lam * norm / (k + 1)
                 if u == 0.0:
                     # term K is zero in floating point: d^K is zero, and so
@@ -392,14 +378,13 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
                     bound = u / (1.0 - r) if r < 1.0 else math.inf
                     raise NoConvergenceWithinBudget(k, bound, tol)
             if at < len(sampled) and sampled[at][0] == k:
-                estimate += np.multiply(q, _ldexp(sampled[at][1], s), out=err)
+                estimate += np.multiply(q, _ldexp(sampled[at][1], s), out=scratch)
                 at += 1
             if report is not None and at == len(sampled):
                 break
-            step(q, spare, err)  # err is free until the next term
+            step(q, spare, scratch)
             q, spare = spare, q
             k += 1
-        total += comp
     if not np.isfinite(total).all():
         raise NumericOverflow("exponential series sum", report.terms_used, tol)
     if estimate is not None and not np.isfinite(estimate).all():
@@ -462,9 +447,12 @@ def exp_plus(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, Serie
 
     Summed as lam^k / k! times d^k; the series stops once its geometric
     tail bound, with r = lam*||d||_inf / (K+1), is below tol in the
-    max-absolute-entry norm.  Raises NoConvergenceWithinBudget if the bound
-    is still above tol after MAX_SERIES_TERMS terms, and its subclass
-    NumericOverflow at the first term or sum that overflows.
+    max-absolute-entry norm.  The bound covers truncation only: where terms
+    of both signs cancel, rounding grows like eps e^{lam ||d||}
+    (exp_plus([[-1.0]], 40.0) gives 4.88, not about -1).  Raises
+    NoConvergenceWithinBudget if the bound is still above tol after
+    MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
+    term or sum that overflows.
     """
     total, _, report = _dense(d, lam, tol, normalised=False)
     return total, report
@@ -488,15 +476,17 @@ def pwp_matrix_report(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarr
     """Like :func:`pwp_matrix` but also returns the truncation report.
 
     T is summed as sum_k pmf(lam, k) d^k, so tol and the report's tail
-    bound are in the units of T.  Raises NumericOverflow where e^lam - 1
-    leaves the float range, and otherwise like :func:`exp_plus`.
+    bound are in the units of T, and cover truncation only, as for
+    :func:`exp_plus`.  Raises NumericOverflow where e^lam - 1 leaves the
+    float range, and otherwise like :func:`exp_plus`.
     """
     t, _, report = _dense(d, lam, tol, normalised=True)
     return t, report
 
 
 def pwp_matrix(d, lam: float = 1.0, tol: float = 1e-12) -> np.ndarray:
-    """Indirect-influence matrix e_plus(lam*d) / e_plus(lam), accurate to tol."""
+    """Indirect-influence matrix e_plus(lam*d) / e_plus(lam), truncated to
+    within tol (rounding aside; see :func:`exp_plus`)."""
     return pwp_matrix_report(d, lam, tol)[0]
 
 

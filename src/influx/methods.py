@@ -139,17 +139,16 @@ def pagerank_repair(d) -> np.ndarray:
     error messages are 1-based.
     """
     d = _square(d)
-    n = d.shape[0]
+    low = d.min(axis=0, initial=0.0)  # initial: an empty d has no minimum
+    totals = d.sum(axis=0)
+    negative = low < -SUBSTOCHASTIC_TOL
+    empty = np.abs(totals) <= SUBSTOCHASTIC_TOL
+    bad = negative | (~empty & (np.abs(totals - 1.0) > SUBSTOCHASTIC_TOL))
+    if bad.any():
+        j = int(bad.argmax())  # the first bad column, reported by its negative entry if any
+        raise NotSubstochastic(j + 1, float(low[j] if negative[j] else totals[j]))
     repaired = d.copy()
-    for j in range(n):
-        col = d[:, j]
-        if np.any(col < -SUBSTOCHASTIC_TOL):
-            raise NotSubstochastic(j + 1, float(col.min()))
-        total = float(col.sum())
-        if abs(total) <= SUBSTOCHASTIC_TOL:
-            repaired[:, j] = 1.0 / n
-        elif abs(total - 1.0) > SUBSTOCHASTIC_TOL:
-            raise NotSubstochastic(j + 1, total)
+    repaired[:, empty] = 1.0 / max(1, d.shape[0])  # max: an empty d has no columns
     return repaired
 
 

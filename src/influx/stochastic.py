@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericOverflow
 from .linalg import _dense, _positive, _poisson_weight, mat_pow_sum
 
 TWO_PI = 2.0 * math.pi
@@ -49,8 +49,15 @@ def pmf(lam: float, k: int) -> float:
 @dataclass(frozen=True)
 class MomentSummary:
     mean: float
-    second_moment: float
     variance: float
+
+    @property
+    def second_moment(self) -> float:
+        """variance + mean^2; NumericOverflow above lam ~ 1.3e154."""
+        second = self.mean * self.mean + self.variance
+        if not math.isfinite(second):
+            raise NumericOverflow("second moment of the length law")
+        return second
 
 
 def _expm1_minus_x_over_x2(lam: float) -> float:
@@ -71,7 +78,7 @@ def moments(lam: float) -> MomentSummary:
     EX^2      = (lam^2 + lam) e^lam / (e^lam - 1)
     variance  = mean (e^lam - 1 - lam) / (e^lam - 1)
 
-    The mean and second moment are scaled by e^-lam so they do not overflow.
+    The mean is scaled by e^-lam so it does not overflow.
     The variance's factor is summed as a series below lam = 1, where
     e^lam - 1 - lam cancels, and evaluated as
     (1 - (1 + lam) e^-lam) / (1 - e^-lam) from there on.
@@ -79,12 +86,11 @@ def moments(lam: float) -> MomentSummary:
     _positive("lam", lam)
     em = -math.expm1(-lam)  # 1 - e^{-lam}
     mean = lam / em
-    second = (lam * lam + lam) / em
     if lam < 1.0:
         share = lam * _expm1_minus_x_over_x2(lam) * (lam / math.expm1(lam))
     else:
         share = (1.0 - (1.0 + lam) * math.exp(-lam)) / em
-    return MomentSummary(mean=mean, second_moment=second, variance=mean * share)
+    return MomentSummary(mean=mean, variance=mean * share)
 
 
 def chebyshev_bound(lam: float, c: float) -> float:

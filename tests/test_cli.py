@@ -240,6 +240,8 @@ def test_tiny_lambda_runs(tmp_path, capsys, argv):
 BIG_PAIR = "1,2,1e200\n2,1,1e200\n"
 # sparse enough for the power chain's jagged-diagonal step
 BIG_CYCLE_400 = "".join(f"{i},{i % 400 + 1},1e200\n" for i in range(1, 401))
+# finite d and f at lambda = 700 (about 1e152), past the float range times e^700 - 1
+CYCLE2_WEIGHT_1_5 = "1,2,1.5\n2,1,1.5\n"
 K50_WEIGHT_20 = "".join(f"{i},{j},20\n" for i in range(1, 51) for j in range(1, 51) if i != j)
 
 
@@ -268,8 +270,11 @@ def test_kernel_overflow_exit_3(tmp_path, capsys, flags, edges):
         (["compute", "--method", "pwp", "--lambda", "800"], LINE3),
         (["compute", "--method", "micmac"], BIG_PAIR),
         (["montecarlo", "-N", "10"], BIG_CYCLE_400),
+        (["compute", "--method", "pwp", "--lambda", "700", "--paper-scale"], CYCLE2_WEIGHT_1_5),
+        (["compare", "--lambda", "700", "--paper-scale"], CYCLE2_WEIGHT_1_5),
     ],
-    ids=["lambda-800", "micmac-1e200", "montecarlo-sparse-1e200"],
+    ids=["lambda-800", "micmac-1e200", "montecarlo-sparse-1e200", "paper-scale-700",
+         "compare-paper-scale-700"],
 )
 def test_overflow_stderr_is_one_line_in_a_real_process(tmp_path, argv, edges):
     # numpy warnings and tracebacks go to the process's stderr, which capsys

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import influx
@@ -563,6 +563,45 @@ def test_pwp_agrees_with_scipy_expm(d, lam):
     assert np.abs(pwp_matrix(d, lam) - want).max() <= 1e-11 + slack
 
 
+def _longdouble_pwp(d, lam):
+    """sum_k pmf(lam, k) d^k in extended precision, powers and weights alike,
+    summed until the geometric tail is below 1e-22 of the sum's largest
+    entry."""
+    rows, cols = np.nonzero(d)
+    values = d[rows, cols].astype(np.longdouble)[:, None]
+    lam_x = np.longdouble(lam)
+    norm = np.abs(d).sum(axis=1).max()
+    weight = lam_x / np.expm1(lam_x)
+    power = d.astype(np.longdouble)
+    total, k = weight * power, 1
+    while True:
+        k += 1
+        after = np.zeros_like(power)
+        np.add.at(after, rows, values * power[cols])  # d @ power
+        power, weight = after, weight * lam_x / k
+        top = np.abs(weight * power).max()
+        total += weight * power
+        if top == 0 or (lam * norm / (k + 1) < 0.5 and top <= 1e-22 * np.abs(total).max()):
+            return total
+
+
+@settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 120), st.integers(0, 2**16), st.integers(1, 12), st.sampled_from([1.0, 4.0, 30.0]))
+def test_pwp_matrix_rounding_is_a_few_ulps_of_its_largest_entry(poisson_matrix, n, seed, degree, lam):
+    if np.finfo(np.longdouble).eps == np.finfo(float).eps:
+        pytest.skip("long double is double on this platform")
+    d = poisson_matrix(n, seed, degree)
+    assume(d.any())  # tol is scaled by max|T| below
+    want = _longdouble_pwp(d, lam)
+    top = float(np.abs(want).max())
+    eps = np.finfo(float).eps
+    # tol far below the rounding, so what is left is the plain sum's: the
+    # terms share a sign, so at most about K eps top, and measured at up
+    # to 7 eps top on these graphs
+    t = pwp_matrix(d, lam, tol=eps / 16 * top)
+    assert float(np.abs(t - want).max()) <= 16 * eps * top
+
+
 # -- the jagged-diagonal step ------------------------------------------------------
 
 def _entries(least):
@@ -723,10 +762,11 @@ def test_pwp_matrix_memory_does_not_grow_with_terms(poisson_matrix):
         few, many = (pwp_matrix_report(d, lam)[1].terms_used for lam in (1.0, 30.0))
         assert many > 3 * few
         peaks = [_peak_buffers(lambda: pwp_matrix(d, lam), n) for lam in (1.0, 30.0)]
-        # the chain's six preallocated n x n buffers, whatever the term
-        # count: the jagged step gathers into one of them, and the chain
-        # works in the permuted copy of d rather than beside it
-        assert round(peaks[0]) == round(peaks[1]) <= 6
+        # the chain's four n x n buffers, whatever the term count: the copy
+        # of d it works in (row-permuted on the jagged step), the next
+        # power, the sum, and one scratch that holds each term and the
+        # jagged step's gathers
+        assert round(peaks[0]) == round(peaks[1]) <= 4
 
 
 # -- algebraic identities on random matrices -------------------------------------

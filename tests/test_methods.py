@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from influx import (
@@ -130,6 +130,56 @@ def test_repair_rejects_negative_entries():
     d = np.array([[0.0, 0.0], [-0.5, 0.0]])
     with pytest.raises(NotSubstochastic):
         pagerank_repair(d)
+
+
+def _repair_loop(d):
+    """The column-by-column form pagerank_repair replaced."""
+    n = d.shape[0]
+    repaired = d.copy()
+    for j in range(n):
+        col = d[:, j]
+        if np.any(col < -1e-9):
+            raise NotSubstochastic(j + 1, float(col.min()))
+        total = float(col.sum())
+        if abs(total) <= 1e-9:
+            repaired[:, j] = 1.0 / n
+        elif abs(total - 1.0) > 1e-9:
+            raise NotSubstochastic(j + 1, total)
+    return repaired
+
+
+@st.composite
+def _repair_inputs(draw):
+    """Matrices of n = 0 to 20 whose columns are each empty, stochastic
+    (k entries of 1/k), or drawn from a few values: in-tolerance and bad
+    negatives, and entries that make bad sums."""
+    n = draw(st.integers(0, 20))
+    d = np.zeros((n, n))
+    for j in range(n):
+        kind = draw(st.sampled_from(["empty", "stochastic", "mixed"]))
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        if kind == "stochastic":
+            d[rows, j] = 1.0 / len(rows)
+        elif kind == "mixed":
+            values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 0.3, -1e-10, -2e-9, -0.5, 1e-10])
+            d[rows, j] = draw(st.lists(values, min_size=len(rows), max_size=len(rows)))
+    return d
+
+
+@given(_repair_inputs())
+@example(np.array([[-0.5, 0.0], [0.5, 0.0]]))  # a negative entry in a column summing to 0
+@example(np.array([[0.3, -0.5], [0.0, 0.0]]))  # a bad sum before a negative entry
+def test_repair_equals_its_loop_form(d):
+    try:
+        want = _repair_loop(d)
+    except NotSubstochastic as expected:
+        with pytest.raises(NotSubstochastic) as err:
+            pagerank_repair(d)
+        assert err.value.column == expected.column
+        # the sums are added in another order: equal to rounding
+        assert err.value.total == pytest.approx(expected.total, rel=1e-14, abs=1e-300)
+    else:
+        assert pagerank_repair(d).tobytes() == want.tobytes()
 
 
 # -- pagerank --------------------------------------------------------------------

@@ -141,6 +141,17 @@ def test_huge_lambda_variance_is_lambda():
     assert math.isfinite(m.variance) and m.variance == pytest.approx(1e200, rel=1e-15)
 
 
+@pytest.mark.parametrize("lam", [1e160, 1e200])
+def test_huge_lambda_second_moment_overflow_is_typed(lam):
+    # EX^2 ~ lam^2 leaves the float range; the mean, the variance and the
+    # Chebyshev bound built on it do not
+    m = moments(lam)
+    with pytest.raises(NumericOverflow, match="second moment"):
+        m.second_moment
+    assert m.mean == lam
+    assert chebyshev_bound(lam, lam) == pytest.approx(1.0 / lam, rel=1e-15)
+
+
 # -- Chebyshev ------------------------------------------------------------------------
 
 def test_chebyshev_at_one_sigma_is_one():
