@@ -116,11 +116,6 @@ def kendall_tau(x, y) -> float:
     return s / math.sqrt(dx * dy)
 
 
-def _published(scores) -> list[float]:
-    """Scores exactly as the report prints them, so ties are ties."""
-    return [canonical_float(float(x)) for x in scores]
-
-
 def _ranking(scores) -> list[list]:
     return [[v, s] for v, s in rank_vertices(scores)]
 
@@ -177,7 +172,7 @@ def _pagerank_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
         # row sums of T are n times larger
         "d": result.stationary,
         "f": result.vectors.f,
-        "dependence_row_sums": _published(result.vectors.d),
+        "dependence_row_sums": _canonical(result.vectors.d),
         "diagnostics": {"iterations": result.diagnostics},
     }
     if emit_matrix:
@@ -191,8 +186,9 @@ _METHODS = {"pwp": _pwp_block, "micmac": _micmac_block, "pagerank": _pagerank_bl
 def _method_block(name: str, g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
     """The engine's block with d and f as published and both rankings."""
     block = _METHODS[name](g, args, emit_matrix)
-    block["d"] = _published(block["d"])
-    block["f"] = _published(block["f"])
+    # rank the scores exactly as the report prints them, so ties are ties
+    block["d"] = _canonical(block["d"])
+    block["f"] = _canonical(block["f"])
     block["ranking_by_dependence"] = _ranking(block["d"])
     block["ranking_by_influence"] = _ranking(block["f"])
     return block

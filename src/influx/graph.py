@@ -92,13 +92,9 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise MalformedLine(line_no, raw.rstrip("\n"))
         try:
-            source = int(parts[0])
-            target = int(parts[1])
-            weight = float(parts[2])
+            source, target, weight = line.split(",")
+            source, target, weight = int(source), int(target), float(weight)
         except ValueError:
             raise MalformedLine(line_no, raw.rstrip("\n")) from None
         if not math.isfinite(weight):

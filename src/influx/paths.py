@@ -4,18 +4,18 @@ A path of length k is a sequence of k edges with matching endpoints;
 vertices and edges may repeat.  P_k(i, j) is the set of all such paths from
 j to i, mirroring the (row, column) order of matrix entries.
 
-Literal enumeration visits every path and is capped by a budget (default
-10**7 paths, overridable via the INFLUX_BUDGET environment variable or a
-`budget` argument).  Past the cap, omega_sum and omega_lambda_sum switch to
-a memoized sum over the same walk set (adjacency-list recursion, no dense
-kernels), and rho_sum falls back to powers of the damped matrix, which it
-provably equals.  Pass literal=True to force enumeration and get
-BudgetExceeded instead of a fallback.
+By default omega_sum and omega_lambda_sum are memoized sums over the walk
+set (adjacency-list recursion, no dense kernels), and rho_sum is read off a
+power of the damped matrix, which it provably equals.  enumerate_paths, and
+the valuations given literal=True, go path by path instead.  The paths are
+counted first and enumeration refuses with BudgetExceeded when there are
+more than `budget` (default 10**7); it then follows only edges from which i
+is still reachable in the steps left, so it visits only the paths it
+counted.
 """
 
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -23,18 +23,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, IndexOutOfRange
 from .graph import DirectInfluenceGraph, Edge, to_matrix
-from .linalg import _expm1, _log_expm1, _positive, mat_pow
+from .linalg import _at_least, _expm1, _log_expm1, _positive, mat_pow
 from .methods import pagerank_repair
 
 DEFAULT_BUDGET = 10_000_000
-_AUTO_LITERAL_CAP = 100_000
-
-
-def _budget(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("INFLUX_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -73,8 +65,7 @@ def _check_walk(g: DirectInfluenceGraph, i: int, j: int, k: int):
     for v in (i, j):
         if not 1 <= v <= g.n:
             raise IndexOutOfRange(v, g.n)
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
+    _at_least("path length", k, 1)
 
 
 def _refuse_over_budget(total: int, cap: int):
@@ -92,17 +83,16 @@ def _adjacency(g: DirectInfluenceGraph) -> list[list[Edge]]:
     return adj
 
 
-def _walk_table(g: DirectInfluenceGraph, i: int, k: int, factor) -> list[list]:
+def _walk_table(adj: list[list[Edge]], i: int, k: int, factor) -> list[list]:
     """table[m][v] = sum over length-m walks from v to i of the product of
     factor(edge) along the walk; exact ints when factor returns ints."""
-    adj = _adjacency(g)
-    row = [0] * (g.n + 1)
+    row = [0] * len(adj)
     row[i] = 1
     table = [row]
     for _ in range(k):
         prev = table[-1]
-        cur = [0] * (g.n + 1)
-        for v in range(1, g.n + 1):
+        cur = [0] * len(adj)
+        for v in range(1, len(adj)):
             cur[v] = sum(factor(e) * prev[e.target] for e in adj[v])
         table.append(cur)
     return table
@@ -119,11 +109,43 @@ def _weight(e: Edge) -> float:
 def count_paths(g: DirectInfluenceGraph, i: int, j: int, k: int) -> int:
     """Exact number of length-k paths from j to i."""
     _check_walk(g, i, j, k)
-    return _walk_table(g, i, k, _one)[k][j]
+    return _walk_table(_adjacency(g), i, k, _one)[k][j]
+
+
+def _paths(g: DirectInfluenceGraph, i: int, j: int, lengths, budget: int) -> list:
+    """For each k in lengths, a generator of the length-k paths from j to i
+    in depth-first lexicographic edge order.
+
+    One table of walk counts to i serves every k.  Each count is checked
+    against the budget before any path is visited, and a walk follows an
+    edge only if i is reachable from its target in the steps left.
+    """
+    adj = _adjacency(g)
+    counts = _walk_table(adj, i, max(lengths), _one)
+    for k in lengths:
+        _refuse_over_budget(counts[k][j], budget)
+
+    def walk(v: int, remaining: int, acc: list[Edge]):
+        if remaining == 0:
+            yield Path(tuple(acc))
+            return
+        for e in adj[v]:
+            if counts[remaining - 1][e.target]:
+                acc.append(e)
+                yield from walk(e.target, remaining - 1, acc)
+                acc.pop()
+
+    return [walk(j, k, []) for k in lengths]
+
+
+def _literal_sums(g: DirectInfluenceGraph, i: int, j: int, lengths, budget: int) -> list[float]:
+    """omega_sum for each k in lengths, summed path by path."""
+    walks = _paths(g, i, j, lengths, budget)
+    return [math.fsum(p.weight_product() for p in paths) for paths in walks]
 
 
 def enumerate_paths(
-    g: DirectInfluenceGraph, i: int, j: int, k: int, budget: int | None = None
+    g: DirectInfluenceGraph, i: int, j: int, k: int, budget: int = DEFAULT_BUDGET
 ) -> list[Path]:
     """All length-k paths from j to i, in depth-first lexicographic edge order.
 
@@ -131,36 +153,7 @@ def enumerate_paths(
     is larger than the budget.
     """
     _check_walk(g, i, j, k)
-    cap = _budget(budget)
-    counts = _walk_table(g, i, k, _one)
-    total = counts[k][j]
-    _refuse_over_budget(total, cap)
-    adj = _adjacency(g)
-    out: list[Path] = []
-    acc: list[Edge] = []
-
-    def walk(v: int, remaining: int):
-        if remaining == 0:
-            out.append(Path(tuple(acc)))
-            return
-        for e in adj[v]:
-            if counts[remaining - 1][e.target]:
-                acc.append(e)
-                walk(e.target, remaining - 1)
-                acc.pop()
-
-    if total:
-        walk(j, k)
-    return out
-
-
-def _literal_omega(adj, v: int, target: int, remaining: int) -> float:
-    if remaining == 0:
-        return 1.0 if v == target else 0.0
-    total = 0.0
-    for e in adj[v]:
-        total += e.weight * _literal_omega(adj, e.target, target, remaining - 1)
-    return total
+    return list(_paths(g, i, j, [k], budget)[0])
 
 
 def omega_sum(
@@ -168,24 +161,19 @@ def omega_sum(
     i: int,
     j: int,
     k: int,
-    budget: int | None = None,
-    literal: bool | None = None,
+    budget: int = DEFAULT_BUDGET,
+    literal: bool = False,
 ) -> float:
     """Sum over all length-k paths from j to i of the edge-weight product.
 
     Equals the (i, j) entry of the k-th matrix power, but is computed on the
-    graph itself: literally edge by edge when the path count is small, and by
-    memoized recursion over the identical walk set otherwise.
+    graph itself: by memoized recursion over the walk set, or with
+    literal=True path by path (budget applies).
     """
     _check_walk(g, i, j, k)
-    if literal is not False:
-        total = count_paths(g, i, j, k)
-        cap = _budget(budget)
-        if literal:
-            _refuse_over_budget(total, cap)
-        if literal or total <= min(cap, _AUTO_LITERAL_CAP):
-            return _literal_omega(_adjacency(g), j, i, k)
-    return float(_walk_table(g, i, k, _weight)[k][j])
+    if literal:
+        return _literal_sums(g, i, j, [k], budget)[0]
+    return float(_walk_table(_adjacency(g), i, k, _weight)[k][j])
 
 
 def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
@@ -203,26 +191,22 @@ def rho_sum(
     j: int,
     k: int,
     p: float = 0.86,
-    budget: int | None = None,
-    literal: bool | None = None,
+    budget: int = DEFAULT_BUDGET,
+    literal: bool = False,
 ) -> float:
     """Sum of damped-entry products over all length-k vertex sequences j -> i.
 
     The damped matrix has no zero entries, so the walks live in the complete
-    graph on [n] and there are n**(k-1) of them.  Literal enumeration is used
-    up to the budget; beyond it the value is read off the k-th power of the
-    damped matrix, which equals the same sum.
+    graph on [n] and there are n**(k-1) of them.  The value is read off the
+    k-th power of the damped matrix, which equals the same sum; with
+    literal=True the sequences are enumerated instead (budget applies).
     """
     _check_walk(g, i, j, k)
     m = damped_matrix(g, p)
-    n = g.n
-    total = n ** (k - 1)
-    cap = _budget(budget)
-    if literal is None:
-        literal = total <= min(cap, _AUTO_LITERAL_CAP)
     if not literal:
         return float(mat_pow(m, k)[i - 1, j - 1])
-    _refuse_over_budget(total, cap)
+    n = g.n
+    _refuse_over_budget(n ** (k - 1), budget)
     acc = 0.0
     for mid in itertools.product(range(n), repeat=k - 1):
         seq = (j - 1, *mid, i - 1)
@@ -239,23 +223,24 @@ def omega_lambda_sum(
     j: int,
     lam: float,
     K: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
     literal: bool = False,
 ) -> float:
     """Truncated exponential walk weighting: sum over k <= K of
     omega_sum(g, i, j, k) * lam^k / (e_plus(lam) * k!).
 
     With literal=True every omega_sum term is enumerated path by path
-    (budget applies); the default evaluates the same sums by recursion.
-    Use :func:`omega_lambda_tail_bound` for the discarded k > K mass.
+    (budget applies to each); the default evaluates the same sums by
+    recursion.  Use :func:`omega_lambda_tail_bound` for the discarded k > K
+    mass.
     """
     _check_walk(g, i, j, K)
     _positive("lam", lam)
     scale = _expm1(lam)
     if literal:
-        sums = [omega_sum(g, i, j, k, budget=budget, literal=True) for k in range(1, K + 1)]
+        sums = _literal_sums(g, i, j, range(1, K + 1), budget)
     else:
-        table = _walk_table(g, i, K, _weight)
+        table = _walk_table(_adjacency(g), i, K, _weight)
         sums = [table[k][j] for k in range(1, K + 1)]
     coef = 1.0
     terms = []
@@ -272,8 +257,7 @@ def omega_lambda_tail_bound(g: DirectInfluenceGraph, lam: float, K: int) -> floa
     dense exponential series.
     """
     _positive("lam", lam)
-    if K < 1:
-        raise ValueError(f"truncation length must be >= 1, got {K}")
+    _at_least("truncation length", K, 1)
     d = to_matrix(g)
     norm = float(np.abs(d).sum(axis=1).max()) if d.size else 0.0
     x = lam * norm

@@ -516,7 +516,9 @@ def test_kendall_tau_unequal_lengths():
 
 # -- vectors without the dense T --------------------------------------------------
 
-@pytest.mark.parametrize("method", [["pwp", "--lambda", "2.5"], ["micmac", "-k", "3"]])
+@pytest.mark.parametrize(
+    "method", [["pwp", "--lambda", "2.5"], ["micmac", "-k", "3"], ["pagerank"]]
+)
 def test_compute_emit_matrix_leaves_vectors_unchanged(tmp_path, capsys, method):
     rng = np.random.default_rng(21)
     path = tmp_path / "g.csv"

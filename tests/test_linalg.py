@@ -311,9 +311,26 @@ def test_mat_pow_vectors_zero_power_and_bad_power():
 
 
 def test_exp_plus_diverging_budget():
+    # the terms overflow long before the term cap
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NoConvergenceWithinBudget):
+        with pytest.raises(NumericOverflow):
             exp_plus(np.array([[20_000.0]]), lam=1.0, tol=1e-12)
+
+
+def test_term_cap_raises_no_convergence(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(influx.linalg, "MAX_SERIES_TERMS", 2)
+    with pytest.raises(NoConvergenceWithinBudget) as err:
+        pwp_matrix_report([[0.5]], 1.0)
+    assert type(err.value) is NoConvergenceWithinBudget
+    # term 2 is 0.25 / 2 / (e - 1); the geometric tail after it has ratio 1/6
+    assert err.value.terms == 2
+    assert err.value.bound == pytest.approx(0.125 / math.expm1(1.0) * 1.2, rel=1e-12)
+    assert err.value.bound > err.value.tol
+    path = tmp_path / "g.csv"
+    path.write_text("1,1,0.5\n")
+    assert main(["compute", "--method", "pwp", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_exp_plus_rejects_bad_args():
@@ -424,8 +441,18 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
         lambda k: influx.micmac(L3, k),
         lambda k: influx.micmac_vectors(L3, k),
         lambda k: influx.MicmacConfig(k=k),
+        lambda k: influx.count_paths(build(Line(3)), 3, 1, k),
+        lambda k: influx.enumerate_paths(build(Line(3)), 3, 1, k),
+        lambda k: influx.omega_sum(build(Line(3)), 3, 1, k),
+        lambda k: influx.rho_sum(build(Line(3)), 3, 1, k),
+        lambda k: influx.omega_lambda_sum(build(Line(3)), 3, 1, 1.0, k),
+        lambda k: influx.omega_lambda_tail_bound(build(Line(3)), 1.0, k),
     ],
-    ids=["mat_pow", "mat_pow_vectors", "micmac", "micmac_vectors", "MicmacConfig"],
+    ids=[
+        "mat_pow", "mat_pow_vectors", "micmac", "micmac_vectors", "MicmacConfig",
+        "count_paths", "enumerate_paths", "omega_sum", "rho_sum", "omega_lambda_sum",
+        "omega_lambda_tail_bound",
+    ],
 )
 def test_single_power_must_be_an_integer(call, bad):
     # a bool is an int to Python, but True is not a power

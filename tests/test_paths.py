@@ -113,16 +113,6 @@ def test_budget_refusal():
     assert err.value.estimate > 100
 
 
-def test_budget_env_override(monkeypatch):
-    g = build(Star(4))
-    monkeypatch.setenv("INFLUX_BUDGET", "10")
-    with pytest.warns(UserWarning):
-        with pytest.raises(BudgetExceeded):
-            enumerate_paths(g, 5, 5, 6)
-    monkeypatch.setenv("INFLUX_BUDGET", "1000000")
-    assert enumerate_paths(g, 5, 5, 6)
-
-
 def test_rejects_zero_length():
     with pytest.raises(ValueError):
         enumerate_paths(L3, 1, 1, 0)
@@ -181,6 +171,33 @@ def test_omega_literal_budget():
     # the default route handles the same query by recursion
     value = omega_sum(g, 5, 5, 20, budget=1000)
     assert value == pytest.approx(mat_pow(to_matrix(g), 20)[4, 4], rel=1e-12)
+
+
+@pytest.mark.parametrize("route", [{}, {"literal": True}], ids=["default", "literal"])
+def test_zero_path_query_visits_no_walk(monkeypatch, route):
+    # 5**k walks of length k leave vertex 1 of this complete digraph, but
+    # none reaches vertex 7, whose one edge points out
+    g = parse_edge_list(
+        "".join(f"{s},{t},0.5\n" for s in range(1, 7) for t in range(1, 7) if s != t)
+        + "7,1,0.5\n"
+    )
+    k = 12
+    # the walk table reads each list once a step, the walk only from 1
+    limit = g.n * (k + 1)
+    scans = 0
+
+    class Row(list):
+        def __iter__(self):
+            nonlocal scans
+            scans += 1
+            assert scans <= limit, "a walk that cannot reach i was followed"
+            return super().__iter__()
+
+    adjacency = influx.paths._adjacency
+    monkeypatch.setattr(influx.paths, "_adjacency", lambda g: [Row(r) for r in adjacency(g)])
+    assert count_paths(g, 7, 1, k) == 0
+    scans = 0
+    assert omega_sum(g, 7, 1, k, **route) == 0.0
 
 
 # -- rho -----------------------------------------------------------------------------
