@@ -3,7 +3,8 @@
 Reports are JSON by default (CSV via --csv) and are byte-for-byte
 reproducible: floats are canonicalized to 12 significant digits and keys
 are emitted sorted, so parsing a report and re-serializing it gives the
-identical text.
+identical text.  The report is written in one pass, each float formatted
+as it is printed, with the layout of json.dumps(..., indent=2).
 
 Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure
 (no convergence, overflow, bad column sums); each InfluenceError names its
@@ -11,6 +12,7 @@ own code in `exit_code`.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,25 +40,52 @@ def canonical_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
+def _items(seq, inner: str):
+    """The texts of a list's items; flat floats and rankings in one step."""
+    if all(type(x) is float for x in seq):
+        return map(repr, map(canonical_float, seq))
+    if all(type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is float
+           for p in seq):
+        # a ranking: (vertex, score) pairs
+        pair = inner + "  "
+        return (f"[{pair}{v},{pair}{canonical_float(s)!r}{inner}]" for v, s in seq)
+    return (_write(x, inner) for x in seq)
+
+
+def _write(obj, newline: str) -> str:
+    """obj as json.dumps(..., sort_keys=True, indent=2) writes it after
+    `newline`, with numpy values as Python ones and every float through
+    canonical_float."""
     if isinstance(obj, np.ndarray):
-        return [_canonical(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # values in insertion order, so the first non-finite one is the one named
+        texts = {k: _write(v, inner) for k, v in obj.items()}
+        items = (f"{json.dumps(k)}: {texts[k]}" for k in sorted(texts))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_items(obj, inner)) + newline + "]"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return repr(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return canonical_float(float(obj))
-    return obj
+        return repr(canonical_float(float(obj)))
+    return json.dumps(obj)
 
 
 def dumps_report(report: dict) -> str:
-    """Serialize a report deterministically; loads/dumps round-trips bytes."""
-    return json.dumps(_canonical(report), sort_keys=True, indent=2) + "\n"
+    """Serialize a report deterministically; loads/dumps round-trips bytes.
+
+    One pass writes the text of json.dumps(..., sort_keys=True, indent=2),
+    formatting each float as it goes.  Keys must be strings.
+    """
+    return _write(report, "\n") + "\n"
 
 
 def _tied_pairs(differs: np.ndarray) -> int:
@@ -116,18 +145,15 @@ def kendall_tau(x, y) -> float:
     return s / math.sqrt(dx * dy)
 
 
-def _ranking(scores) -> list[list]:
-    return [[v, s] for v, s in rank_vertices(scores)]
+# One entry per engine: (graph, matrix, args, emit_matrix) -> report block
+# with the engine's "method" parameters, "paper_scale", raw "d" and "f",
+# "diagnostics" and any fields of its own.  matrix() returns the graph's dense
+# D, formed once for the engines in _READS_D.  d, f and diagnostics come
+# from the vector kernels; the dense T is formed only when it is printed, so
+# neither depends on emit_matrix.
 
-
-# One entry per engine: (graph, args, emit_matrix) -> report block with the
-# engine's "method" parameters, "paper_scale", raw "d" and "f", "diagnostics"
-# and any fields of its own.  d, f and diagnostics come from the vector
-# kernels; the dense T is formed only when it is printed, so neither depends
-# on emit_matrix.
-
-def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
-    d = to_matrix(g)
+def _pwp_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> dict:
+    d = matrix()
     result = pwp_vectors(d, lam=args.lam, tol=args.tol)
     report = result.diagnostics
     scale = math.expm1(args.lam) if args.paper_scale else 1.0
@@ -147,8 +173,8 @@ def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
     return block
 
 
-def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
-    d = to_matrix(g)
+def _micmac_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> dict:
+    d = matrix()
     result = micmac_vectors(d, k=args.k)
     block = {
         "method": {"name": "micmac", "k": args.k},
@@ -162,7 +188,7 @@ def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
     return block
 
 
-def _pagerank_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
+def _pagerank_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> dict:
     # ranking works on link structure: entry (i, j) becomes 1/out(j)
     result = pagerank(web_normalize(g), p=args.p, tol=args.tol, max_iter=args.max_iter)
     block = {
@@ -172,7 +198,7 @@ def _pagerank_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
         # row sums of T are n times larger
         "d": result.stationary,
         "f": result.vectors.f,
-        "dependence_row_sums": _canonical(result.vectors.d),
+        "dependence_row_sums": result.vectors.d,
         "diagnostics": {"iterations": result.diagnostics},
     }
     if emit_matrix:
@@ -181,17 +207,26 @@ def _pagerank_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
 
 
 _METHODS = {"pwp": _pwp_block, "micmac": _micmac_block, "pagerank": _pagerank_block}
+_READS_D = {"pwp", "micmac"}
 
 
-def _method_block(name: str, g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
-    """The engine's block with d and f as published and both rankings."""
-    block = _METHODS[name](g, args, emit_matrix)
-    # rank the scores exactly as the report prints them, so ties are ties
-    block["d"] = _canonical(block["d"])
-    block["f"] = _canonical(block["f"])
-    block["ranking_by_dependence"] = _ranking(block["d"])
-    block["ranking_by_influence"] = _ranking(block["f"])
-    return block
+def _method_blocks(names, g: DirectInfluenceGraph, args, emit_matrix: bool) -> list[dict]:
+    """Each named engine's block with d and f as published and both rankings."""
+    matrix = functools.cache(lambda: to_matrix(g))
+    last_reader = max((i for i, name in enumerate(names) if name in _READS_D), default=None)
+    blocks = []
+    for i, name in enumerate(names):
+        block = _METHODS[name](g, matrix, args, emit_matrix)
+        if i == last_reader:
+            # held through pagerank's own dense matrices, D would raise the peak
+            matrix.cache_clear()
+        # rank the scores exactly as the report prints them, so ties are ties
+        block["d"] = list(map(canonical_float, block["d"].tolist()))
+        block["f"] = list(map(canonical_float, block["f"].tolist()))
+        block["ranking_by_dependence"] = rank_vertices(block["d"])
+        block["ranking_by_influence"] = rank_vertices(block["f"])
+        blocks.append(block)
+    return blocks
 
 
 def _graph_summary(g: DirectInfluenceGraph) -> dict:
@@ -222,7 +257,7 @@ def _csv(header: str, blocks: list[dict], n: int) -> str:
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.graph)
-    block = _method_block(args.method, g, args, args.emit_matrix)
+    [block] = _method_blocks([args.method], g, args, args.emit_matrix)
     if args.csv:
         _emit(_csv("vertex,d,f", [block], g.n), args.output)
     else:
@@ -238,7 +273,7 @@ def cmd_compare(args) -> int:
             f"--methods must name {', '.join(others)}, or {last}, got {args.methods!r}"
         )
     g = _load_graph(args.graph)
-    blocks = [_method_block(name, g, args, False) for name in names]
+    blocks = _method_blocks(names, g, args, False)
     if args.csv:
         header = "vertex," + ",".join(f"d_{name},f_{name}" for name in names)
         _emit(_csv(header, blocks, g.n), args.output)

@@ -125,17 +125,24 @@ def _paths(g: DirectInfluenceGraph, i: int, j: int, lengths, budget: int) -> lis
     for k in lengths:
         _refuse_over_budget(counts[k][j], budget)
 
-    def walk(v: int, remaining: int, acc: list[Edge]):
-        if remaining == 0:
-            yield Path(tuple(acc))
-            return
-        for e in adj[v]:
-            if counts[remaining - 1][e.target]:
+    def walk(k: int):
+        # a stack of edge iterators, one per step taken, in place of
+        # recursion, so a walk of any length runs
+        acc: list[Edge] = []
+        stack = [iter(adj[j])]
+        while stack:
+            left = k - len(stack)  # steps after the next edge
+            e = next((e for e in stack[-1] if counts[left][e.target]), None)
+            if e is None:
+                stack.pop()
+                del acc[-1:]  # the edge into the exhausted step, if any
+            elif left:
                 acc.append(e)
-                yield from walk(e.target, remaining - 1, acc)
-                acc.pop()
+                stack.append(iter(adj[e.target]))
+            else:
+                yield Path((*acc, e))
 
-    return [walk(j, k, []) for k in lengths]
+    return [walk(k) for k in lengths]
 
 
 def _literal_sums(g: DirectInfluenceGraph, i: int, j: int, lengths, budget: int) -> list[float]:

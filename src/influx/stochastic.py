@@ -13,6 +13,9 @@ reproducible from (seed, sample count) alone and substreams can be split
 off by key without overlap.
 """
 
+# annotations stay unevaluated, so importing this module does not load numpy.random
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import influx
 from influx import errors
-from influx.cli import dumps_report, kendall_tau, main
+from influx.cli import canonical_float, dumps_report, kendall_tau, main
 from influx import parse_edge_list
 
 LINE3 = "1,2,1.0\n2,3,1.0\n"
@@ -116,6 +117,147 @@ def test_reports_deterministic_across_runs(line3, capsys):
         run(capsys, "compute", "--method", "pagerank", line3)[1] for _ in range(3)
     ]
     assert runs[0] == runs[1] == runs[2]
+
+
+# -- the report writer --------------------------------------------------------------
+
+def ref_canonical(obj):
+    """The report tree as the writer prints it: the earlier two-pass writer's
+    first pass, kept as the reference."""
+    if isinstance(obj, dict):
+        return {k: ref_canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_canonical(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [ref_canonical(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return canonical_float(float(obj))
+    return obj
+
+
+def ref_dumps(report: dict) -> str:
+    return json.dumps(ref_canonical(report), sort_keys=True, indent=2) + "\n"
+
+
+def _outcome(write, report):
+    """The text written, or the message of the ValueError raised."""
+    try:
+        return write(report)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        -0.0, 5e-324, 1e-05, 123456789012.0, 1234567890123456.0, 1e16, 0.1 + 0.2,
+        np.float64(2 / 3), np.float32(0.1), np.int64(-7), np.bool_(True), np.bool_(False),
+        (1, 2.5, "x"), [], {}, [[], {}],
+        np.array([0.5, -0.0, 1e17]), np.array([[1.0, 2.0], [3.0, 4.0]]),
+        np.array([1, 2, 3]), np.zeros((2, 0)), np.array([True, False]),
+        [(1, 0.5), (2, 0.25)], [(1, 0.5), (True, 0.25)], [[1, 0.5]], [1.0, 2], [1.0, np.float64(2)],
+        None, 'say "hi" \\ there', "caf\u00e9",
+    ],
+    ids=repr,
+)
+def test_writer_edge_cases_match_the_reference(value):
+    report = {"value": value, "nested": {"z": [value], "a": (value,)}}
+    assert dumps_report(report) == ref_dumps(report)
+
+
+def test_writer_escapes_keys():
+    report = {"caf\u00e9": 1, 'q"\\': 2.0, "": None, "a": {"\u00fc": [0.1]}}
+    assert dumps_report(report) == ref_dumps(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: [0.5, x],
+        lambda x: [[1, 0.5], (2, x)],
+        lambda x: [(1, 0.5), (2, x)],
+        lambda x: np.array([0.5, x]),
+        lambda x: np.array([[0.5, 1.0], [x, 2.0]]),
+        lambda x: {"b": np.float64(x)},
+    ],
+)
+def test_writer_rejects_non_finite_values(bad, place):
+    report = {"value": place(bad)}
+    with pytest.raises(ValueError, match="reports cannot contain non-finite value") as err:
+        dumps_report(report)
+    assert _outcome(ref_dumps, report) == ("ValueError", str(err.value))
+
+
+def test_writer_names_the_first_non_finite_value_in_insertion_order():
+    report = {"b": [math.nan], "a": [math.inf]}
+    assert _outcome(dumps_report, report) == _outcome(ref_dumps, report)
+    assert "nan" in _outcome(dumps_report, report)[1]
+
+
+def _report_values(floats):
+    arrays_ = arrays(float, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+                     elements=floats)
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=4), floats,
+        floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_), arrays_,
+        st.lists(floats, max_size=5),  # a vector
+        st.lists(st.tuples(st.integers(1, 10**6), floats), max_size=5),  # a ranking
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=4), children, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.225073858507e-309, 1e-05]),
+    st.floats(1e11, 1e17),
+    st.floats(-1e17, -1e11),
+)
+
+
+@given(st.dictionaries(st.text(max_size=4), _report_values(_FINITE), max_size=5))
+def test_writer_matches_the_reference(report):
+    assert dumps_report(report) == ref_dumps(report)
+
+
+@given(st.dictionaries(
+    st.text(max_size=4), _report_values(st.one_of(_FINITE, st.floats())), max_size=5
+))
+def test_writer_fails_like_the_reference(report):
+    assert _outcome(dumps_report, report) == _outcome(ref_dumps, report)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # only montecarlo samples; the other commands should not pay for the generator
+    code = "import influx.cli, sys; print('numpy.random' in sys.modules)"
+    src = str(Path(influx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("methods,built", [("pwp,micmac,pagerank", 1), ("pagerank", 0)])
+def test_compare_forms_the_dense_matrix_at_most_once(random12, capsys, monkeypatch, methods, built):
+    calls = []
+    to_matrix = influx.cli.to_matrix
+    monkeypatch.setattr(influx.cli, "to_matrix", lambda g: calls.append(g) or to_matrix(g))
+    code, _, _ = run(capsys, "compare", "--methods", methods, random12)
+    assert code == 0 and len(calls) == built
 
 
 # -- exit codes ----------------------------------------------------------------------

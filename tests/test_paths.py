@@ -81,6 +81,14 @@ def test_cycle3_unique_closed_walk():
         assert paths[0].source == paths[0].target == j
 
 
+def test_long_walk_runs_without_recursion():
+    # one frame per step would pass Python's recursion limit here
+    g = build(Cycle(3))
+    paths = enumerate_paths(g, 1, 1, 3000)
+    assert len(paths) == 1 and paths[0].length == 3000
+    assert omega_sum(g, 1, 1, 3000, literal=True) == omega_sum(g, 1, 1, 3000)
+
+
 @pytest.mark.parametrize("k,s", [(3, 1), (4, 2), (5, 0), (6, 3)])
 def test_jordan_path_counts_are_binomial(k, s):
     g = build(Jordan(6, 0.5))
@@ -102,6 +110,18 @@ def test_no_duplicates_in_enumeration():
         for k in (1, 2, 4):
             paths = enumerate_paths(g, 1, 1, k) if g.n else []
             assert len({p.edges for p in paths}) == len(paths)
+
+
+def test_enumeration_is_lexicographic_on_random_graphs():
+    # one edge per (source, target), so a walk from j is its target sequence
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        g = _random_graph(rng)
+        for i in range(1, g.n + 1):
+            for k in (1, 2, 3, 5):
+                targets = [tuple(e.target for e in p.edges) for p in enumerate_paths(g, i, 1, k)]
+                assert targets == sorted(set(targets))
+                assert len(targets) == count_paths(g, i, 1, k)
 
 
 def test_budget_refusal():
