@@ -45,7 +45,6 @@ from .linalg import (
     SeriesReport,
     exp_plus,
     exp_plus_vectors,
-    mat_mul,
     mat_pow,
     mat_pow_sum,
     mat_pow_vectors,
@@ -144,7 +143,6 @@ __all__ = [
     "is_column_stochastic",
     "line_argmax_offset",
     "make_rng",
-    "mat_mul",
     "mat_pow",
     "mat_pow_sum",
     "mat_pow_vectors",

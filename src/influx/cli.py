@@ -7,8 +7,8 @@ identical text.  The report is written in one pass, each float formatted
 as it is printed, with the layout of json.dumps(..., indent=2).
 
 Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure
-(no convergence, overflow, bad column sums); each InfluenceError names its
-own code in `exit_code`.
+(no convergence, overflow, bad column sums) or running out of memory; each
+InfluenceError names its own code in `exit_code`.
 """
 
 import argparse
@@ -422,6 +422,10 @@ def main(argv=None) -> int:
         # an InfluenceError carries its own code; bad values and files are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
+    except MemoryError as exc:
+        # numpy names the allocation that failed, such as a dense D for a vast n
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

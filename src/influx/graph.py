@@ -1,13 +1,12 @@
 """Weighted directed graphs of direct influences and their matrix encoding.
 
 Vertices are numbered 1..n in every file format and report.  The matrix
-encoding puts the weight of the edge j -> i at row i, column j, so column j
-collects everything vertex j acts on directly and row i collects everything
-acting directly on vertex i.  All types are immutable and all operations are
-pure functions.
+encoding, formed from a graph's edge columns only where needed, puts the
+weight of the edge j -> i at row i, column j, so column j collects everything
+vertex j acts on directly and row i collects everything acting directly on
+vertex i.  All types are immutable and all operations are pure functions.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -28,50 +27,69 @@ class Edge(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DirectInfluenceGraph:
     """Directed graph without multiple edges; self-loops are allowed.
 
-    Edges are stored sorted by (source, target), so two graphs built from
-    the same edge set compare equal regardless of input order.
-    """
+    Held as read-only `source`, `target` (1-based int64) and `weight` columns
+    sorted by (source, target), so equal edge sets give equal graphs."""
 
     n: int
-    edges: tuple[Edge, ...] = ()
+    source: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        normalized = []
-        seen = set()
-        for e in self.edges:
-            edge = Edge(int(e[0]), int(e[1]), float(e[2]))
-            for v in (edge.source, edge.target):
-                if not 1 <= v <= self.n:
-                    raise IndexOutOfRange(v, self.n)
-            if not math.isfinite(edge.weight):
-                raise NonFiniteWeight(edge.weight)
-            key = (edge.source, edge.target)
-            if key in seen:
-                raise DuplicateEdge(*key)
-            seen.add(key)
-            normalized.append(edge)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+    def __init__(self, n: int, edges: Iterable = ()):
+        vars(self).update(vars(_graph(n, *(tuple(zip(*edges)) or ((), (), ())))))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, self.source.tolist(), self.target.tolist(), self.weight.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.source.size
 
     def out_degree(self, v: int) -> int:
         if not 1 <= v <= self.n:
             raise IndexOutOfRange(v, self.n)
-        return sum(1 for e in self.edges if e.source == v)
+        return int(np.searchsorted(self.source, v, "right") - np.searchsorted(self.source, v))
 
     def reverse(self) -> "DirectInfluenceGraph":
         """The graph with every edge direction flipped."""
-        return DirectInfluenceGraph(
-            self.n, tuple(Edge(e.target, e.source, e.weight) for e in self.edges)
-        )
+        return _graph(self.n, self.target, self.source, self.weight)
+
+
+def _graph(n: int, source, target, weight, line_nos=None) -> DirectInfluenceGraph:
+    """These columns as a graph, through the package's one edge check."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    try:
+        ends = np.asarray((source, target), dtype=np.int64)
+    except OverflowError:
+        raise IndexOutOfRange(max((*source, *target), key=abs), 2**63 - 1) from None
+    weight = np.asarray(weight, dtype=float)
+    outside = ((ends < 1) | (ends > n)).T  # edge by edge, as the input lists them
+    if outside.any():
+        raise IndexOutOfRange(int(ends.T[outside][0]), n)
+    if not np.isfinite(weight).all():
+        i = np.argmin(np.isfinite(weight))
+        raise NonFiniteWeight(float(weight[i]), line_no=None if line_nos is None else line_nos[i])
+    order = np.lexsort(ends[::-1])  # stable, so each pair's occurrences keep input order
+    later = order[1:][(np.diff(ends[:, order]) == 0).all(axis=0)]  # second and later ones
+    if later.size:
+        raise DuplicateEdge(*ends[:, later.min()].tolist())
+    ends, weight = ends[:, order], weight[order]
+    ends.flags.writeable = weight.flags.writeable = False
+    g = object.__new__(DirectInfluenceGraph)
+    vars(g).update(n=n, source=ends[0], target=ends[1], weight=weight)  # past the frozen setattr
+    return g
 
 
 def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
@@ -82,51 +100,34 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
     seen, or `n` if that is larger.  Duplicate (source, target) pairs are a
     hard error rather than last-wins, so data bugs surface immediately.
     """
-    if isinstance(text, str):
-        lines: Iterable[str] = text.splitlines()
-    else:
-        lines = text
-    edges = []
-    max_seen = 0
+    lines = text.splitlines() if isinstance(text, str) else text
+    rows = []
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             source, target, weight = line.split(",")
-            source, target, weight = int(source), int(target), float(weight)
+            rows.append((int(source), int(target), float(weight), line_no))
         except ValueError:
             raise MalformedLine(line_no, raw.rstrip("\n")) from None
-        if not math.isfinite(weight):
-            raise NonFiniteWeight(weight, line_no=line_no)
-        if source < 1 or target < 1:
-            raise IndexOutOfRange(min(source, target), max(max_seen, n or 0))
-        edges.append(Edge(source, target, weight))
-        max_seen = max(max_seen, source, target)
-    return DirectInfluenceGraph(max(max_seen, n or 0), tuple(edges))
-
-
-def _columns(g: DirectInfluenceGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g's edges as arrays of 0-based sources, 0-based targets and weights."""
-    source, target, weight = zip(*g.edges) if g.edges else ((), (), ())
-    return (np.array(source, dtype=np.intp) - 1, np.array(target, dtype=np.intp) - 1,
-            np.array(weight, dtype=float))
+    source, target, weight, line_nos = tuple(zip(*rows)) or ((), (), (), ())
+    n = max(max(source, default=0), max(target, default=0), n or 0)
+    return _graph(n, source, target, weight, line_nos)
 
 
 def to_matrix(g: DirectInfluenceGraph) -> np.ndarray:
     """Dense direct-influence matrix: entry (i, j) is the weight of edge j -> i."""
-    source, target, weight = _columns(g)
     d = np.zeros((g.n, g.n))
-    d[target, source] = weight  # no two edges share a (source, target) pair
+    d[g.target - 1, g.source - 1] = g.weight  # no two edges share a (source, target) pair
     return d
 
 
 def from_matrix(d: np.ndarray) -> DirectInfluenceGraph:
     """Inverse of :func:`to_matrix`; nonzero entries become edges."""
     d = _square(d)
-    target, source = np.nonzero(d)
-    edges = zip((source + 1).tolist(), (target + 1).tolist(), d[target, source].tolist())
-    return DirectInfluenceGraph(d.shape[0], tuple(edges))
+    source, target = np.nonzero(d.T)
+    return _graph(d.shape[0], source + 1, target + 1, d[target, source])
 
 
 def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
@@ -135,9 +136,8 @@ def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
     Edge weights are ignored.  Columns of vertices with no outgoing edges are
     all-zero; every other column sums to 1.
     """
-    source, target, _ = _columns(g)
     d = np.zeros((g.n, g.n))
-    d[target, source] = 1.0 / np.bincount(source, minlength=g.n)[source]
+    d[g.target - 1, g.source - 1] = 1.0 / np.bincount(g.source)[g.source]
     return d
 
 

@@ -20,7 +20,6 @@ Comput. 33(2), 2011).
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,19 +168,6 @@ def _stepper(d: np.ndarray):
     if jagged is None:
         return np.copy, lambda q, out, _: np.matmul(q, d, out=out), lambda a: a
     return jagged.enter, jagged, jagged.leave
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Standard matrix product with an explicit shape check.
-
-    Deprecated: use a @ b.
-    """
-    warnings.warn("influx.mat_mul is deprecated; use a @ b", DeprecationWarning, stacklevel=2)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def mat_pow(d, k: int) -> np.ndarray:

@@ -76,10 +76,8 @@ def _refuse_over_budget(total: int, cap: int):
 
 def _adjacency(g: DirectInfluenceGraph) -> list[list[Edge]]:
     adj: list[list[Edge]] = [[] for _ in range(g.n + 1)]
-    for e in g.edges:
+    for e in g.edges:  # sorted by (source, target), so each list is sorted by target
         adj[e.source].append(e)
-    for lst in adj:
-        lst.sort(key=lambda e: e.target)
     return adj
 
 

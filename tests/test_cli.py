@@ -278,6 +278,30 @@ def test_duplicate_edge_exit_2(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("index", [10**20, -10**20])
+def test_index_past_int64_exit_2_in_a_real_process(tmp_path, index):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"1,{index},1.0\n")
+    src = str(Path(influx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "influx.cli", "compute", "--method", "pwp", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: vertex index {index} outside [1, {2**63 - 1}]\n"
+
+
+def test_out_of_memory_exit_3(line3, capsys, monkeypatch):
+    def no_room(g):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(influx.cli, "to_matrix", no_room)
+    code, out, err = run(capsys, "compute", "--method", "pwp", line3)
+    assert (code, out, err) == (3, "", "error: Unable to allocate 298. GiB for an array\n")
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--method", "pwp", "/nonexistent/g.csv")
     assert code == 2

@@ -1,5 +1,7 @@
 """Graph construction, edge-list parsing, and the matrix encoding."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from influx import (
     DuplicateEdge,
     Edge,
     IndexOutOfRange,
+    InfluenceError,
     MalformedLine,
     NonFiniteWeight,
     format_edge_list,
@@ -79,8 +82,9 @@ def test_parse_non_finite_weight():
 
 
 def test_parse_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange) as err:
         parse_edge_list("0,2,1.0")
+    assert str(err.value) == "vertex index 0 outside [1, 2]"  # the file's n
     with pytest.raises(IndexOutOfRange):
         parse_edge_list("1,-3,1.0")
 
@@ -102,6 +106,26 @@ def test_graph_rejects_bad_edges_directly():
         DirectInfluenceGraph(2, (Edge(1, 2, float("nan")),))
     with pytest.raises(DuplicateEdge):
         DirectInfluenceGraph(2, (Edge(1, 2, 1.0), Edge(1, 2, 2.0)))
+
+
+def test_duplicate_named_by_its_earliest_second_occurrence():
+    # sorted by (source, target), 1->2 would come first
+    with pytest.raises(DuplicateEdge) as err:
+        parse_edge_list("1,2,1\n3,4,1\n3,4,2\n1,2,2")
+    assert (err.value.source, err.value.target) == (3, 4)
+
+
+def test_columns_are_sorted_and_read_only():
+    g = parse_edge_list("2,1,0.5\n1,3,2.0\n1,2,-1.0")
+    assert g.source.tolist() == [1, 1, 2] and g.target.tolist() == [2, 3, 1]
+    assert g.weight.tolist() == [-1.0, 2.0, 0.5]
+    assert (g.source.dtype, g.target.dtype, g.weight.dtype) == (np.int64, np.int64, float)
+    for column in (g.source, g.target, g.weight):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 3
+    with pytest.raises(AttributeError):
+        g.n = 5
+    assert g.out_degree(1) == 2 and g.out_degree(3) == 0
 
 
 def test_self_loops_allowed():
@@ -202,6 +226,117 @@ def test_matrix_encodings_equal_their_loop_forms_bit_for_bit(g):
     assert d.tobytes() == _to_matrix_loop(g).tobytes()
     assert web_normalize(g).tobytes() == _web_normalize_loop(g).tobytes()
     assert from_matrix(d) == _from_matrix_loop(d)
+
+
+# -- the one edge check against the per-edge loops it replaced -------------------
+
+def _checked_loop(n, edges):
+    """The constructor's per-edge check before the graph held columns: its
+    sorted edges, or the first defect in input order."""
+    normalized, seen = [], set()
+    for e in edges:
+        edge = Edge(int(e[0]), int(e[1]), float(e[2]))
+        for v in (edge.source, edge.target):
+            if not 1 <= v <= n:
+                raise IndexOutOfRange(v, n)
+        if not math.isfinite(edge.weight):
+            raise NonFiniteWeight(edge.weight)
+        key = (edge.source, edge.target)
+        if key in seen:
+            raise DuplicateEdge(*key)
+        seen.add(key)
+        normalized.append(edge)
+    return tuple(sorted(normalized))
+
+
+def _parse_loop(text, n=None):
+    """parse_edge_list's own line-by-line checks, then the constructor's."""
+    edges, max_seen = [], 0
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            source, target, weight = line.split(",")
+            source, target, weight = int(source), int(target), float(weight)
+        except ValueError:
+            raise MalformedLine(line_no, raw.rstrip("\n")) from None
+        if not math.isfinite(weight):
+            raise NonFiniteWeight(weight, line_no=line_no)
+        if source < 1 or target < 1:
+            raise IndexOutOfRange(min(source, target), max(max_seen, n or 0))
+        edges.append(Edge(source, target, weight))
+        max_seen = max(max_seen, source, target)
+    return _checked_loop(max(max_seen, n or 0), edges)
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges): a shuffled edge list with up to three injected defects,
+    each a repeated pair, an index <= 0 or > n, or an inf or nan weight."""
+    n = draw(st.integers(0, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1))),
+                          unique=True, max_size=n * n))
+    weights = st.one_of(st.just(-0.0), st.floats(-2, 2))
+    edges = [[s, t, draw(weights)] for s, t in pairs]
+    for defect in draw(st.lists(st.sampled_from(["repeat", "low", "high", "weight"]), max_size=3)):
+        if not edges:
+            break
+        edge = edges[draw(st.integers(0, len(edges) - 1))]
+        if defect == "repeat":
+            edges.append([edge[0], edge[1], draw(weights)])
+        elif defect == "weight":
+            edge[2] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        else:
+            end = draw(st.integers(0, 1))
+            edge[end] = draw(st.integers(-2, 0)) if defect == "low" else n + draw(st.integers(1, 3))
+    return n, [tuple(e) for e in draw(st.permutations(edges))]
+
+
+def _defects(n, edges) -> int:
+    """Indices outside [1, n], non-finite weights and repeats of a pair."""
+    return (sum(not 1 <= v <= n for s, t, _ in edges for v in (s, t))
+            + sum(not math.isfinite(w) for *_, w in edges)
+            + len(edges) - len({(s, t) for s, t, _ in edges}))
+
+
+def _agree(build, reference, single_defect: bool, n: int):
+    """build() and reference() give the same edges, or fail with the same
+    exit code, and with a single defect the same class and message.  The
+    [1, n] of an IndexOutOfRange is checked against the graph's n alone: the
+    parse loop named the largest index read so far."""
+    try:
+        edges = reference()
+    except InfluenceError as expected:
+        with pytest.raises(InfluenceError) as err:
+            build()
+        assert err.value.exit_code == expected.exit_code
+        if single_defect:
+            assert type(err.value) is type(expected)
+            if isinstance(expected, IndexOutOfRange):
+                assert (err.value.index, err.value.n) == (expected.index, n)
+            else:
+                assert str(err.value) == str(expected)
+        return None
+    g = build()
+    assert g.edges == edges
+    return g
+
+
+@given(_edge_lists())
+def test_one_edge_check_agrees_with_the_per_edge_loops(case):
+    n, edges = case
+    text = "".join(f"{s},{t},{w!r}\n" for s, t, w in edges)
+    parsed_n = max([n] + [v for s, t, _ in edges for v in (s, t)])
+    built = _agree(lambda: DirectInfluenceGraph(n, edges), lambda: _checked_loop(n, edges),
+                   _defects(n, edges) == 1, n)
+    parsed = _agree(lambda: parse_edge_list(text, n), lambda: _parse_loop(text, n),
+                    _defects(parsed_n, edges) == 1, parsed_n)
+    if built is not None:
+        # another input order, and -0.0 weights read as 0.0
+        other = DirectInfluenceGraph(n, [(s, t, w + 0.0) for s, t, w in reversed(edges)])
+        assert built == parsed == other
+        assert hash(built) == hash(parsed) == hash(other)
 
 
 # -- web normalization --------------------------------------------------------

@@ -28,7 +28,6 @@ from influx import (
     exp_plus_vectors,
     influence_dependence,
     is_column_stochastic,
-    mat_mul,
     mat_pow,
     mat_pow_sum,
     mat_pow_vectors,
@@ -47,31 +46,7 @@ L3 = to_matrix(parse_edge_list("1,2,1\n2,3,1"))
 C3 = to_matrix(parse_edge_list("1,2,1\n2,3,1\n3,1,1"))
 
 
-# -- mat_mul / mat_pow --------------------------------------------------------
-
-# mat_mul is deprecated: every call warns
-
-def test_mat_mul_identity():
-    rng = np.random.default_rng(0)
-    a = rng.uniform(-1, 1, (4, 4))
-    with pytest.warns(DeprecationWarning, match="mat_mul"):
-        assert np.array_equal(mat_mul(a, np.eye(4)), a)
-
-
-def test_mat_mul_l2_squared_is_zero():
-    with pytest.warns(DeprecationWarning, match="mat_mul"):
-        assert np.array_equal(mat_mul(L2, L2), np.zeros((2, 2)))
-
-
-def test_mat_mul_cycle_cubed_is_identity():
-    with pytest.warns(DeprecationWarning, match="mat_mul"):
-        assert np.array_equal(mat_mul(mat_mul(C3, C3), C3), np.eye(3))
-
-
-def test_mat_mul_shape_check():
-    with pytest.raises(DimensionMismatch), pytest.warns(DeprecationWarning, match="mat_mul"):
-        mat_mul(np.zeros((2, 3)), np.zeros((2, 3)))
-
+# -- mat_pow -------------------------------------------------------------------
 
 def test_mat_pow_line3_k4_vanishes():
     assert np.array_equal(mat_pow(L3, 4), np.zeros((3, 3)))
