@@ -116,9 +116,19 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
     return _graph(n, source, target, weight, line_nos)
 
 
+def _zeros(n: int) -> np.ndarray:
+    """An n x n zero matrix.  numpy refuses a size past its limit with a
+    ValueError before it allocates; that is raised as the MemoryError a
+    failed allocation is."""
+    try:
+        return np.zeros((n, n))
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
+
+
 def to_matrix(g: DirectInfluenceGraph) -> np.ndarray:
     """Dense direct-influence matrix: entry (i, j) is the weight of edge j -> i."""
-    d = np.zeros((g.n, g.n))
+    d = _zeros(g.n)
     d[g.target - 1, g.source - 1] = g.weight  # no two edges share a (source, target) pair
     return d
 
@@ -136,7 +146,7 @@ def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
     Edge weights are ignored.  Columns of vertices with no outgoing edges are
     all-zero; every other column sums to 1.
     """
-    d = np.zeros((g.n, g.n))
+    d = _zeros(g.n)
     d[g.target - 1, g.source - 1] = 1.0 / np.bincount(g.source)[g.source]
     return d
 

@@ -9,9 +9,10 @@ weights.  One power chain serves both, and truncation is controlled by a
 rigorous geometric tail bound.
 The chain over the powers of a matrix d takes one of two steps: the dense
 product P d by np.matmul, or, when d has few nonzeros a row (see
-SPARSE_CUTOFF), the sparse product d P over d's jagged diagonals (Saad,
-SIAM J. Sci. Stat. Comput. 10(6), 1989), with the powers' rows held in the
-diagonals' row order.
+SPARSE_CUTOFF), the sparse product d P with d in sliced ELLPACK form, its
+rows sorted and grouped by nonzero count (SELL-C-sigma: Kreutzer et al.,
+SIAM J. Sci. Comput. 36(5), 2014), with the powers' rows held in that row
+order; each group's product is one gather and one batched BLAS product.
 The row and column sums of e_plus(x) and of integer powers, which are all
 the rankings need, come from matrix-vector products without forming the
 matrix (the action of the matrix function, Al-Mohy & Higham, SIAM J. Sci.
@@ -28,21 +29,27 @@ from .errors import DimensionMismatch, NoConvergenceWithinBudget, NumericOverflo
 
 MAX_SERIES_TERMS = 10_000
 
-# The power chain steps by d's jagged diagonals when d has on average at
+# The power chain steps in d's sliced ELLPACK form when d has on average at
 # most sqrt(n / SPARSE_CUTOFF) nonzeros a row, i.e. nnz^2 * SPARSE_CUTOFF
 # <= n^3, by np.matmul otherwise.  The measured crossover grows with n, from
-# about 10 nonzeros a row at n = 600 to about 20 at n = 2000, so no fixed
+# about 28 nonzeros a row at n = 400 to about 63 at n = 2000, so no fixed
 # share of n^2 fits it.  Median of one product with an n x n power, Xeon,
-# one BLAS thread, uniform random graphs (np.matmul vs jagged, ms):
-#   n =  400, nnz  3255 jagged: 2.86 vs 2.21;  nnz  4359 matmul: 2.48 vs 3.10
-#   n =  600, nnz  6055 jagged: 7.66 vs 7.45;  nnz  7289 matmul: 7.59 vs 9.47
-#   n = 1000, nnz 13289 jagged: 35.7 vs 32.4;  nnz 16093 matmul: 34.5 vs 37.2
-#   n = 2000, nnz 36018 jagged:  318 vs  235;  nnz 45624 matmul:  287 vs  334
-#   n =  600, nnz  2969 (the benchmark graphs):  8.68 vs 3.83
-#   n =  600, nnz 360000 (every entry):          7.69 vs  421
-# Below n = 400, where one product takes under 0.5 ms either way, the rule
-# can pick the slower step (n = 100, nnz 324: 0.033 vs 0.071 ms).
-SPARSE_CUTOFF = 5
+# one BLAS thread, uniform random cells (np.matmul vs sliced-ELL, ms):
+#   n =  400, nnz   9562 sliced: 3.29 vs 3.03;  nnz  13522 matmul: 3.62 vs 3.93
+#   n =  600, nnz  17566 sliced: 8.85 vs 7.78;  nnz  24842 matmul: 11.4 vs 12.7
+#   n = 1000, nnz  37796 sliced: 46.3 vs 36.5;  nnz  53452 matmul: 46.9 vs 50.2
+#   n = 2000, nnz 106904 sliced:  333 vs  275;  nnz 151186 matmul:  290 vs  353
+#   n =  600, nnz  20785, at the cutoff (sliced): 10.79 vs 10.78
+#   n =  600, nnz   2969 (the benchmark graphs):  10.8 vs 1.61
+#   n =  600, nnz 360000 (every entry):           11.1 vs  299
+# Below n = 400, where one product takes under 1 ms either way, the rule
+# can pick the slower step (n = 100, nnz 1000: 0.047 vs 0.196 ms).
+SPARSE_CUTOFF = 0.5
+
+# The entries of the powers one chunk of a sliced-ELL step gathers, 512 KiB,
+# so the batched product reads them from cache: at n = 2000 and 15 nonzeros
+# a row this takes a product from 130 ms (chunks of n rows) to 77 ms.
+GATHER_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -91,17 +98,19 @@ def _product(a, b, what: str) -> np.ndarray:
     return c
 
 
-class _Jagged:
-    """The products d P of a power chain over d's jagged diagonals.
+class _SlicedEll:
+    """The products d P of a power chain over d in sliced ELLPACK form.
 
-    The rows of d are sorted by nonzero count, descending, into `order`;
-    diagonal s holds the s-th nonzero of each row that has more than s, so
-    it covers a prefix of the sorted rows.  The products run in the basis of
-    that row order: with Pi the permutation, (Pi d Pi^T)(Pi P) = Pi (d P),
-    so a chain holds the rows of each power in `order` (:meth:`enter`) and
-    puts them back once at the end (:meth:`leave`).  Permuting rows changes
-    no entry's value, so max norms, running scales and tail bounds are
-    those of the unpermuted chain.
+    The rows of d are sorted by nonzero count, descending, into `order`, so
+    the m rows with c nonzeros form one contiguous block, held as their
+    nonzeros' columns, row by row, and their (m, 1, c) values.  Each block
+    is cut into chunks that gather at most n rows of P, and at most
+    GATHER_ENTRIES entries unless one row's c rows hold more.  The products
+    run in the basis of that row order: with Pi the permutation,
+    (Pi d Pi^T)(Pi P) = Pi (d P), so a chain holds the rows of each power in
+    `order` (:meth:`enter`) and puts them back once at the end
+    (:meth:`leave`).  Permuting rows changes no entry's value, so max norms,
+    running scales and tail bounds are those of the unpermuted chain.
     """
 
     def __init__(self, d: np.ndarray):
@@ -111,15 +120,24 @@ class _Jagged:
         self.order = np.argsort(-counts, kind="stable")
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[self.order] = np.arange(n)
-        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        by = np.lexsort((self.rank[rows], slot))
+        by = np.argsort(self.rank[rows], kind="stable")  # each row's columns stay ascending
         columns = self.rank[cols[by]]
-        values = d[rows[by], cols[by]][:, None]
-        ends = np.cumsum(np.bincount(slot)).tolist()
-        self.diagonals = [(columns[a:b], values[a:b]) for a, b in zip([0] + ends, ends)]
+        values = d[rows[by], cols[by]]
+        sizes = np.bincount(counts).tolist()  # rows with each nonzero count
+        self.blocks = []  # (first row, end row, columns, values) of each chunk
+        a = e = 0  # the first row and the first nonzero of the rows with c nonzeros
+        for c in range(len(sizes) - 1, 0, -1):
+            end = a + sizes[c]
+            chunk = max(1, min(n, GATHER_ENTRIES // n) // c)  # rows
+            for i in range(a, end, chunk):
+                j = min(i + chunk, end)
+                nonzeros = slice(e + (i - a) * c, e + (j - a) * c)
+                self.blocks.append((i, j, columns[nonzeros], values[nonzeros].reshape(j - i, 1, c)))
+            a, e = end, e + (end - a) * c
+        self.filled = a  # rows with a nonzero
 
     def enter(self, a: np.ndarray) -> np.ndarray:
-        """A copy of a with its rows in the diagonals' order."""
+        """A copy of a with its rows in the blocks' order."""
         return a[self.order]
 
     def leave(self, a: np.ndarray) -> np.ndarray:
@@ -127,34 +145,27 @@ class _Jagged:
         return a[self.rank]
 
     def __call__(self, q: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = d q in the diagonals' row order; scratch is overwritten.
+        """out = d q in the blocks' row order; scratch is overwritten.
 
-        One gather, one multiply and one add per diagonal; mode="clip"
-        gathers straight into the output, where the default copies through
-        a buffer.
+        Per chunk, one gather of the rows of q its nonzeros name into
+        scratch (mode="clip" gathers straight into it, where the default
+        copies through a buffer), then one batched (1, c) x (c, n) product
+        per row into out.
         """
-        if not self.diagonals:
-            out.fill(0.0)
-            return
-        (columns, values), *rest = self.diagonals
-        head = out[:len(columns)]
-        np.take(q, columns, axis=0, mode="clip", out=head)
-        head *= values
-        out[len(columns):] = 0.0
-        for columns, values in rest:
-            part = scratch[:len(columns)]
-            np.take(q, columns, axis=0, mode="clip", out=part)
-            part *= values
-            out[:len(columns)] += part
+        for a, b, columns, values in self.blocks:
+            rows = scratch[:columns.size]
+            np.take(q, columns, axis=0, mode="clip", out=rows)
+            np.matmul(values, rows.reshape(b - a, -1, q.shape[1]), out=out[a:b, None])
+        out[self.filled:] = 0.0
 
 
-def _jagged(d: np.ndarray) -> _Jagged | None:
-    """d's jagged diagonals when it has at most sqrt(n / SPARSE_CUTOFF)
+def _sliced_ell(d: np.ndarray) -> _SlicedEll | None:
+    """d in sliced ELLPACK form when it has at most sqrt(n / SPARSE_CUTOFF)
     nonzeros a row on average, else None: the chain then steps by
     np.matmul."""
     if np.count_nonzero(d) ** 2 * SPARSE_CUTOFF > d.shape[0] ** 3:
         return None
-    return _Jagged(d)
+    return _SlicedEll(d)
 
 
 def _stepper(d: np.ndarray):
@@ -164,10 +175,10 @@ def _stepper(d: np.ndarray):
     overwrite scratch; the chain holds its powers as enter(power), a copy,
     and leave(a) is a copy of such an a, or a itself, in d's basis.
     """
-    jagged = _jagged(d)
-    if jagged is None:
+    sliced = _sliced_ell(d)
+    if sliced is None:
         return np.copy, lambda q, out, _: np.matmul(q, d, out=out), lambda a: a
-    return jagged.enter, jagged, jagged.leave
+    return sliced.enter, sliced, sliced.leave
 
 
 def mat_pow(d, k: int) -> np.ndarray:
@@ -333,7 +344,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     sampled = list(sampled)
     q = first  # P_1 = 2^s q
     q += 0.0  # turns -0.0 into +0.0 as mat_pow does
-    spare, total, scratch = (np.zeros_like(q) for _ in range(3))
+    spare, scratch, total = np.empty_like(q), np.empty_like(q), np.zeros_like(q)
     estimate = np.zeros_like(q) if sampled else None
     s, k, at, report = 0, 1, 0, None
     with np.errstate(over="ignore", invalid="ignore"):

@@ -168,7 +168,8 @@ def pagerank(
     equal n times the stationary probabilities.
 
     Raises NoConvergence after max_iter iterations, NotSubstochastic if a
-    column of d sums to neither 0 nor 1.
+    column of d sums to neither 0 nor 1, and ValueError if `start` has a
+    negative or non-finite entry or a sum that is 0 or overflows.
     """
     config = PageRankConfig(p=p, tol=tol, max_iter=max_iter)
     dbar = pagerank_repair(d)
@@ -182,9 +183,12 @@ def pagerank(
         x = np.asarray(start, dtype=float)
         if x.shape != (n,):
             raise DimensionMismatch(f"start vector must have shape ({n},)")
-        if np.any(x < 0) or x.sum() <= 0:
-            raise ValueError("start vector must be a nonnegative distribution")
-        x = x / x.sum()
+        with np.errstate(over="ignore"):
+            total = x.sum()
+        # a nan or inf would only show as a NoConvergence after max_iter steps
+        if not (np.isfinite(x).all() and np.all(x >= 0) and 0 < total < np.inf):
+            raise ValueError("start vector must be a finite nonnegative distribution with a finite sum")
+        x = x / total
     iterations = 0
     err = np.inf
     for iterations in range(1, max_iter + 1):

@@ -17,6 +17,7 @@ import influx
 from influx import errors
 from influx.cli import canonical_float, dumps_report, kendall_tau, main
 from influx import parse_edge_list
+from influx.linalg import _sliced_ell
 
 LINE3 = "1,2,1.0\n2,3,1.0\n"
 
@@ -302,6 +303,18 @@ def test_out_of_memory_exit_3(line3, capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: Unable to allocate 298. GiB for an array\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["compute", "--method", "pwp"], ["compute", "--method", "pagerank"], ["compare"], ["montecarlo"]]
+)
+def test_vast_n_exit_3(tmp_path, capsys, argv):
+    # numpy refuses a 5e9 x 5e9 matrix before it allocates anything
+    path = tmp_path / "vast.csv"
+    path.write_text("1,5000000000,1.0\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: array is too big") and len(err.splitlines()) == 1
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--method", "pwp", "/nonexistent/g.csv")
     assert code == 2
@@ -404,7 +417,7 @@ def test_tiny_lambda_runs(tmp_path, capsys, argv):
 
 
 BIG_PAIR = "1,2,1e200\n2,1,1e200\n"
-# sparse enough for the power chain's jagged-diagonal step
+# sparse enough for the power chain's sliced-ELL step
 BIG_CYCLE_400 = "".join(f"{i},{i % 400 + 1},1e200\n" for i in range(1, 401))
 # finite d and f at lambda = 700 (about 1e152), past the float range times e^700 - 1
 CYCLE2_WEIGHT_1_5 = "1,2,1.5\n2,1,1.5\n"
@@ -538,6 +551,32 @@ def test_generate_round_trips_through_parser(capsys):
 def test_generate_invalid_size(capsys):
     code, _, err = run(capsys, "generate", "line", "-n", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--method", "pwp", "--emit-matrix"],
+     ["montecarlo", "--lambda", "4", "-N", "1000", "--seed", "3", "--emit-matrix"]],
+    ids=["compute", "montecarlo"],
+)
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path, poisson_matrix, argv):
+    # about 5 nonzeros a row at n = 200: the power chain takes the sliced-ELL
+    # step, whose batched products go through BLAS
+    text = influx.format_edge_list(influx.from_matrix(poisson_matrix(200, 23)))
+    assert _sliced_ell(influx.to_matrix(parse_edge_list(text))) is not None
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    src = str(Path(influx.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "influx.cli", *argv, str(path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # -- montecarlo ---------------------------------------------------------------------------

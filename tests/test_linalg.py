@@ -39,7 +39,7 @@ from influx import (
     pwp_vectors_report,
     to_matrix,
 )
-from influx.linalg import SPARSE_CUTOFF, _Jagged, _jagged
+from influx.linalg import SPARSE_CUTOFF, _SlicedEll, _sliced_ell
 
 L2 = to_matrix(parse_edge_list("1,2,1"))
 L3 = to_matrix(parse_edge_list("1,2,1\n2,3,1"))
@@ -518,11 +518,11 @@ def test_pwp_tail_bounds_are_honest():
 
 @st.composite
 def _sparse_matrices(draw):
-    """Matrices the chain steps by jagged diagonals: n from 8 to 40 and at
+    """Matrices the chain steps in sliced ELLPACK form: n from 8 to 40 and at
     most sqrt(n^3 / SPARSE_CUTOFF) nonzeros, anywhere (self-loops too), of
     either sign."""
     n = draw(st.integers(8, 40))
-    cells = draw(st.lists(st.integers(0, n * n - 1), min_size=1, max_size=math.isqrt(n**3 // SPARSE_CUTOFF),
+    cells = draw(st.lists(st.integers(0, n * n - 1), min_size=1, max_size=math.isqrt(int(n**3 / SPARSE_CUTOFF)),
                           unique=True))
     d = np.zeros(n * n)
     d[cells] = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(cells), max_size=len(cells)))
@@ -533,8 +533,8 @@ def _sparse_matrices(draw):
 def _contractions(draw):
     """Square matrices with row- and column-sum norms at most 1, so every
     power stays in range and lambda * norm <= lambda: dense ones of n <= 6,
-    which the chain steps by np.matmul unless nearly all their entries are
-    zero, and sparse ones."""
+    which the chain steps by np.matmul from n = 3 on unless many of their
+    entries are zero, and sparse ones."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 6))
         d = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
@@ -604,7 +604,7 @@ def test_pwp_matrix_rounding_is_a_few_ulps_of_its_largest_entry(poisson_matrix, 
     assert float(np.abs(t - want).max()) <= 16 * eps * top
 
 
-# -- the jagged-diagonal step ------------------------------------------------------
+# -- the sliced-ELL step ----------------------------------------------------------
 
 def _entries(least):
     """Floats in [-4, 4] that are 0.0, -0.0 or at least `least` in size, so
@@ -620,32 +620,50 @@ def _step_cases(draw):
             draw(arrays(float, (n, n), elements=_entries(1e-100))))
 
 
+def _with_counts(*counts):
+    """(d, P): row i of d has counts[i] nonzeros of both signs, at the end
+    of the row, and P holds 1, 2, ... row by row."""
+    n = len(counts)
+    d = np.zeros((n, n))
+    for i, c in enumerate(counts):
+        d[i, n - c:] = (-1.5) ** np.arange(c)
+    return d, np.arange(1.0, n * n + 1).reshape(n, n)
+
+
 @given(_step_cases())
 @example((np.zeros((1, 1)), np.ones((1, 1))))
 @example((np.array([[-0.0]]), np.ones((1, 1))))
 @example((np.zeros((3, 3)), np.ones((3, 3))))
 @example((np.diag([0.0, 2.0, -3.0]), np.arange(9.0).reshape(3, 3)))
-def test_jagged_step_is_the_product(case):
+@example(_with_counts(2, 2, 2, 2))  # one block gathers 8 rows of a 4-row P: two chunks
+@example(_with_counts(0, 3, 0, 1, 0))  # empty rows between and after the others
+@example(_with_counts(5, 0, 0, 0, 0))  # a single full row
+@example(_with_counts(*[7] * 300, 1))  # chunks cut at GATHER_ENTRIES, well below n rows
+def test_sliced_ell_step_is_the_product(case):
     d, p = case
-    jagged = _Jagged(d)
+    sliced = _SlicedEll(d)
     out, scratch = np.full_like(p, np.nan), np.full_like(p, np.nan)
-    jagged(jagged.enter(p), out, scratch)
+    sliced(sliced.enter(p), out, scratch)
     # each of the two sums rounds by less than n eps / 2 times |d| |P|
     slack = d.shape[0] * np.finfo(float).eps * (np.abs(d) @ np.abs(p))
-    assert np.all(np.abs(jagged.leave(out) - d @ p) <= slack)
+    assert np.all(np.abs(sliced.leave(out) - d @ p) <= slack)
 
 
-def test_jagged_step_takes_matrices_with_few_nonzeros_a_row():
-    assert _jagged(np.zeros((1, 1))) is not None  # no diagonals: every product is zero
-    # the identity has one nonzero a row, at most sqrt(n / SPARSE_CUTOFF) from n = SPARSE_CUTOFF
-    assert _jagged(np.eye(SPARSE_CUTOFF - 1)) is None
-    assert _jagged(np.eye(SPARSE_CUTOFF)) is not None
+def test_sliced_ell_step_takes_matrices_with_few_nonzeros_a_row():
+    assert _sliced_ell(np.zeros((1, 1))) is not None  # no blocks: every product is zero
+    # at n = 8, at most sqrt(8^3 / SPARSE_CUTOFF) nonzeros
+    most = math.isqrt(int(8**3 / SPARSE_CUTOFF))
+    d = np.zeros(64)
+    d[:most] = 1.0
+    assert _sliced_ell(d.reshape(8, 8)) is not None
+    d[most] = 1.0
+    assert _sliced_ell(d.reshape(8, 8)) is None
 
 
 @given(_sparse_matrices(), st.sampled_from([1e-8, 1.0, 4.0, 30.0]))
-def test_jagged_chain_agrees_with_the_matmul_chain_and_scipy(d, lam):
+def test_sliced_ell_chain_agrees_with_the_matmul_chain_and_scipy(d, lam):
     d = d / max(1.0, np.abs(d).sum(axis=0).max(), np.abs(d).sum(axis=1).max())
-    assert _jagged(d) is not None
+    assert _sliced_ell(d) is not None
     n = d.shape[0]
     lengths = influx.sample_lengths(lam, 300, influx.make_rng(0))
 
@@ -654,7 +672,7 @@ def test_jagged_chain_agrees_with_the_matmul_chain_and_scipy(d, lam):
 
     (t, report), (e, _), (estimate, exact) = run()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(influx.linalg, "_jagged", lambda d: None)
+        patch.setattr(influx.linalg, "_sliced_ell", lambda d: None)
         (t_mm, _), (e_mm, _), (estimate_mm, exact_mm) = run()
     assert np.array_equal(exact, t)
     # rounding, and a truncation each below tol = 1e-12
@@ -673,9 +691,9 @@ def test_jagged_chain_agrees_with_the_matmul_chain_and_scipy(d, lam):
     assert np.abs(t - want / math.expm1(lam)).max() <= 1e-11 + slack / math.expm1(lam)
 
 
-def test_jagged_chain_overflow_is_typed(poisson_matrix):
+def test_sliced_ell_chain_overflow_is_typed(poisson_matrix):
     d = poisson_matrix(400, 17) * 1e200
-    assert _jagged(d) is not None
+    assert _sliced_ell(d) is not None
     with pytest.raises(NumericOverflow, match="term"):
         pwp_matrix(d, 1.0)
     with pytest.raises(NumericOverflow, match="matrix power 2"):
@@ -701,40 +719,41 @@ def matmuls(monkeypatch):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The jagged-diagonal products the power chain takes, one entry per product."""
+    """The sliced-ELL products the power chain takes, one entry per product."""
     calls = []
-    real = _Jagged.__call__
+    real = _SlicedEll.__call__
 
     def counted(self, q, out, scratch):
         calls.append(q.shape)
         return real(self, q, out, scratch)
 
-    monkeypatch.setattr(_Jagged, "__call__", counted)
+    monkeypatch.setattr(_SlicedEll, "__call__", counted)
     return calls
 
 
-# about 5 nonzeros a row: n = 40 steps by np.matmul, n = 400 by jagged diagonals
-BOTH_STEPS = (40, 400)
+# (n, nonzeros a row): about 12 at n = 40 steps by np.matmul, 5 at n = 400 by
+# the sliced-ELL step
+BOTH_STEPS = ((40, 12), (400, 5))
 
 
 def test_pwp_matrix_takes_one_product_per_term(matmuls, steps, poisson_matrix):
-    for n in BOTH_STEPS:
+    for n, degree in BOTH_STEPS:
         matmuls.clear()
         steps.clear()
-        d = poisson_matrix(n, 14)
-        assert (_jagged(d) is None) == (n == 40)
+        d = poisson_matrix(n, 14, degree)
+        assert (_sliced_ell(d) is None) == (n == 40)
         _, report = pwp_matrix_report(d, 4.0)
         assert len(matmuls) + len(steps) == report.terms_used - 1
 
 
 def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, steps, poisson_matrix):
     lam, samples, seed = 4.0, 20_000, 3
-    for n in BOTH_STEPS:
-        text = influx.format_edge_list(influx.from_matrix(poisson_matrix(n, 15)))
+    for n, degree in BOTH_STEPS:
+        text = influx.format_edge_list(influx.from_matrix(poisson_matrix(n, 15, degree)))
         path = tmp_path / "g.csv"
         path.write_text(text)
         d = to_matrix(parse_edge_list(text))
-        assert (_jagged(d) is None) == (n == 40)
+        assert (_sliced_ell(d) is None) == (n == 40)
         argv = ["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed)]
         matmuls.clear()
         products.clear()
@@ -758,16 +777,16 @@ def _peak_buffers(call, n):
 
 
 def test_pwp_matrix_memory_does_not_grow_with_terms(poisson_matrix):
-    for n, degree in ((200, 12), (400, 5)):  # the np.matmul and the jagged step
+    for n, degree in ((200, 30), (400, 5)):  # the np.matmul and the sliced-ELL step
         d = poisson_matrix(n, 16, degree)
-        assert (_jagged(d) is None) == (n == 200)
+        assert (_sliced_ell(d) is None) == (n == 200)
         few, many = (pwp_matrix_report(d, lam)[1].terms_used for lam in (1.0, 30.0))
         assert many > 3 * few
         peaks = [_peak_buffers(lambda: pwp_matrix(d, lam), n) for lam in (1.0, 30.0)]
         # the chain's four n x n buffers, whatever the term count: the copy
-        # of d it works in (row-permuted on the jagged step), the next
+        # of d it works in (row-permuted on the sliced-ELL step), the next
         # power, the sum, and one scratch that holds each term and the
-        # jagged step's gathers
+        # sliced-ELL step's gathers
         assert round(peaks[0]) == round(peaks[1]) <= 4
 
 

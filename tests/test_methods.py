@@ -240,6 +240,17 @@ def test_pagerank_start_independent():
     assert np.abs(a.stationary - b.stationary).sum() < 1e-11
 
 
+@pytest.mark.parametrize(
+    "start", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1e308, 1e308, 0.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+)
+def test_pagerank_rejects_bad_start_before_iterating(start):
+    # unchecked, a nan would surface only as a nan NoConvergence after
+    # max_iter steps, and an inf or an overflowing sum would warn in x / x.sum()
+    d = web_normalize(parse_edge_list("1,2,1\n2,3,1"))
+    with pytest.raises(ValueError, match="start vector"):
+        pagerank(d, p=0.86, tol=1e-12, start=start)
+
+
 def test_pagerank_no_convergence():
     d = web_normalize(parse_edge_list("1,2,1\n2,3,1"))
     with pytest.raises(NoConvergence):

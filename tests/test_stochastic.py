@@ -28,7 +28,7 @@ from influx import (
     sample_lengths,
     to_matrix,
 )
-from influx.linalg import _jagged
+from influx.linalg import _sliced_ell
 from influx.stochastic import POISSON_LAM_MAX
 
 
@@ -305,9 +305,9 @@ def test_estimate_and_exact_is_both_kernels_in_one_pass(case):
 
 
 def test_estimate_and_exact_on_consecutive_lengths_is_bit_for_bit(poisson_matrix):
-    # np.matmul steps at n = 6, jagged diagonals at n = 400
+    # np.matmul steps at n = 6, the sliced-ELL step at n = 400
     for d in (np.random.default_rng(21).uniform(0, 0.3, (6, 6)), poisson_matrix(400, 21)):
-        assert (_jagged(d) is None) == (d.shape[0] == 6)
+        assert (_sliced_ell(d) is None) == (d.shape[0] == 6)
         lengths = sample_lengths(2.0, 5000, make_rng(3))
         assert np.array_equal(np.unique(lengths), np.arange(1, lengths.max() + 1))
         estimate, exact = estimate_and_exact(d, 2.0, lengths)
