@@ -1,7 +1,8 @@
 """influx: indirect-influence matrices and rankings on weighted digraphs.
 
 Three engines over the same direct-influence matrix D (entry (i, j) holds
-the weight of edge j -> i):
+the weight of edge j -> i), dense or as an Operator on a graph's edge
+columns (to_operator, web_operator):
 
 * micmac    -- T = D^k for a small fixed k
 * pagerank  -- T = limit of powers of the damped, repaired column-stochastic
@@ -39,9 +40,12 @@ from .graph import (
     parse_edge_list,
     read_matrix_text,
     to_matrix,
+    to_operator,
     web_normalize,
+    web_operator,
 )
 from .linalg import (
+    Operator,
     SeriesReport,
     exp_plus,
     exp_plus_vectors,
@@ -119,6 +123,7 @@ __all__ = [
     "NonFiniteWeight",
     "NotSubstochastic",
     "NumericOverflow",
+    "Operator",
     "PWPConfig",
     "PageRankConfig",
     "Path",
@@ -168,5 +173,7 @@ __all__ = [
     "sample_length",
     "sample_lengths",
     "to_matrix",
+    "to_operator",
     "web_normalize",
+    "web_operator",
 ]

@@ -12,7 +12,6 @@ InfluenceError names its own code in `exit_code`.
 """
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -27,7 +26,8 @@ from .graph import (
     format_edge_list,
     parse_edge_list,
     to_matrix,
-    web_normalize,
+    to_operator,
+    web_operator,
 )
 from .linalg import _expm1, mat_pow, pwp_matrix
 from .methods import micmac_vectors, pagerank, pwp_vectors, rank_vertices
@@ -40,15 +40,25 @@ def canonical_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+class _Rounded(list):
+    """A list whose floats have been through canonical_float already, so
+    the writer prints them as they are."""
+
+
+def _number(x: float) -> str:
+    return repr(canonical_float(x))
+
+
 def _items(seq, inner: str):
     """The texts of a list's items; flat floats and rankings in one step."""
+    number = repr if type(seq) is _Rounded else _number
     if all(type(x) is float for x in seq):
-        return map(repr, map(canonical_float, seq))
+        return map(number, seq)
     if all(type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is float
            for p in seq):
         # a ranking: (vertex, score) pairs
         pair = inner + "  "
-        return (f"[{pair}{v},{pair}{canonical_float(s)!r}{inner}]" for v, s in seq)
+        return (f"[{pair}{v},{pair}{number(s)}{inner}]" for v, s in seq)
     return (_write(x, inner) for x in seq)
 
 
@@ -145,16 +155,14 @@ def kendall_tau(x, y) -> float:
     return s / math.sqrt(dx * dy)
 
 
-# One entry per engine: (graph, matrix, args, emit_matrix) -> report block
-# with the engine's "method" parameters, "paper_scale", raw "d" and "f",
-# "diagnostics" and any fields of its own.  matrix() returns the graph's dense
-# D, formed once for the engines in _READS_D.  d, f and diagnostics come
-# from the vector kernels; the dense T is formed only when it is printed, so
-# neither depends on emit_matrix.
+# One entry per engine: (graph, args, emit_matrix) -> report block with the
+# engine's "method" parameters, "paper_scale", raw "d" and "f", "diagnostics"
+# and any fields of its own.  d, f and diagnostics come from the vector
+# kernels on the graph's edge columns, so neither depends on emit_matrix;
+# the dense D and T are formed only when T is printed.
 
-def _pwp_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> dict:
-    d = matrix()
-    result = pwp_vectors(d, lam=args.lam, tol=args.tol)
+def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
+    result = pwp_vectors(to_operator(g), lam=args.lam, tol=args.tol)
     report = result.diagnostics
     scale = math.expm1(args.lam) if args.paper_scale else 1.0
     with np.errstate(over="ignore"):
@@ -169,13 +177,12 @@ def _pwp_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> dict
         "diagnostics": {"terms_used": report.terms_used, "tail_bound": report.tail_bound},
     }
     if emit_matrix:
-        block["T"] = pwp_matrix(d, args.lam, args.tol)
+        block["T"] = pwp_matrix(to_matrix(g), args.lam, args.tol)
     return block
 
 
-def _micmac_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> dict:
-    d = matrix()
-    result = micmac_vectors(d, k=args.k)
+def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
+    result = micmac_vectors(to_operator(g), k=args.k)
     block = {
         "method": {"name": "micmac", "k": args.k},
         "paper_scale": False,
@@ -184,13 +191,13 @@ def _micmac_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> d
         "diagnostics": {},
     }
     if emit_matrix:
-        block["T"] = mat_pow(d, args.k)
+        block["T"] = mat_pow(to_matrix(g), args.k)
     return block
 
 
-def _pagerank_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) -> dict:
+def _pagerank_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
     # ranking works on link structure: entry (i, j) becomes 1/out(j)
-    result = pagerank(web_normalize(g), p=args.p, tol=args.tol, max_iter=args.max_iter)
+    result = pagerank(web_operator(g), p=args.p, tol=args.tol, max_iter=args.max_iter)
     block = {
         "method": {"name": "pagerank", "p": args.p, "tol": args.tol, "max_iter": args.max_iter},
         "paper_scale": False,
@@ -202,29 +209,24 @@ def _pagerank_block(g: DirectInfluenceGraph, matrix, args, emit_matrix: bool) ->
         "diagnostics": {"iterations": result.diagnostics},
     }
     if emit_matrix:
-        block["T"] = result.T
+        block["T"] = np.tile(result.stationary[:, None], (1, g.n))
     return block
 
 
 _METHODS = {"pwp": _pwp_block, "micmac": _micmac_block, "pagerank": _pagerank_block}
-_READS_D = {"pwp", "micmac"}
 
 
 def _method_blocks(names, g: DirectInfluenceGraph, args, emit_matrix: bool) -> list[dict]:
     """Each named engine's block with d and f as published and both rankings."""
-    matrix = functools.cache(lambda: to_matrix(g))
-    last_reader = max((i for i, name in enumerate(names) if name in _READS_D), default=None)
     blocks = []
-    for i, name in enumerate(names):
-        block = _METHODS[name](g, matrix, args, emit_matrix)
-        if i == last_reader:
-            # held through pagerank's own dense matrices, D would raise the peak
-            matrix.cache_clear()
-        # rank the scores exactly as the report prints them, so ties are ties
-        block["d"] = list(map(canonical_float, block["d"].tolist()))
-        block["f"] = list(map(canonical_float, block["f"].tolist()))
-        block["ranking_by_dependence"] = rank_vertices(block["d"])
-        block["ranking_by_influence"] = rank_vertices(block["f"])
+    for name in names:
+        block = _METHODS[name](g, args, emit_matrix)
+        # rank the scores exactly as the report prints them, so ties are ties;
+        # each is rounded here once, and the writer prints it as it is
+        block["d"] = _Rounded(map(canonical_float, block["d"].tolist()))
+        block["f"] = _Rounded(map(canonical_float, block["f"].tolist()))
+        block["ranking_by_dependence"] = _Rounded(rank_vertices(block["d"]))
+        block["ranking_by_influence"] = _Rounded(rank_vertices(block["f"]))
         blocks.append(block)
     return blocks
 

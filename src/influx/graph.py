@@ -1,10 +1,12 @@
 """Weighted directed graphs of direct influences and their matrix encoding.
 
 Vertices are numbered 1..n in every file format and report.  The matrix
-encoding, formed from a graph's edge columns only where needed, puts the
-weight of the edge j -> i at row i, column j, so column j collects everything
-vertex j acts on directly and row i collects everything acting directly on
-vertex i.  All types are immutable and all operations are pure functions.
+encoding puts the weight of the edge j -> i at row i, column j, so column j
+collects everything vertex j acts on directly and row i collects everything
+acting directly on vertex i.  It is taken on the graph's edge columns as an
+Operator (to_operator, web_operator), and formed densely (to_matrix,
+web_normalize) only where a whole matrix is needed.  All types are
+immutable and all operations are pure functions.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from .errors import (
     MalformedLine,
     NonFiniteWeight,
 )
-from .linalg import _square
+from .linalg import Operator, _square
 
 
 class Edge(NamedTuple):
@@ -116,21 +118,38 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
     return _graph(n, source, target, weight, line_nos)
 
 
-def _zeros(n: int) -> np.ndarray:
-    """An n x n zero matrix.  numpy refuses a size past its limit with a
-    ValueError before it allocates; that is raised as the MemoryError a
-    failed allocation is."""
+def _check_size(n: int) -> None:
+    """Refuse an n whose n x n float matrix is past numpy's size limit, as
+    numpy does, allocating nothing (a zero-stride view): the ValueError is
+    raised as the MemoryError a failed allocation is.  An n past that limit
+    also makes each n-vector at least 8 GiB."""
     try:
-        return np.zeros((n, n))
+        np.ndarray((n, n), buffer=bytearray(8), strides=(0, 0))
     except ValueError as exc:
         raise MemoryError(str(exc)) from None
 
 
+def _edge_operator(g: DirectInfluenceGraph, values: np.ndarray) -> Operator:
+    """The matrix with `values` at (target, source), one per edge."""
+    _check_size(g.n)
+    return Operator(g.n, g.target - 1, g.source - 1, values)
+
+
+def _matrix(op: Operator) -> np.ndarray:
+    d = np.zeros((op.n, op.n))
+    d[op.rows, op.cols] = op.values  # no two edges share a (source, target) pair
+    return d
+
+
+def to_operator(g: DirectInfluenceGraph) -> Operator:
+    """The direct-influence matrix as an Operator on the edge columns, in
+    O(edges) memory: entry (i, j) is the weight of edge j -> i."""
+    return _edge_operator(g, g.weight)
+
+
 def to_matrix(g: DirectInfluenceGraph) -> np.ndarray:
     """Dense direct-influence matrix: entry (i, j) is the weight of edge j -> i."""
-    d = _zeros(g.n)
-    d[g.target - 1, g.source - 1] = g.weight  # no two edges share a (source, target) pair
-    return d
+    return _matrix(to_operator(g))
 
 
 def from_matrix(d: np.ndarray) -> DirectInfluenceGraph:
@@ -140,15 +159,19 @@ def from_matrix(d: np.ndarray) -> DirectInfluenceGraph:
     return _graph(d.shape[0], source + 1, target + 1, d[target, source])
 
 
+def web_operator(g: DirectInfluenceGraph) -> Operator:
+    """The structure-only matrix of :func:`web_normalize` as an Operator on
+    the edge columns, in O(edges) memory."""
+    return _edge_operator(g, 1.0 / np.bincount(g.source)[g.source])
+
+
 def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
     """Structure-only matrix with entry (i, j) = 1/out(j) for each edge j -> i.
 
     Edge weights are ignored.  Columns of vertices with no outgoing edges are
     all-zero; every other column sums to 1.
     """
-    d = _zeros(g.n)
-    d[g.target - 1, g.source - 1] = 1.0 / np.bincount(g.source)[g.source]
-    return d
+    return _matrix(web_operator(g))
 
 
 def is_column_stochastic(d: np.ndarray, tol: float = 1e-12) -> bool:

@@ -16,7 +16,8 @@ order; each group's product is one gather and one batched BLAS product.
 The row and column sums of e_plus(x) and of integer powers, which are all
 the rankings need, come from matrix-vector products without forming the
 matrix (the action of the matrix function, Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33(2), 2011).
+Comput. 33(2), 2011), by an Operator: a dense d, or the columns of its
+nonzeros, whose products take O(nnz).
 """
 
 import math
@@ -96,6 +97,90 @@ def _product(a, b, what: str) -> np.ndarray:
     if not np.isfinite(c).all():
         raise NumericOverflow(what)
     return c
+
+
+class Operator:
+    """A square matrix d as the products d x and x d that the vector series
+    take, and the absolute row and column sums that bound them.
+
+    Operator(n, rows, cols, values) holds d as the columns of its nonzeros,
+    d[rows[e], cols[e]] = values[e] (entries at a repeated pair add up),
+    and takes each product as one np.bincount over them, in O(nnz) time
+    and O(n) memory.  A dense matrix passed to a vector kernel is wrapped
+    as Operator.dense(d), whose products are BLAS's d @ x and x @ d.
+    """
+
+    def __init__(self, n: int, rows, cols, values):
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
+            raise DimensionMismatch(
+                f"need one row and one column per value, got shapes "
+                f"{rows.shape}, {cols.shape} and {values.shape}")
+        if ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)).any():
+            raise DimensionMismatch(f"an entry lies outside a {n} x {n} matrix")
+        if not np.isfinite(values).all():
+            raise ValueError("matrix entries must be finite")
+        self.n, self.rows, self.cols, self.values, self.d = n, rows, cols, values, None
+
+    @classmethod
+    def dense(cls, d) -> "Operator":
+        """d as an Operator; d must be square and finite already."""
+        op = cls.__new__(cls)
+        op.n, op.d = d.shape[0], d
+        return op
+
+    def matvec(self, x: np.ndarray, what: str | None = None) -> np.ndarray:
+        """d x; with `what`, raising NumericOverflow(what) where an entry
+        leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.d is not None:
+                y = self.d @ x
+            else:
+                y = _bincount(self.rows, self.values * x[self.cols], self.n)
+        return _finite(y, what)
+
+    def rmatvec(self, x: np.ndarray, what: str | None = None) -> np.ndarray:
+        """x d, the product by d's transpose; raises like :meth:`matvec`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.d is not None:
+                y = x @ self.d
+            else:
+                y = _bincount(self.cols, self.values * x[self.rows], self.n)
+        return _finite(y, what)
+
+    def abs_sum(self, axis: int) -> float:
+        """Largest absolute row (axis=1) or column (axis=0) sum; 0 when empty."""
+        if self.d is not None:
+            return _abs_sums(self.d, axis)
+        by = self.rows if axis == 1 else self.cols
+        return float(_bincount(by, np.abs(self.values), self.n).max(initial=0.0))
+
+    def column_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's sum, and its least entry where that is below 0, else 0."""
+        if self.d is not None:
+            return self.d.sum(axis=0), self.d.min(axis=0, initial=0.0)
+        low = np.zeros(self.n)
+        np.minimum.at(low, self.cols, self.values)
+        return _bincount(self.cols, self.values, self.n), low
+
+
+def _bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The sums of weights by index in [0, n), as floats also where there
+    are no weights (np.bincount then gives integers)."""
+    return np.bincount(index, weights, minlength=n).astype(float, copy=False)
+
+
+def _finite(y: np.ndarray, what: str | None) -> np.ndarray:
+    """y, or NumericOverflow(what) when `what` is given and y is not finite."""
+    if what is not None and not np.isfinite(y).all():
+        raise NumericOverflow(what)
+    return y
+
+
+def _operator(d) -> Operator:
+    """d itself if it is an Operator, else the checked matrix d wrapped as one."""
+    return d if isinstance(d, Operator) else Operator.dense(_square(d))
 
 
 class _SlicedEll:
@@ -257,17 +342,18 @@ def mat_pow_sum(d, ks, weights) -> np.ndarray:
 
 
 def mat_pow_vectors(d, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of d^k by k matrix-vector products each.
+    """Row and column sums of d^k by k matrix-vector products each; d is a
+    matrix or an :class:`Operator`.
 
     Raises NumericOverflow at the first product that leaves the float range.
     """
-    d = _square(d)
+    op = _operator(d)
     _at_least("power", k, 0)
     what = f"a row or column sum of matrix power {k}"
-    rows = cols = np.ones(d.shape[0])
+    rows = cols = np.ones(op.n)
     for _ in range(k):
-        rows = _product(d, rows, what)
-        cols = _product(cols, d, what)
+        rows = op.matvec(rows, what)
+        cols = op.rmatvec(cols, what)
     return rows, cols
 
 
@@ -404,18 +490,18 @@ def _expm1(lam: float) -> float:
         raise NumericOverflow(f"e^lambda - 1 for lambda = {lam!r}") from None
 
 
-def _checked(d, lam: float, tol: float, normalised: bool) -> np.ndarray:
-    """d after checking lam, tol, e^lam - 1 when normalised, and d."""
+def _checked(lam: float, tol: float, normalised: bool) -> None:
+    """Check lam, tol, and e^lam - 1 when normalised."""
     _positive("lam", lam)
     _positive("tol", tol)
     if normalised:
         _expm1(lam)
-    return _square(d)
 
 
 def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
     """The series over the powers of d itself; see :func:`_chain`."""
-    d = _checked(d, lam, tol, normalised)
+    _checked(lam, tol, normalised)
+    d = _square(d)
     enter, step, leave = _stepper(d)
     # the row-sum norm bounds d P_k, and P_k d = d P_k as powers of d commute
     total, estimate, report = _chain(enter(d), step, _abs_sums(d, 1), lam, tol, normalised, sampled)
@@ -424,14 +510,13 @@ def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
 
 def _vectors(d, lam: float, tol: float, normalised: bool):
     """The series over d^k 1 and 1 d^k; see :func:`exp_plus_vectors`."""
-    d = _checked(d, lam, tol, normalised)
-    ones = np.ones(d.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        first_rows, first_cols = d @ ones, ones @ d
-    rows, _, by_row = _chain(first_rows, lambda v, out, _: np.matmul(d, v, out=out),
-                             _abs_sums(d, 1), lam, tol, normalised)
-    cols, _, by_col = _chain(first_cols, lambda v, out, _: np.matmul(v, d, out=out),
-                             _abs_sums(d, 0), lam, tol, normalised)
+    _checked(lam, tol, normalised)
+    op = _operator(d)
+    ones = np.ones(op.n)
+    rows, _, by_row = _chain(op.matvec(ones), lambda v, out, _: np.copyto(out, op.matvec(v)),
+                             op.abs_sum(1), lam, tol, normalised)
+    cols, _, by_col = _chain(op.rmatvec(ones), lambda v, out, _: np.copyto(out, op.rmatvec(v)),
+                             op.abs_sum(0), lam, tol, normalised)
     report = SeriesReport(
         terms_used=max(by_row.terms_used, by_col.terms_used),
         tail_bound=max(by_row.tail_bound, by_col.tail_bound),
@@ -458,7 +543,8 @@ def exp_plus(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, Serie
 def exp_plus_vectors(
     d, lam: float = 1.0, tol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray, SeriesReport]:
-    """Row and column sums of exp_plus(d, lam) by matrix-vector products.
+    """Row and column sums of exp_plus(d, lam) by matrix-vector products;
+    d is a matrix or an :class:`Operator`.
 
     The row sums are sum_k (lam d)^k 1 / k!, whose step grows the max norm
     by at most lam*||d||_inf; the column sums are sum_k (lam d^T)^k 1 / k!,
@@ -492,5 +578,5 @@ def pwp_vectors_report(
 ) -> tuple[np.ndarray, np.ndarray, SeriesReport]:
     """Row and column sums of :func:`pwp_matrix` without forming it, each
     accurate to tol in max norm, with a report like that of
-    :func:`exp_plus_vectors`."""
+    :func:`exp_plus_vectors`; d is a matrix or an :class:`Operator`."""
     return _vectors(d, lam, tol, normalised=True)

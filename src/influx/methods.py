@@ -4,7 +4,8 @@ Every method produces a square matrix T of indirect influences.  Row sums of
 T give the dependence vector d (how much each vertex is acted on), column
 sums give the influence vector f (how much each vertex acts), and vertices
 are ranked by those scores.  pwp_vectors and micmac_vectors compute d and f
-by matrix-vector products without forming T.
+by matrix-vector products without forming T, and so does pagerank given an
+Operator; each takes a dense matrix or an Operator.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +14,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotSubstochastic, NumericOverflow
 from .linalg import (
+    Operator,
     SeriesReport,
     _at_least,
+    _operator,
     _positive,
     _square,
     mat_pow,
@@ -77,7 +80,7 @@ class IndirectInfluenceResult:
     vector with sum 1 (the per-vertex ranking weight); `vectors.d` holds the
     row sums of T, which equal n times the stationary vector.  T is None
     when only the vectors were computed (:func:`pwp_vectors`,
-    :func:`micmac_vectors`).
+    :func:`micmac_vectors`, :func:`pagerank` on an Operator).
     """
 
     T: np.ndarray | None
@@ -131,6 +134,19 @@ def pwp_vectors(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceRes
     )
 
 
+def _empty_columns(op: Operator) -> np.ndarray:
+    """Which columns of op sum to 0 (within 1e-9), after checking that op
+    is entrywise nonnegative with each column summing to 0 or 1."""
+    totals, low = op.column_stats()
+    negative = low < -SUBSTOCHASTIC_TOL
+    empty = np.abs(totals) <= SUBSTOCHASTIC_TOL
+    bad = negative | (~empty & (np.abs(totals - 1.0) > SUBSTOCHASTIC_TOL))
+    if bad.any():
+        j = int(bad.argmax())  # the first bad column, reported by its negative entry if any
+        raise NotSubstochastic(j + 1, float(low[j] if negative[j] else totals[j]))
+    return empty
+
+
 def pagerank_repair(d) -> np.ndarray:
     """Replace every all-zero column by the uniform column 1/n.
 
@@ -139,14 +155,7 @@ def pagerank_repair(d) -> np.ndarray:
     error messages are 1-based.
     """
     d = _square(d)
-    low = d.min(axis=0, initial=0.0)  # initial: an empty d has no minimum
-    totals = d.sum(axis=0)
-    negative = low < -SUBSTOCHASTIC_TOL
-    empty = np.abs(totals) <= SUBSTOCHASTIC_TOL
-    bad = negative | (~empty & (np.abs(totals - 1.0) > SUBSTOCHASTIC_TOL))
-    if bad.any():
-        j = int(bad.argmax())  # the first bad column, reported by its negative entry if any
-        raise NotSubstochastic(j + 1, float(low[j] if negative[j] else totals[j]))
+    empty = _empty_columns(Operator.dense(d))
     repaired = d.copy()
     repaired[:, empty] = 1.0 / max(1, d.shape[0])  # max: an empty d has no columns
     return repaired
@@ -161,22 +170,27 @@ def pagerank(
 ) -> IndirectInfluenceResult:
     """Damped stationary-distribution method.
 
-    Forms M = p * repaired(d) + (1 - p) * E_n with E_n the uniform matrix,
-    then power-iterates x <- M x from the uniform vector (or `start`) until
-    the successive l1 change drops below tol.  T has the stationary vector
-    in every column, so the influence vector is all ones and the row sums
-    equal n times the stationary probabilities.
+    The stationary vector of M = p * repaired(d) + (1 - p) * E_n, with E_n
+    the uniform matrix, by the power iteration x <- M x from the uniform
+    vector (or `start`) until the successive l1 change drops below tol.
+    Each step takes one product by d, folding in the mass on d's all-zero
+    columns (Langville & Meyer, Google's PageRank and Beyond, 2006), so M
+    is never formed: x <- p (d x + (sum of x on those columns) / n) + (1 - p) / n.
+    T has the stationary vector in every column, so the influence vector is
+    all ones and the row sums equal n times the stationary probabilities.
+    d is a matrix, and then T is formed, or an :class:`Operator`, such as
+    :func:`influx.graph.web_operator`'s, and then T is None.
 
     Raises NoConvergence after max_iter iterations, NotSubstochastic if a
     column of d sums to neither 0 nor 1, and ValueError if `start` has a
     negative or non-finite entry or a sum that is 0 or overflows.
     """
     config = PageRankConfig(p=p, tol=tol, max_iter=max_iter)
-    dbar = pagerank_repair(d)
-    n = dbar.shape[0]
+    op = _operator(d)
+    empty = _empty_columns(op)
+    n = op.n
     if n == 0:
         raise DimensionMismatch("cannot rank an empty matrix")
-    m = p * dbar + (1.0 - p) / n
     if start is None:
         x = np.full(n, 1.0 / n)
     else:
@@ -189,10 +203,14 @@ def pagerank(
         if not (np.isfinite(x).all() and np.all(x >= 0) and 0 < total < np.inf):
             raise ValueError("start vector must be a finite nonnegative distribution with a finite sum")
         x = x / total
+    live = ~empty  # the entries of an all-zero column within 1e-9 count as zeros
     iterations = 0
     err = np.inf
     for iterations in range(1, max_iter + 1):
-        x_new = m @ x
+        x_new = op.matvec(x * live)
+        x_new += x[empty].sum() / n
+        x_new *= p
+        x_new += (1.0 - p) / n
         err = float(np.abs(x_new - x).sum())
         x = x_new
         if err < tol:
@@ -200,20 +218,18 @@ def pagerank(
     else:
         raise NoConvergence(max_iter, err, tol)
     stationary = x / x.sum()
-    t = np.tile(stationary[:, None], (1, n))
+    if isinstance(d, Operator):
+        t, vectors = None, InfluenceVectors(d=n * stationary, f=np.ones(n))
+    else:
+        t = np.tile(stationary[:, None], (1, n))
+        vectors = influence_dependence(t)
     return IndirectInfluenceResult(
-        T=t,
-        vectors=influence_dependence(t),
-        config=config,
-        diagnostics=iterations,
-        stationary=stationary,
+        T=t, vectors=vectors, config=config, diagnostics=iterations, stationary=stationary
     )
 
 
 def rank_vertices(v) -> list[tuple[int, float]]:
     """Vertices ordered by descending score; ties break by ascending index."""
     v = np.asarray(v, dtype=float)
-    return sorted(
-        ((i, float(s)) for i, s in enumerate(v, 1)),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
+    order = np.lexsort((-v,))  # stable, so tied vertices keep ascending index
+    return list(zip((order + 1).tolist(), v[order].tolist()))

@@ -252,13 +252,29 @@ def test_import_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("methods,built", [("pwp,micmac,pagerank", 1), ("pagerank", 0)])
-def test_compare_forms_the_dense_matrix_at_most_once(random12, capsys, monkeypatch, methods, built):
+@pytest.mark.parametrize("methods", ["pwp,micmac,pagerank", "pagerank"])
+def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
+    # every engine runs on the graph's edge columns; D is formed only for
+    # --emit-matrix and montecarlo
     calls = []
-    to_matrix = influx.cli.to_matrix
-    monkeypatch.setattr(influx.cli, "to_matrix", lambda g: calls.append(g) or to_matrix(g))
+    for module, name in [(influx.cli, "to_matrix"), (influx.graph, "web_normalize"),
+                         (influx.methods, "pagerank_repair")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(real) or real(*a))
     code, _, _ = run(capsys, "compare", "--methods", methods, random12)
-    assert code == 0 and len(calls) == built
+    assert code == 0 and calls == []
+    code, _, _ = run(capsys, "compute", "--method", "pwp", "--emit-matrix", random12)
+    assert code == 0 and len(calls) == 1
+
+
+def test_published_values_are_rounded_once(random12, capsys, monkeypatch):
+    calls = []
+    real = influx.cli.canonical_float
+    monkeypatch.setattr(influx.cli, "canonical_float", lambda x: calls.append(x) or real(x))
+    code, out, _ = run(capsys, "compute", "--method", "pwp", random12)
+    n = json.loads(out)["graph"]["n"]
+    # d and f once each, then lambda, tol and tail_bound; not the rankings
+    assert code == 0 and len(calls) == 2 * n + 3
 
 
 # -- exit codes ----------------------------------------------------------------------
@@ -298,7 +314,7 @@ def test_out_of_memory_exit_3(line3, capsys, monkeypatch):
     def no_room(g):
         raise MemoryError("Unable to allocate 298. GiB for an array")
 
-    monkeypatch.setattr(influx.cli, "to_matrix", no_room)
+    monkeypatch.setattr(influx.cli, "to_operator", no_room)
     code, out, err = run(capsys, "compute", "--method", "pwp", line3)
     assert (code, out, err) == (3, "", "error: Unable to allocate 298. GiB for an array\n")
 

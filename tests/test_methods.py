@@ -20,6 +20,7 @@ from influx import (
     Line,
     NoConvergence,
     NotSubstochastic,
+    Operator,
     Star,
     build,
     closed_form_pwp,
@@ -182,6 +183,22 @@ def test_repair_equals_its_loop_form(d):
         assert pagerank_repair(d).tobytes() == want.tobytes()
 
 
+@given(_repair_inputs(), st.floats(0.1, 0.95))
+@example(np.array([[1e-10, 0.0], [0.0, 1.0]]), 0.86)  # entries in a column that counts as empty
+def test_pagerank_on_an_operator_checks_and_repairs_like_the_dense_path(d, p):
+    cols, rows = np.nonzero(d.T)  # column by column, as a graph holds its edges
+    op = Operator(d.shape[0], rows, cols, d[rows, cols])
+    try:
+        dense = pagerank(d, p=p, tol=1e-13)
+    except (NotSubstochastic, DimensionMismatch) as expected:
+        with pytest.raises(type(expected)) as err:
+            pagerank(op, p=p, tol=1e-13)
+        assert str(err.value) == str(expected)
+        return
+    fast = pagerank(op, p=p, tol=1e-13)
+    assert np.allclose(fast.stationary, dense.stationary, rtol=1e-11, atol=1e-15)
+
+
 # -- pagerank --------------------------------------------------------------------
 
 def test_pagerank_line3_exact_fixed_point():
@@ -328,6 +345,18 @@ def test_rank_vertices_dependency_example():
 def test_rank_vertices_tie_break_by_index():
     ranked = rank_vertices([1.0, 1.0, 1.0])
     assert [v for v, _ in ranked] == [1, 2, 3]
+
+
+@given(st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]), st.floats(allow_nan=False)), max_size=40
+))
+def test_rank_vertices_is_the_sorted_order(scores):
+    # descending score, then ascending index; -0.0 ties with 0.0
+    want = sorted(((i, float(s)) for i, s in enumerate(scores, 1)), key=lambda pair: (-pair[1], pair[0]))
+    got = rank_vertices(scores)
+    assert got == want
+    assert [math.copysign(1.0, s) for _, s in got] == [math.copysign(1.0, s) for _, s in want]
+    assert all(type(v) is int and type(s) is float for v, s in got)
 
 
 def test_rank_vertices_scale_invariant():
