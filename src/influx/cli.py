@@ -159,10 +159,11 @@ def kendall_tau(x, y) -> float:
 # engine's "method" parameters, "paper_scale", raw "d" and "f", "diagnostics"
 # and any fields of its own.  d, f and diagnostics come from the vector
 # kernels on the graph's edge columns, so neither depends on emit_matrix;
-# the dense D and T are formed only when T is printed.
+# T is formed only when it is printed.
 
 def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
-    result = pwp_vectors(to_operator(g), lam=args.lam, tol=args.tol)
+    op = to_operator(g)
+    result = pwp_vectors(op, lam=args.lam, tol=args.tol)
     report = result.diagnostics
     scale = math.expm1(args.lam) if args.paper_scale else 1.0
     with np.errstate(over="ignore"):
@@ -177,7 +178,7 @@ def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
         "diagnostics": {"terms_used": report.terms_used, "tail_bound": report.tail_bound},
     }
     if emit_matrix:
-        block["T"] = pwp_matrix(to_matrix(g), args.lam, args.tol)
+        block["T"] = pwp_matrix(op, args.lam, args.tol)
     return block
 
 
@@ -309,18 +310,19 @@ def cmd_montecarlo(args) -> int:
     if args.samples < 1:
         raise ValueError(f"-N must be >= 1, got {args.samples}")
     g = _load_graph(args.graph)
-    d = to_matrix(g)
+    d = to_operator(g)
     # e^lambda - 1 first: past its range lambda is a numeric failure (exit 3),
     # whatever the sampler would make of it
     _expm1(args.lam)
     lengths = sample_lengths(args.lam, args.samples, make_rng(args.seed))
     estimate, exact = estimate_and_exact(d, args.lam, lengths, args.tol)
+    error = np.subtract(estimate, exact)
     report = {
         "graph": _graph_summary(g),
         "lambda": args.lam,
         "samples": args.samples,
         "seed": args.seed,
-        "max_abs_error": float(np.abs(estimate - exact).max(initial=0.0)),
+        "max_abs_error": float(np.abs(error, out=error).max(initial=0.0)),
         "mean_length": {
             "empirical": float(lengths.mean()),
             "expected": moments(args.lam).mean,

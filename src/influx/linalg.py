@@ -13,6 +13,9 @@ SPARSE_CUTOFF), the sparse product d P with d in sliced ELLPACK form, its
 rows sorted and grouped by nonzero count (SELL-C-sigma: Kreutzer et al.,
 SIAM J. Sci. Comput. 36(5), 2014), with the powers' rows held in that row
 order; each group's product is one gather and one batched BLAS product.
+A chain holds four n x n arrays, the two powers, the sum and the sampled
+sum, and d itself on the np.matmul step only: the sliced form and its
+first power come from an Operator's columns, with no dense d.
 The row and column sums of e_plus(x) and of integer powers, which are all
 the rankings need, come from matrix-vector products without forming the
 matrix (the action of the matrix function, Al-Mohy & Higham, SIAM J. Sci.
@@ -152,7 +155,8 @@ class Operator:
     def abs_sum(self, axis: int) -> float:
         """Largest absolute row (axis=1) or column (axis=0) sum; 0 when empty."""
         if self.d is not None:
-            return _abs_sums(self.d, axis)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(np.abs(self.d).sum(axis=axis).max(initial=0.0))
         by = self.rows if axis == 1 else self.cols
         return float(_bincount(by, np.abs(self.values), self.n).max(initial=0.0))
 
@@ -184,30 +188,40 @@ def _operator(d) -> Operator:
 
 
 class _SlicedEll:
-    """The products d P of a power chain over d in sliced ELLPACK form.
+    """The products d P of a power chain over d in sliced ELLPACK form; d is
+    a matrix or an :class:`Operator`, whose zero entries are dropped.
 
     The rows of d are sorted by nonzero count, descending, into `order`, so
     the m rows with c nonzeros form one contiguous block, held as their
     nonzeros' columns, row by row, and their (m, 1, c) values.  Each block
-    is cut into chunks that gather at most n rows of P, and at most
-    GATHER_ENTRIES entries unless one row's c rows hold more.  The products
-    run in the basis of that row order: with Pi the permutation,
-    (Pi d Pi^T)(Pi P) = Pi (d P), so a chain holds the rows of each power in
-    `order` (:meth:`enter`) and puts them back once at the end
-    (:meth:`leave`).  Permuting rows changes no entry's value, so max norms,
-    running scales and tail bounds are those of the unpermuted chain.
+    is cut into chunks that gather at most n rows of P into `scratch`, and
+    at most GATHER_ENTRIES entries unless one row's c rows hold more.  The
+    products run in the basis of that row order: with Pi the permutation,
+    (Pi d Pi^T)(Pi P) = Pi (d P), so a chain starts from Pi d
+    (:meth:`first`) or holds the rows of each power in `order`
+    (:meth:`enter`), and puts them back once at the end (:meth:`leave`).
+    Permuting rows changes no entry's value, so max norms, running scales
+    and tail bounds are those of the unpermuted chain.
     """
 
-    def __init__(self, d: np.ndarray):
-        n = d.shape[0]
-        rows, cols = np.nonzero(d)  # row by row, columns ascending
+    def __init__(self, d):
+        op = _operator(d)
+        n = self.n = op.n
+        if op.d is None:
+            keep = op.values != 0
+            rows, cols, values = op.rows[keep], op.cols[keep], op.values[keep]
+        else:
+            rows, cols = np.nonzero(op.d)
+            values = op.d[rows, cols]
         counts = np.bincount(rows, minlength=n)
         self.order = np.argsort(-counts, kind="stable")
         self.rank = np.empty(n, dtype=np.intp)
         self.rank[self.order] = np.arange(n)
-        by = np.argsort(self.rank[rows], kind="stable")  # each row's columns stay ascending
+        rows = self.rank[rows]
+        by = np.lexsort((cols, rows))  # row by row in the blocks' order, columns ascending
+        self.entries = (rows[by], cols[by]), values[by]  # of Pi d
         columns = self.rank[cols[by]]
-        values = d[rows[by], cols[by]]
+        values = values[by]
         sizes = np.bincount(counts).tolist()  # rows with each nonzero count
         self.blocks = []  # (first row, end row, columns, values) of each chunk
         a = e = 0  # the first row and the first nonzero of the rows with c nonzeros
@@ -220,6 +234,13 @@ class _SlicedEll:
                 self.blocks.append((i, j, columns[nonzeros], values[nonzeros].reshape(j - i, 1, c)))
             a, e = end, e + (end - a) * c
         self.filled = a  # rows with a nonzero
+        self.scratch = np.empty(max((columns.size for _, _, columns, _ in self.blocks), default=0) * n)
+
+    def first(self) -> np.ndarray:
+        """d with its rows in the blocks' order, formed from its nonzeros."""
+        a = np.zeros((self.n, self.n))
+        np.add.at(a, *self.entries)
+        return a
 
     def enter(self, a: np.ndarray) -> np.ndarray:
         """A copy of a with its rows in the blocks' order."""
@@ -229,8 +250,8 @@ class _SlicedEll:
         """A copy of a row-ordered a with its rows back in d's order."""
         return a[self.rank]
 
-    def __call__(self, q: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """out = d q in the blocks' row order; scratch is overwritten.
+    def __call__(self, q: np.ndarray, out: np.ndarray) -> None:
+        """out = d q in the blocks' row order.
 
         Per chunk, one gather of the rows of q its nonzeros name into
         scratch (mode="clip" gathers straight into it, where the default
@@ -238,32 +259,36 @@ class _SlicedEll:
         per row into out.
         """
         for a, b, columns, values in self.blocks:
-            rows = scratch[:columns.size]
+            rows = self.scratch[:columns.size * q.shape[1]].reshape(columns.size, -1)
             np.take(q, columns, axis=0, mode="clip", out=rows)
             np.matmul(values, rows.reshape(b - a, -1, q.shape[1]), out=out[a:b, None])
         out[self.filled:] = 0.0
 
 
-def _sliced_ell(d: np.ndarray) -> _SlicedEll | None:
-    """d in sliced ELLPACK form when it has at most sqrt(n / SPARSE_CUTOFF)
-    nonzeros a row on average, else None: the chain then steps by
-    np.matmul."""
-    if np.count_nonzero(d) ** 2 * SPARSE_CUTOFF > d.shape[0] ** 3:
+def _sliced_ell(d) -> _SlicedEll | None:
+    """d, a matrix or an :class:`Operator`, in sliced ELLPACK form when it
+    has at most sqrt(n / SPARSE_CUTOFF) nonzeros a row on average, else
+    None: the chain then steps by np.matmul."""
+    op = _operator(d)
+    if np.count_nonzero(op.values if op.d is None else op.d) ** 2 * SPARSE_CUTOFF > op.n**3:
         return None
-    return _SlicedEll(d)
+    return _SlicedEll(op)
 
 
-def _stepper(d: np.ndarray):
-    """The step of a chain over the powers of d, as (enter, step, leave).
-
-    step(q, out, scratch) writes the power after q into out and may
-    overwrite scratch; the chain holds its powers as enter(power), a copy,
-    and leave(a) is a copy of such an a, or a itself, in d's basis.
-    """
-    sliced = _sliced_ell(d)
-    if sliced is None:
-        return np.copy, lambda q, out, _: np.matmul(q, d, out=out), lambda a: a
-    return sliced.enter, sliced, sliced.leave
+def _stepper(op: Operator):
+    """A chain over the powers of op's matrix d as (first, enter, step, leave):
+    first() is d and enter(a) a copy of a in the chain's row order,
+    step(q, out) writes the power after q into out, and leave(a) is a
+    copy of such an a, or a itself, in d's basis.  The np.matmul step
+    forms d once where op holds it as columns."""
+    sliced = _sliced_ell(op)
+    if sliced is not None:
+        return sliced.first, sliced.enter, sliced, sliced.leave
+    d = op.d
+    if d is None:
+        d = np.zeros((op.n, op.n))
+        np.add.at(d, (op.rows, op.cols), op.values)
+    return d.copy, np.copy, lambda q, out: np.matmul(q, d, out=out), lambda a: a
 
 
 def mat_pow(d, k: int) -> np.ndarray:
@@ -310,8 +335,8 @@ def mat_pow_sum(d, ks, weights) -> np.ndarray:
         raise ValueError(f"power must be >= 0, got {ks[0]}")
     if np.any(np.diff(ks) <= 0):
         raise ValueError("powers must be strictly ascending")
-    enter, step, leave = _stepper(d)
-    total = spare = scratch = None
+    _, enter, step, leave = _stepper(Operator.dense(d))
+    total = spare = None
     at, gap, jump = 0, 0, None  # power = d^at once at > 0; jump = d^gap
     with np.errstate(over="ignore", invalid="ignore"):
         for k, weight in zip(ks.tolist(), weights.tolist()):
@@ -319,8 +344,8 @@ def mat_pow_sum(d, ks, weights) -> np.ndarray:
                 power = enter(mat_pow(d, k))
             elif k - at == 1:
                 if spare is None:
-                    spare, scratch = np.empty_like(power), np.empty_like(power)
-                step(power, spare, scratch)
+                    spare = np.empty_like(power)
+                step(power, spare)
                 power, spare = spare, power
                 if not np.isfinite(power).all():
                     raise NumericOverflow(f"matrix power {k}")
@@ -395,6 +420,15 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
+def _add(total: np.ndarray, q: np.ndarray, c: float, spare: np.ndarray) -> None:
+    """total += c * q through spare, in blocks of GATHER_ENTRIES that stay in
+    cache; elementwise, so bit for bit the sum of the whole arrays."""
+    total, q, spare = total.reshape(-1), q.reshape(-1), spare.reshape(-1)
+    for i in range(0, q.size, GATHER_ENTRIES):
+        block = slice(i, i + GATHER_ENTRIES)
+        total[block] += np.multiply(q[block], c, out=spare[block])
+
+
 def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, sampled=()):
     """The package's one power series: sum_{k>=1} w_k P_k with P_1 = first,
     P_{k+1} = step(P_k) and w_k = lam^k / k! (divided by e^lam - 1 when
@@ -419,9 +453,10 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, section 4.2), so by K eps |T| for a nonnegative d, but by up to
     eps e^{lam ||d||} where terms cancel.  The pass works in `first`, which
-    it overwrites, and in three arrays allocated before it starts (four
-    with `sampled`): step(q, out, scratch) writes the next power into out
-    and may overwrite scratch, which also holds each term.
+    it overwrites and lets go of before it returns, and in two arrays
+    allocated before it starts (three with `sampled`): step(q, out) writes
+    the next power into out, which also holds each term on its way into
+    the sums until then.
 
     Raises NoConvergenceWithinBudget if the bound is still above tol after
     MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
@@ -430,7 +465,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     sampled = list(sampled)
     q = first  # P_1 = 2^s q
     q += 0.0  # turns -0.0 into +0.0 as mat_pow does
-    spare, scratch, total = np.empty_like(q), np.empty_like(q), np.zeros_like(q)
+    spare, total = np.empty_like(q), np.zeros_like(q)
     estimate = np.zeros_like(q) if sampled else None
     s, k, at, report = 0, 1, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -449,7 +484,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
                 u = c * qmax if qmax else 0.0
                 if not math.isfinite(u):
                     raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
-                total += np.multiply(q, c, out=scratch)
+                _add(total, q, c, spare)
                 r = lam * norm / (k + 1)
                 if u == 0.0:
                     # term K is zero in floating point: d^K is zero, and so
@@ -461,24 +496,19 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
                     bound = u / (1.0 - r) if r < 1.0 else math.inf
                     raise NoConvergenceWithinBudget(k, bound, tol)
             if at < len(sampled) and sampled[at][0] == k:
-                estimate += np.multiply(q, _ldexp(sampled[at][1], s), out=scratch)
+                _add(estimate, q, _ldexp(sampled[at][1], s), spare)
                 at += 1
             if report is not None and at == len(sampled):
                 break
-            step(q, spare, scratch)
+            step(q, spare)
             q, spare = spare, q
             k += 1
+    del first, q, spare  # so the sums' checks and copies take the powers' place
     if not np.isfinite(total).all():
         raise NumericOverflow("exponential series sum", report.terms_used, tol)
     if estimate is not None and not np.isfinite(estimate).all():
         raise NumericOverflow("weighted sum of matrix powers")
     return total, estimate, report
-
-
-def _abs_sums(d: np.ndarray, axis: int) -> float:
-    """Largest absolute row (axis=1) or column (axis=0) sum; 0 when empty."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.abs(d).sum(axis=axis).max(initial=0.0))
 
 
 def _expm1(lam: float) -> float:
@@ -499,12 +529,12 @@ def _checked(lam: float, tol: float, normalised: bool) -> None:
 
 
 def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
-    """The series over the powers of d itself; see :func:`_chain`."""
+    """The series over the powers of d, a matrix or an Operator; see :func:`_chain`."""
     _checked(lam, tol, normalised)
-    d = _square(d)
-    enter, step, leave = _stepper(d)
+    op = _operator(d)
+    first, _, step, leave = _stepper(op)
     # the row-sum norm bounds d P_k, and P_k d = d P_k as powers of d commute
-    total, estimate, report = _chain(enter(d), step, _abs_sums(d, 1), lam, tol, normalised, sampled)
+    total, estimate, report = _chain(first(), step, op.abs_sum(1), lam, tol, normalised, sampled)
     return leave(total), None if estimate is None else leave(estimate), report
 
 
@@ -513,9 +543,9 @@ def _vectors(d, lam: float, tol: float, normalised: bool):
     _checked(lam, tol, normalised)
     op = _operator(d)
     ones = np.ones(op.n)
-    rows, _, by_row = _chain(op.matvec(ones), lambda v, out, _: np.copyto(out, op.matvec(v)),
+    rows, _, by_row = _chain(op.matvec(ones), lambda v, out: np.copyto(out, op.matvec(v)),
                              op.abs_sum(1), lam, tol, normalised)
-    cols, _, by_col = _chain(op.rmatvec(ones), lambda v, out, _: np.copyto(out, op.rmatvec(v)),
+    cols, _, by_col = _chain(op.rmatvec(ones), lambda v, out: np.copyto(out, op.rmatvec(v)),
                              op.abs_sum(0), lam, tol, normalised)
     report = SeriesReport(
         terms_used=max(by_row.terms_used, by_col.terms_used),

@@ -115,16 +115,20 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     Poisson process, given that it lands in (0, lam], is
     -log1p(U (e^-lam - 1)) for U uniform on [0, 1), and the number of
     further arrivals in (T, lam] is Poisson(lam - T), so
-    K = 1 + Poisson(lam - T) is zero-truncated Poisson(lam).
+    K = 1 + Poisson(lam - T) is zero-truncated Poisson(lam).  Computed in
+    place, in one float and one integer array of `size`.
     """
     _positive("lam", lam)
     if lam > POISSON_LAM_MAX:
         raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    first = -np.log1p(rng.random(size) * math.expm1(-lam))
+    rest = rng.random(size)  # then lam - T, in place
+    np.add(lam, np.log1p(np.multiply(rest, math.expm1(-lam), out=rest), out=rest), out=rest)
     # rounding may put the first arrival a hair past lam
-    return 1 + rng.poisson(np.maximum(lam - first, 0.0))
+    lengths = rng.poisson(np.maximum(rest, 0.0, out=rest))
+    lengths += 1
+    return lengths
 
 
 def _frequencies(lengths) -> tuple[np.ndarray, np.ndarray]:

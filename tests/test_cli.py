@@ -254,8 +254,8 @@ def test_import_leaves_numpy_random_unloaded():
 
 @pytest.mark.parametrize("methods", ["pwp,micmac,pagerank", "pagerank"])
 def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
-    # every engine runs on the graph's edge columns; D is formed only for
-    # --emit-matrix and montecarlo
+    # every engine runs on the graph's edge columns, pwp's T too; D is formed
+    # only for micmac's --emit-matrix
     calls = []
     for module, name in [(influx.cli, "to_matrix"), (influx.graph, "web_normalize"),
                          (influx.methods, "pagerank_repair")]:
@@ -264,6 +264,8 @@ def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
     code, _, _ = run(capsys, "compare", "--methods", methods, random12)
     assert code == 0 and calls == []
     code, _, _ = run(capsys, "compute", "--method", "pwp", "--emit-matrix", random12)
+    assert code == 0 and calls == []
+    code, _, _ = run(capsys, "compute", "--method", "micmac", "--emit-matrix", random12)
     assert code == 0 and len(calls) == 1
 
 

@@ -642,8 +642,9 @@ def _with_counts(*counts):
 def test_sliced_ell_step_is_the_product(case):
     d, p = case
     sliced = _SlicedEll(d)
-    out, scratch = np.full_like(p, np.nan), np.full_like(p, np.nan)
-    sliced(sliced.enter(p), out, scratch)
+    out = np.full_like(p, np.nan)
+    sliced.scratch[:] = np.nan
+    sliced(sliced.enter(p), out)
     # each of the two sums rounds by less than n eps / 2 times |d| |P|
     slack = d.shape[0] * np.finfo(float).eps * (np.abs(d) @ np.abs(p))
     assert np.all(np.abs(sliced.leave(out) - d @ p) <= slack)
@@ -723,9 +724,9 @@ def steps(monkeypatch):
     calls = []
     real = _SlicedEll.__call__
 
-    def counted(self, q, out, scratch):
+    def counted(self, q, out):
         calls.append(q.shape)
-        return real(self, q, out, scratch)
+        return real(self, q, out)
 
     monkeypatch.setattr(_SlicedEll, "__call__", counted)
     return calls
@@ -783,11 +784,42 @@ def test_pwp_matrix_memory_does_not_grow_with_terms(poisson_matrix):
         few, many = (pwp_matrix_report(d, lam)[1].terms_used for lam in (1.0, 30.0))
         assert many > 3 * few
         peaks = [_peak_buffers(lambda: pwp_matrix(d, lam), n) for lam in (1.0, 30.0)]
-        # the chain's four n x n buffers, whatever the term count: the copy
+        # the chain's three n x n buffers, whatever the term count: the copy
         # of d it works in (row-permuted on the sliced-ELL step), the next
-        # power, the sum, and one scratch that holds each term and the
-        # sliced-ELL step's gathers
-        assert round(peaks[0]) == round(peaks[1]) <= 4
+        # power, which also holds each term on its way into the sum, and the
+        # sum; the sliced-ELL step's gathers take at most GATHER_ENTRIES more
+        assert round(peaks[0]) == round(peaks[1]) <= 3
+
+
+def _montecarlo_file(tmp_path, poisson_matrix, n):
+    """An edge-list file of about 5 nonzeros a row, on the sliced-ELL step."""
+    d = poisson_matrix(n, 17)
+    assert _sliced_ell(d) is not None
+    path = tmp_path / "g.csv"
+    path.write_text(influx.format_edge_list(influx.from_matrix(d)))
+    return str(path)
+
+
+def test_montecarlo_holds_four_n_by_n_buffers(tmp_path, poisson_matrix):
+    n = 600
+    path = _montecarlo_file(tmp_path, poisson_matrix, n)
+    argv = ["montecarlo", path, "--lambda", "4", "-N", "2000", "-o", str(tmp_path / "r.json")]
+    influx.make_rng(0)  # numpy.random's modules load once, outside the measurement
+    # the two powers, the sum and the sampled sum, and a gather of at most
+    # GATHER_ENTRIES (0.18 n^2 here): no dense D, no row-ordered copy of it
+    # and no n x n scratch
+    assert _peak_buffers(lambda: main(argv), n) <= 4.5
+
+
+def test_montecarlo_forms_no_dense_d(tmp_path, monkeypatch, poisson_matrix):
+    path = _montecarlo_file(tmp_path, poisson_matrix, 400)
+    calls = []
+    for module, name in [(influx.cli, "to_matrix"), (influx.graph, "to_matrix"), (influx.graph, "_matrix")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(real) or real(*a))
+    for emit in ([], ["--emit-matrix"]):
+        assert main(["montecarlo", path, "--lambda", "4", "-N", "2000", "-o", str(tmp_path / "r.json"), *emit]) == 0
+    assert calls == []
 
 
 # -- algebraic identities on random matrices -------------------------------------

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import influx
@@ -29,6 +29,8 @@ from influx import (
     Star,
     build,
     closed_form_pwp,
+    estimate_and_exact,
+    make_rng,
     exp_plus_vectors,
     influence_dependence,
     mat_pow,
@@ -36,13 +38,16 @@ from influx import (
     micmac_vectors,
     pagerank,
     parse_edge_list,
+    pwp_matrix_report,
     pwp_vectors,
+    sample_lengths,
     to_matrix,
     to_operator,
     web_normalize,
     web_operator,
 )
 from influx.cli import main
+from influx.linalg import _sliced_ell
 
 FAMILIES = [Line(1), Line(6), Cycle(5), Jordan(4, 0.5), Jordan(3, 2.0), Star(7)]
 
@@ -170,6 +175,47 @@ def test_pagerank_with_no_edges_is_uniform():
     assert result.T is None
 
 
+# -- the matrix chain on the edge columns against the dense one ----------------------
+
+@st.composite
+def _chain_graphs(draw):
+    """Graphs of up to 12 vertices with weights of 0.0, -0.0 and either
+    sign, self-loops, and empty rows and columns: sparse ones, which the
+    chain steps in sliced ELLPACK form, and ones missing at most n edges,
+    which it steps by np.matmul from n = 4 on."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.integers(0, n * n - 1), unique=True)) if n else []
+    else:
+        drop = draw(st.sets(st.integers(0, n * n - 1), max_size=n)) if n else set()
+        cells = [c for c in range(n * n) if c not in drop]
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0)),
+                            min_size=len(cells), max_size=len(cells)))
+    return DirectInfluenceGraph(n, [(c // n + 1, c % n + 1, w) for c, w in zip(cells, weights)])
+
+
+def _cells(n, weight=1.0):
+    return DirectInfluenceGraph(n, [(i, j, weight) for i in range(1, n + 1) for j in range(1, n + 1)])
+
+
+@given(_chain_graphs(), st.sampled_from([0.5, 4.0]), st.integers(0, 3))
+@example(DirectInfluenceGraph(0), 4.0, 0)
+@example(DirectInfluenceGraph(1), 4.0, 0)
+@example(DirectInfluenceGraph(1, [(1, 1, -0.0)]), 4.0, 0)
+@example(DirectInfluenceGraph(1, [(1, 1, -0.5)]), 4.0, 0)
+@example(DirectInfluenceGraph(5, [(1, 2, 0.5), (2, 2, -0.0), (3, 1, -0.25), (5, 5, 0.0)]), 0.5, 1)
+@example(_cells(12, -0.05), 4.0, 2)  # every entry: the np.matmul step
+def test_matrix_chain_on_columns_is_bit_for_bit_the_dense_one(g, lam, seed):
+    columns, dense = to_operator(g), to_matrix(g)
+    assert (_sliced_ell(columns) is None) == (_sliced_ell(dense) is None)
+    lengths = sample_lengths(lam, 300, make_rng(seed))
+    for got, want in zip(estimate_and_exact(columns, lam, lengths), estimate_and_exact(dense, lam, lengths)):
+        assert np.array_equal(got, want)
+    (t, report), (want_t, want_report) = pwp_matrix_report(columns, lam), pwp_matrix_report(dense, lam)
+    # the stop rule reads the norm, now a bincount of |w| by row
+    assert np.array_equal(t, want_t) and report.terms_used == want_report.terms_used
+
+
 # -- the command line on the edge columns against the dense path ---------------------
 
 CASES = {
@@ -192,6 +238,9 @@ ARGVS = [
     ["compute", "--method", "micmac"],
     ["compute", "--method", "pagerank"],
     ["compute", "--method", "pagerank", "--emit-matrix"],
+    ["compute", "--method", "pwp", "--emit-matrix"],
+    ["montecarlo", "--lambda", "4", "-N", "1000", "--seed", "3"],
+    ["montecarlo", "--lambda", "4", "-N", "1000", "--seed", "3", "--emit-matrix"],
 ]
 
 

@@ -224,6 +224,21 @@ def test_sample_lengths_at_tiny_lambda_draw_no_zeros():
     assert ks.dtype.kind == "i" and np.array_equal(ks, np.ones(100_000, dtype=ks.dtype))
 
 
+def _sample_lengths_by_expression(lam, size, rng):
+    """The draws of sample_lengths as one expression, with a new array per
+    operation: the reference for its in-place form."""
+    first = -np.log1p(rng.random(size) * math.expm1(-lam))
+    return 1 + rng.poisson(np.maximum(lam - first, 0.0))
+
+
+@pytest.mark.parametrize("lam", [1e-300, 0.5, 4.0, 700.0, 1e6])
+def test_sample_lengths_in_place_are_the_expressions_draws(lam):
+    for seed in (0, 1, 7, 2**40 + 3):
+        got = sample_lengths(lam, 5000, make_rng(seed))
+        want = _sample_lengths_by_expression(lam, 5000, make_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_sample_length_is_one_vectorized_draw():
     for lam in (1e-300, 0.2, 4.0):
         assert sample_length(lam, make_rng(3)) == int(sample_lengths(lam, 1, make_rng(3))[0])
