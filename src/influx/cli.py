@@ -29,7 +29,7 @@ from .graph import (
     to_operator,
     web_operator,
 )
-from .linalg import _expm1, mat_pow, pwp_matrix
+from .linalg import _checked, mat_pow, pwp_matrix
 from .methods import micmac_vectors, pagerank, pwp_vectors, rank_vertices
 from .stochastic import estimate_and_exact, make_rng, moments, sample_lengths
 
@@ -275,6 +275,9 @@ def cmd_compare(args) -> int:
         raise ValueError(
             f"--methods must name {', '.join(others)}, or {last}, got {args.methods!r}"
         )
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"--methods names {repeated[0]} more than once, got {args.methods!r}")
     g = _load_graph(args.graph)
     blocks = _method_blocks(names, g, args, False)
     if args.csv:
@@ -311,9 +314,9 @@ def cmd_montecarlo(args) -> int:
         raise ValueError(f"-N must be >= 1, got {args.samples}")
     g = _load_graph(args.graph)
     d = to_operator(g)
-    # e^lambda - 1 first: past its range lambda is a numeric failure (exit 3),
-    # whatever the sampler would make of it
-    _expm1(args.lam)
+    # lambda, tol and e^lambda - 1 before sampling, which takes time in -N; past
+    # its range lambda is a numeric failure (exit 3), whatever the sampler makes of it
+    _checked(args.lam, args.tol, True)
     lengths = sample_lengths(args.lam, args.samples, make_rng(args.seed))
     estimate, exact = estimate_and_exact(d, args.lam, lengths, args.tol)
     error = np.subtract(estimate, exact)

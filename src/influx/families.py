@@ -114,7 +114,8 @@ def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
     Line and cycle entries are probabilities of the length law
     (:func:`influx.stochastic.pmf`, which moves to log space where the direct
     form would overflow).  The Jordan and star exponentials are divided by
-    e_plus(lam) in log space, so they stay finite wherever the quotient is.
+    e_plus(lam) as lam / e_plus(lam) and in log space, so they stay finite
+    wherever the quotient is, and normal at a subnormal lam.
     Raises NumericOverflow when e_plus(lam) or an entry of the matrix leaves
     the float range.
     """
@@ -141,32 +142,43 @@ def _closed_form(spec: FamilySpec, lam: float, eplus: float) -> np.ndarray:
             for s in range(1, n + 1):
                 t[(j + s) % n, j] = _residue_mass(lam, s, n)
         return t
+    # lam / e_plus(lam) lies in (3e-306, 1] for every lam the gate lets
+    # through, so dividing by it first keeps a subnormal lam's factors normal
+    ratio = lam / eplus
     if isinstance(spec, Jordan):
         n = spec.n
+        j = np.arange(n)
         x = spec.a * lam
-        growth = math.exp(x - math.log(eplus))  # e^x / e_plus(lam), e^x unformed
-        # e^x - 1 = e^x (1 - e^-x) keeps the diagonal finite for large x > 0
-        diag = growth * -math.expm1(-x) if x > 0 else math.expm1(x) / eplus
         t = np.zeros((n, n))
-        for j in range(1, n + 1):
-            t[j - 1, j - 1] = diag
-            for s in range(1, n - j + 1):
-                t[j + s - 1, j - 1] = growth * lam**s / math.factorial(s)
+        if x > 1.0:  # e^x - 1 = e^x (1 - e^-x) keeps the diagonal finite for large x
+            t[j, j] = math.exp(x - math.log(eplus)) * -math.expm1(-x)
+        else:
+            t[j, j] = ratio * _expm1_over(x) * spec.a
+        for s in range(1, n):  # e^x lam / e_plus(lam) times lam^(s-1) / s!, e^x unformed
+            t[j[s:], j[:-s]] = math.exp(x + math.log(ratio)) * lam ** (s - 1) / math.factorial(s)
         return t
     if isinstance(spec, Star):
         m = spec.n
         hub = m  # 0-based index of the hub
         x = lam * math.sqrt(m)
-        # cosh x - 1 = e^x (1 - e^-x)^2 / 2 and sinh x = e^x (1 - e^-2x) / 2
-        half_growth = math.exp(x - math.log(eplus)) / 2.0
-        cosh_minus_one = half_growth * math.expm1(-x) ** 2
-        hub_leaf = half_growth * -math.expm1(-2.0 * x) / math.sqrt(m)
+        # cosh x - 1 = e^x (1 - e^-x)^2 / 2 and sinh x = e^x (1 - e^-2x) / 2,
+        # over e_plus(lam) = lam / ratio with lam = x / sqrt(m); the factors
+        # are multiplied as logs, so only an entry past the float range overflows
+        log_growth = x + math.log(ratio)  # log(e^x lam / e_plus(lam))
+        cosh_minus_one = math.exp(log_growth + 2.0 * math.log(_expm1_over(-x))) * x * math.sqrt(m)
+        cosh_minus_one /= 2.0
+        hub_leaf = math.exp(log_growth + math.log(_expm1_over(-2.0 * x)))
         t = np.full((m + 1, m + 1), cosh_minus_one / m)
         t[hub, :] = hub_leaf
         t[:, hub] = hub_leaf
         t[hub, hub] = cosh_minus_one
         return t
     raise TypeError(f"unknown family spec {spec!r}")
+
+
+def _expm1_over(y: float) -> float:
+    """(e^y - 1) / y, and its limit 1 at y = 0."""
+    return math.expm1(y) / y if y else 1.0
 
 
 def line_argmax_offset(lam: float) -> int:

@@ -114,6 +114,7 @@ class Operator:
     """
 
     def __init__(self, n: int, rows, cols, values):
+        _at_least("n", n, 0)
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         values = np.asarray(values, dtype=float)
         if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
@@ -420,15 +421,6 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
-def _add(total: np.ndarray, q: np.ndarray, c: float, spare: np.ndarray) -> None:
-    """total += c * q through spare, in blocks of GATHER_ENTRIES that stay in
-    cache; elementwise, so bit for bit the sum of the whole arrays."""
-    total, q, spare = total.reshape(-1), q.reshape(-1), spare.reshape(-1)
-    for i in range(0, q.size, GATHER_ENTRIES):
-        block = slice(i, i + GATHER_ENTRIES)
-        total[block] += np.multiply(q[block], c, out=spare[block])
-
-
 def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, sampled=()):
     """The package's one power series: sum_{k>=1} w_k P_k with P_1 = first,
     P_{k+1} = step(P_k) and w_k = lam^k / k! (divided by e^lam - 1 when
@@ -484,7 +476,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
                 u = c * qmax if qmax else 0.0
                 if not math.isfinite(u):
                     raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
-                _add(total, q, c, spare)
+                total += np.multiply(q, c, out=spare)
                 r = lam * norm / (k + 1)
                 if u == 0.0:
                     # term K is zero in floating point: d^K is zero, and so
@@ -496,7 +488,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
                     bound = u / (1.0 - r) if r < 1.0 else math.inf
                     raise NoConvergenceWithinBudget(k, bound, tol)
             if at < len(sampled) and sampled[at][0] == k:
-                _add(estimate, q, _ldexp(sampled[at][1], s), spare)
+                estimate += np.multiply(q, _ldexp(sampled[at][1], s), out=spare)
                 at += 1
             if report is not None and at == len(sampled):
                 break

@@ -218,11 +218,8 @@ def pagerank(
     else:
         raise NoConvergence(max_iter, err, tol)
     stationary = x / x.sum()
-    if isinstance(d, Operator):
-        t, vectors = None, InfluenceVectors(d=n * stationary, f=np.ones(n))
-    else:
-        t = np.tile(stationary[:, None], (1, n))
-        vectors = influence_dependence(t)
+    t = None if isinstance(d, Operator) else np.tile(stationary[:, None], (1, n))
+    vectors = InfluenceVectors(d=n * stationary, f=np.ones(n))
     return IndirectInfluenceResult(
         T=t, vectors=vectors, config=config, diagnostics=iterations, stationary=stationary
     )

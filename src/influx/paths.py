@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, IndexOutOfRange
-from .graph import DirectInfluenceGraph, Edge, to_matrix
+from .graph import DirectInfluenceGraph, Edge, to_matrix, to_operator
 from .linalg import _at_least, _expm1, _log_expm1, _positive, mat_pow
 from .methods import pagerank_repair
 
@@ -247,25 +247,23 @@ def omega_lambda_sum(
     else:
         table = _walk_table(_adjacency(g), i, K, _weight)
         sums = [table[k][j] for k in range(1, K + 1)]
-    coef = 1.0
+    coef = lam / scale  # first, so a subnormal lam's lam / k! stays normal
     terms = []
     for k in range(1, K + 1):
-        coef *= lam / k
-        terms.append(sums[k - 1] * coef / scale)
+        terms.append(sums[k - 1] * coef)
+        coef *= lam / (k + 1)
     return math.fsum(terms)
 
 
 def omega_lambda_tail_bound(g: DirectInfluenceGraph, lam: float, K: int) -> float:
     """Geometric bound on the k > K tail of omega_lambda_sum, any (i, j).
 
-    Uses |omega_sum(k)| <= ||D||_inf^k, the same rule that truncates the
-    dense exponential series.
+    Uses |omega_sum(k)| <= ||D||_inf^k, the same rule and the same norm,
+    taken on the edge columns, that truncate the dense exponential series.
     """
     _positive("lam", lam)
     _at_least("truncation length", K, 1)
-    d = to_matrix(g)
-    norm = float(np.abs(d).sum(axis=1).max()) if d.size else 0.0
-    x = lam * norm
+    x = lam * to_operator(g).abs_sum(1)
     if x == 0.0:
         return 0.0
     r = x / (K + 1)

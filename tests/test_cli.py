@@ -493,6 +493,10 @@ def test_compare_unknown_method_exit_2(line3, capsys):
     code, _, err = run(capsys, "compare", "--methods", "pwp,sorcery", line3)
     assert code == 2
     assert "sorcery" in err
+    for methods in ("pwp,pwp", "pwp,micmac,pwp"):  # a repeat is refused, not run twice
+        code, out, err = run(capsys, "compare", "--methods", methods, line3)
+        assert (code, out) == (2, "")
+        assert err == f"error: --methods names pwp more than once, got {methods!r}\n"
 
 
 # -- compare ---------------------------------------------------------------------------
@@ -774,6 +778,23 @@ def test_non_finite_parameter_exit_2(line3, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+
+
+def test_montecarlo_checks_tol_before_sampling(line3, capsys, monkeypatch):
+    # a bad --tol exits 2 with the message it had after sampling, at once
+    # however large -N is; with lambda past e^lambda - 1's range too, the
+    # tol error comes first, as for compute
+    messages = [run(capsys, "montecarlo", "--tol", tol, "-N", "10", line3) for tol in ("0", "nan")]
+
+    def refuse(*args):
+        raise AssertionError("sampled before checking --tol")
+
+    monkeypatch.setattr(influx.cli, "sample_lengths", refuse)
+    for tol, expected in zip(("0", "nan"), messages):
+        assert run(capsys, "montecarlo", "--tol", tol, "-N", "30000000", line3) == expected
+        assert expected[0] == 2 and f"tol must be finite and > 0, got {float(tol)!r}" in expected[2]
+    code, _, err = run(capsys, "montecarlo", "--tol", "0", "--lambda", "800", line3)
+    assert (code, err) == messages[0][::2]
 
 
 # -- compute and compare share one report block per method -----------------------

@@ -68,7 +68,9 @@ def test_star_structure():
 
 # -- closed forms against the series kernel ------------------------------------------
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+# at the subnormal 1e-320 and 1e-310, e^lam - 1 and a * lam are subnormal
+# too, so a closed form that divides by e^lam - 1 last overflows or rounds
+@pytest.mark.parametrize("lam", [1e-320, 1e-310, 0.5, 1.0, 2.5])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_closed_form_matches_series(spec, lam):
     exact = closed_form_pwp(spec, lam)
@@ -207,11 +209,12 @@ def test_long_line_and_cycle_at_lambda_700():
 def test_star_closed_form_against_oracle():
     spec = Star(3)
     g = build(spec)
-    t = closed_form_pwp(spec, 1.0)
-    for i, j in ((4, 4), (4, 1), (1, 4), (1, 2), (2, 2)):
-        assert omega_lambda_sum(g, i, j, 1.0, 40) == pytest.approx(
-            t[i - 1, j - 1], abs=1e-9
-        )
+    for lam in (1.0, 1e-320):  # the second subnormal
+        t = closed_form_pwp(spec, lam)
+        for i, j in ((4, 4), (4, 1), (1, 4), (1, 2), (2, 2)):
+            assert omega_lambda_sum(g, i, j, lam, 40) == pytest.approx(
+                t[i - 1, j - 1], abs=1e-9
+            )
 
 
 # -- peak offset ------------------------------------------------------------------------

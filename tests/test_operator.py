@@ -101,6 +101,8 @@ def test_an_operator_with_no_entries_is_zero():
         ((2, [2], [0], [1.0]), DimensionMismatch),
         ((2, [0], [-1], [1.0]), DimensionMismatch),
         ((2, [0], [1], [math.inf]), ValueError),
+        ((-1, [], [], []), ValueError),
+        ((2.5, [], [], []), ValueError),
     ],
 )
 def test_operator_checks_its_columns(args, error):
@@ -150,7 +152,9 @@ def test_pagerank_on_web_columns_agrees_with_dense(g, p):
     assert fast.T is None and dense.T is not None
     assert np.allclose(fast.stationary, dense.stationary, rtol=1e-11, atol=1e-14)
     assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-11, atol=1e-14)
-    assert np.array_equal(fast.vectors.f, np.ones(g.n))
+    for result in (fast, dense):  # T holds the stationary vector in every column
+        assert np.array_equal(result.vectors.f, np.ones(g.n))
+        assert np.array_equal(result.vectors.d, g.n * result.stationary)
     assert abs(fast.diagnostics - dense.diagnostics) <= 1
 
 

@@ -288,6 +288,17 @@ def test_omega_lambda_single_edge_closed_form(lam):
         )
 
 
+@pytest.mark.parametrize("lam", [1e-320, 1e-310])
+def test_omega_lambda_at_subnormal_lambda_is_the_series(lam):
+    # lam^k / k! is subnormal here, so it must not be formed before the
+    # division by e^lam - 1
+    g = parse_edge_list("1,2,0.3\n2,1,0.7\n1,1,0.3")
+    t = pwp_matrix(to_matrix(g), lam)
+    for i in (1, 2):
+        for j in (1, 2):
+            assert omega_lambda_sum(g, i, j, lam, 5) == pytest.approx(t[i - 1, j - 1], abs=1e-15)
+
+
 def test_omega_lambda_nilpotent_truncation_exact():
     g = build(Line(5))
     t = pwp_matrix(to_matrix(g), 1.0)
@@ -320,6 +331,21 @@ def test_omega_lambda_tail_bound_shrinks():
     bounds = [omega_lambda_tail_bound(g, 1.0, K) for K in (5, 10, 20, 30)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
     assert bounds[-1] < 1e-30
+
+
+def test_omega_lambda_tail_bound_forms_no_dense_d(monkeypatch):
+    g = parse_edge_list("1,2,0.3\n2,1,0.7\n1,1,0.3\n3,1,-0.5")
+    expected = [omega_lambda_tail_bound(g, 1.0, K) for K in (1, 5, 30)]
+
+    def refuse(*args):
+        raise AssertionError("the tail bound formed a dense D")
+
+    monkeypatch.setattr(influx.paths, "to_matrix", refuse)
+    monkeypatch.setattr(influx.graph, "_matrix", refuse)
+    assert [omega_lambda_tail_bound(g, 1.0, K) for K in (1, 5, 30)] == expected
+    # ||D||_inf = 1.5, the absolute sum of row 1 (0.7 + 0.3 + 0.5), so at K = 1
+    # u = 1.5 / (e - 1) and r = 0.75
+    assert expected[0] == pytest.approx(1.5 / math.expm1(1.0) * 0.75 / 0.25, rel=1e-14)
 
 
 def test_omega_lambda_tail_bound_is_honest():
