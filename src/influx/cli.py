@@ -29,7 +29,7 @@ from .graph import (
     to_operator,
     web_operator,
 )
-from .linalg import _checked, mat_pow, pwp_matrix
+from .linalg import _at_least, _checked, mat_pow, pwp_matrix
 from .methods import micmac_vectors, pagerank, pwp_vectors, rank_vertices
 from .stochastic import estimate_and_exact, make_rng, moments, sample_lengths
 
@@ -310,8 +310,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"-N must be >= 1, got {args.samples}")
+    _at_least("-N", args.samples, 1)
     g = _load_graph(args.graph)
     d = to_operator(g)
     # lambda, tol and e^lambda - 1 before sampling, which takes time in -N; past

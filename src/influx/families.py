@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericOverflow
 from .graph import DirectInfluenceGraph, Edge
-from .linalg import _expm1, _positive
+from .linalg import _at_least, _expm1, _positive
 from .stochastic import pmf
 
 
@@ -29,8 +29,7 @@ class _Family:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _at_least("n", self.n, 1)
 
 
 class Line(_Family):
@@ -154,8 +153,10 @@ def _closed_form(spec: FamilySpec, lam: float, eplus: float) -> np.ndarray:
             t[j, j] = math.exp(x - math.log(eplus)) * -math.expm1(-x)
         else:
             t[j, j] = ratio * _expm1_over(x) * spec.a
-        for s in range(1, n):  # e^x lam / e_plus(lam) times lam^(s-1) / s!, e^x unformed
-            t[j[s:], j[:-s]] = math.exp(x + math.log(ratio)) * lam ** (s - 1) / math.factorial(s)
+        coef = math.exp(x + math.log(ratio))  # e^x lam / e_plus(lam), e^x unformed
+        for s in range(1, n):  # times lam^(s-1) / s!, as a running product
+            t[j[s:], j[:-s]] = coef
+            coef *= lam / (s + 1)
         return t
     if isinstance(spec, Star):
         m = spec.n

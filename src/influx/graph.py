@@ -20,7 +20,7 @@ from .errors import (
     MalformedLine,
     NonFiniteWeight,
 )
-from .linalg import Operator, _square
+from .linalg import Operator, _at_least, _square
 
 
 class Edge(NamedTuple):
@@ -70,8 +70,7 @@ class DirectInfluenceGraph:
 
 def _graph(n: int, source, target, weight, line_nos=None) -> DirectInfluenceGraph:
     """These columns as a graph, through the package's one edge check."""
-    if n < 0:
-        raise ValueError(f"vertex count must be >= 0, got {n}")
+    _at_least("vertex count", n, 0)
     try:
         ends = np.asarray((source, target), dtype=np.int64)
     except OverflowError:

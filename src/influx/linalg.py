@@ -394,20 +394,26 @@ def _poisson_weight(lam: float, k: int, normalised: bool) -> tuple[float, int]:
     """lam^k / k!, divided by e^lam - 1 when normalised (the length law's
     probability of k), as (m, e) with weight m * 2^e.
 
-    The direct form where it is a normal float; log space where it over- or
-    underflows, so the pair is finite and nonzero at every lam and k.
+    The direct form where it is a normal float; else, when normalised, the
+    same with lam / (e^lam - 1) taken first; log space where both over- or
+    underflow, so the pair is finite and nonzero at every lam and k.
     """
     if k <= 170:
+        tiny = sys.float_info.min
         try:
             num = lam**k
             den = math.expm1(lam) * math.factorial(k) if normalised else math.factorial(k)
-        except OverflowError:
-            pass  # the log-space form below stays finite
-        else:
-            tiny = sys.float_info.min
             w = num / den if num >= tiny and den >= tiny else 0.0
-            if tiny <= w <= sys.float_info.max:
-                return math.frexp(w)
+        except OverflowError:
+            w = 0.0
+        if normalised and not tiny <= w <= sys.float_info.max:
+            try:
+                num = lam / math.expm1(lam) * lam ** (k - 1)
+                w = num / math.factorial(k) if num >= tiny else 0.0
+            except OverflowError:
+                pass  # the log-space form below stays finite
+        if tiny <= w <= sys.float_info.max:
+            return math.frexp(w)
     log_w = k * math.log(lam) - math.lgamma(k + 1) - (_log_expm1(lam) if normalised else 0.0)
     e = math.floor(log_w / math.log(2.0))
     return math.exp(log_w - e * math.log(2.0)), e

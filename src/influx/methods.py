@@ -57,8 +57,7 @@ class PageRankConfig:
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly inside (0, 1), got {self.p}")
         _positive("tol", self.tol)
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        _at_least("max_iter", self.max_iter, 1)
 
 
 MethodConfig = PWPConfig | MicmacConfig | PageRankConfig

@@ -14,7 +14,6 @@ is still reachable in the steps left, so it visits only the paths it
 counted.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, IndexOutOfRange
-from .graph import DirectInfluenceGraph, Edge, to_matrix, to_operator
+from .graph import DirectInfluenceGraph, Edge, from_matrix, to_matrix, to_operator
 from .linalg import _at_least, _expm1, _log_expm1, _positive, mat_pow
-from .methods import pagerank_repair
+from .methods import PageRankConfig, pagerank_repair
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -183,8 +182,7 @@ def omega_sum(
 
 def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
     """p * repaired(D) + (1 - p) * E_n for the graph's direct matrix D."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    PageRankConfig(p=p)
     dbar = pagerank_repair(to_matrix(g))
     n = g.n
     return p * dbar + (1.0 - p) / n
@@ -204,22 +202,14 @@ def rho_sum(
     The damped matrix has no zero entries, so the walks live in the complete
     graph on [n] and there are n**(k-1) of them.  The value is read off the
     k-th power of the damped matrix, which equals the same sum; with
-    literal=True the sequences are enumerated instead (budget applies).
+    literal=True the walks of that complete graph are enumerated as
+    omega_sum's are (budget applies).
     """
     _check_walk(g, i, j, k)
     m = damped_matrix(g, p)
-    if not literal:
-        return float(mat_pow(m, k)[i - 1, j - 1])
-    n = g.n
-    _refuse_over_budget(n ** (k - 1), budget)
-    acc = 0.0
-    for mid in itertools.product(range(n), repeat=k - 1):
-        seq = (j - 1, *mid, i - 1)
-        w = 1.0
-        for a, b in zip(seq, seq[1:]):
-            w *= m[b, a]
-        acc += w
-    return acc
+    if literal:
+        return _literal_sums(from_matrix(m), i, j, [k], budget)[0]
+    return float(mat_pow(m, k)[i - 1, j - 1])
 
 
 def omega_lambda_sum(

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NumericOverflow
-from .linalg import _dense, _positive, _poisson_weight, mat_pow_sum
+from .linalg import _at_least, _dense, _positive, _poisson_weight, mat_pow_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +33,7 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max)
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded Philox 4x64 generator; the package's one source of randomness."""
+    _at_least("seed", seed, 0)
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -121,8 +122,7 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     _positive("lam", lam)
     if lam > POISSON_LAM_MAX:
         raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+    _at_least("size", size, 0)
     rest = rng.random(size)  # then lam - T, in place
     np.add(lam, np.log1p(np.multiply(rest, math.expm1(-lam), out=rest), out=rest), out=rest)
     # rounding may put the first arrival a hair past lam
@@ -169,8 +169,7 @@ def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:
     keyed by `seed` and averages the corresponding matrix powers.
     Deterministic for a fixed (seed, samples) pair.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _at_least("samples", samples, 1)
     lengths = sample_lengths(lam, samples, make_rng(seed))
     return estimate_from_lengths(d, lengths)
 
@@ -180,8 +179,7 @@ def bernoulli_numbers(K: int) -> list[Fraction]:
 
     Recurrence: sum_{j=0}^{k} C(k+1, j) B_j = 0 with B_0 = 1.
     """
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    _at_least("K", K, 0)
     numbers = [Fraction(1)]
     for m in range(1, K + 1):
         acc = Fraction(0)
@@ -198,8 +196,6 @@ def bernoulli_series(lam: float, K: int) -> float:
     """
     if not (0.0 < lam < TWO_PI):
         raise DomainError(f"series converges only for 0 < lam < 2*pi, got {lam}")
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
     numbers = bernoulli_numbers(K)
     # each term is formed as one exact rational before rounding: B_k alone
     # overflows a float long before B_k lam^k / k! does

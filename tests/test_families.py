@@ -206,6 +206,19 @@ def test_long_line_and_cycle_at_lambda_700():
         assert cycle[s % 200, 0] == pytest.approx(expected, rel=1e-12)
 
 
+def test_long_jordan_at_lambda_700():
+    # 700^109 alone overflows; each off-diagonal entry e^{a lam} lam^s /
+    # ((e^lam - 1) s!) is finite, the largest about 9e133
+    t = closed_form_pwp(Jordan(110, 1.0), 700.0)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(700)
+        scale = x.exp() / (x.exp() - 1)
+        for s in (1, 2, 50, 108, 109):
+            expected = float(scale * x**s / math.factorial(s))
+            assert t[s, 0] == pytest.approx(expected, rel=1e-12)
+            assert t[109, 109 - s] == t[s, 0]
+
+
 def test_star_closed_form_against_oracle():
     spec = Star(3)
     g = build(spec)

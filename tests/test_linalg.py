@@ -444,6 +444,61 @@ def test_numpy_integer_powers_are_accepted(call):
     assert np.array_equal(call(np.int64(2)), call(2))
 
 
+def _montecarlo_samples(v, tmp_path):
+    # argparse hands -N over as an int; any other value can reach the check
+    # only from a caller of cmd_montecarlo
+    path = tmp_path / "line3.csv"
+    path.write_text("1,2,1\n2,3,1\n")
+    args = influx.cli.build_parser().parse_args(["montecarlo", str(path), "-o", str(tmp_path / "r.json")])
+    args.samples = v
+    return influx.cli.cmd_montecarlo(args)
+
+
+# each integer parameter checked by linalg._at_least: (call, name, least)
+INTEGER_PARAMETERS = {
+    "vertex count": (lambda v, _: influx.DirectInfluenceGraph(v, ()), "vertex count", 0),
+    "family n": (lambda v, _: Line(v), "n", 1),
+    "sample_lengths": (lambda v, _: influx.sample_lengths(1.0, v, influx.make_rng(0)), "size", 0),
+    "monte_carlo_pwp": (lambda v, _: influx.monte_carlo_pwp(L3, 1.0, v, 0), "samples", 1),
+    "bernoulli_numbers": (lambda v, _: influx.bernoulli_numbers(v), "K", 0),
+    "bernoulli_series": (lambda v, _: influx.bernoulli_series(1.0, v), "K", 0),
+    "max_iter": (lambda v, _: PageRankConfig(max_iter=v), "max_iter", 1),
+    "montecarlo -N": (_montecarlo_samples, "-N", 1),
+    "make_rng": (lambda v, _: influx.make_rng(v), "seed", 0),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize("entry", INTEGER_PARAMETERS)
+def test_integer_parameters_refuse_floats_and_bools(entry, bad, tmp_path):
+    call, name, _ = INTEGER_PARAMETERS[entry]
+    with pytest.raises(ValueError) as exc:
+        call(bad, tmp_path)
+    assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("entry", INTEGER_PARAMETERS)
+def test_integer_parameters_out_of_range(entry, tmp_path):
+    # the message each check printed before it went through _at_least; the
+    # seed's is new, where numpy's named no parameter
+    call, name, least = INTEGER_PARAMETERS[entry]
+    for bad in sorted({least - 1, -1}):
+        with pytest.raises(ValueError) as exc:
+            call(bad, tmp_path)
+        assert str(exc.value) == f"{name} must be >= {least}, got {bad}"
+
+
+@pytest.mark.parametrize("entry", INTEGER_PARAMETERS)
+def test_integer_parameters_accept_numpy_integers(entry, tmp_path):
+    call, _, least = INTEGER_PARAMETERS[entry]
+    call(np.int64(max(least, 2)), tmp_path)
+
+
+def test_seed_past_philox_key_keeps_numpy_message():
+    with pytest.raises(ValueError, match="less than 2\\*\\*128"):
+        influx.make_rng(2**128)
+
+
 @pytest.mark.parametrize("lam", [800.0, 1e308])
 def test_pwp_matrix_overflowing_lambda_is_typed(lam):
     with pytest.raises(NumericOverflow):

@@ -265,6 +265,21 @@ def test_rho_literal_budget():
     with pytest.warns(UserWarning):
         with pytest.raises(BudgetExceeded):
             rho_sum(g, 1, 1, 9, 0.86, literal=True, budget=100)
+    # the damped matrix has no zero entry, so there are exactly n**(k-1) walks
+    k = 5
+    with pytest.warns(UserWarning, match=f"refusing to enumerate {4 ** (k - 1)} paths"):
+        with pytest.raises(BudgetExceeded):
+            rho_sum(g, 1, 1, k, 0.86, literal=True, budget=4 ** (k - 1) - 1)
+    value = rho_sum(g, 1, 1, k, 0.86, literal=True, budget=4 ** (k - 1))
+    assert type(value) is float
+    assert value == pytest.approx(rho_sum(g, 1, 1, k, 0.86), abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 2.5, -0.5])
+def test_damped_matrix_p_must_lie_inside_unit_interval(p):
+    with pytest.raises(ValueError) as exc:
+        damped_matrix(L3, p)
+    assert str(exc.value) == f"p must lie strictly inside (0, 1), got {p}"
 
 
 def test_rho_converges_to_stationary_column():

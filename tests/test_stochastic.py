@@ -47,6 +47,26 @@ def test_pmf_where_e_lambda_overflows():
     assert math.fsum(pmf(800.0, k) for k in range(1, 2_000)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pmf_at_tiny_lambda():
+    # lam^2 underflows, but lam / (e^lam - 1) * lam / 2! does not
+    assert pmf(1e-200, 2) == 1e-200 / 2
+
+
+def test_pmf_where_e_lambda_times_k_factorial_overflows():
+    # (e^400 - 1) k! leaves the float range from k = 89 on, lam^k from k = 119
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(400)
+        for k in (89, 100, 118):
+            expected = float(x**k / (math.factorial(k) * (x.exp() - 1)))
+            assert pmf(400.0, k) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_pmf_direct_form_first(lam):
+    for k in range(1, 80):
+        assert pmf(lam, k) == lam**k / (math.expm1(lam) * math.factorial(k))
+
+
 def test_pmf_no_mass_at_zero():
     with pytest.raises(DomainError):
         pmf(1.0, 0)
