@@ -31,7 +31,7 @@ from .graph import (
 )
 from .linalg import _at_least, _checked, mat_pow, pwp_matrix
 from .methods import micmac_vectors, pagerank, pwp_vectors, rank_vertices
-from .stochastic import estimate_and_exact, make_rng, moments, sample_lengths
+from .stochastic import estimate_and_exact, estimate_and_exact_vectors, make_rng, moments, sample_lengths
 
 def canonical_float(x: float) -> float:
     """Round to 12 significant digits so repr() is short and stable."""
@@ -317,22 +317,32 @@ def cmd_montecarlo(args) -> int:
     # its range lambda is a numeric failure (exit 3), whatever the sampler makes of it
     _checked(args.lam, args.tol, True)
     lengths = sample_lengths(args.lam, args.samples, make_rng(args.seed))
-    estimate, exact = estimate_and_exact(d, args.lam, lengths, args.tol)
-    error = np.subtract(estimate, exact)
+    # the errors of the sampled d and f, and their z-scores where the
+    # standard error is above 0; T is formed only when it is printed
+    estimate, exact, sigma = estimate_and_exact_vectors(d, args.lam, lengths, args.tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = np.abs(estimate - exact)
+        z = error[sigma > 0] / sigma[sigma > 0]
+        errors = {
+            "max_abs_error": error.max(initial=0.0),
+            "max_abs_z": z.max(initial=0.0),
+            "mean_abs_z": z.mean() if z.size else 0.0,
+        }
+    if not np.isfinite(list(errors.values())).all():
+        raise NumericOverflow("the sampling error of d or f or its z-score")
     report = {
         "graph": _graph_summary(g),
         "lambda": args.lam,
         "samples": args.samples,
         "seed": args.seed,
-        "max_abs_error": float(np.abs(error, out=error).max(initial=0.0)),
+        **errors,
         "mean_length": {
             "empirical": float(lengths.mean()),
             "expected": moments(args.lam).mean,
         },
     }
     if args.emit_matrix:
-        report["estimate"] = estimate
-        report["exact"] = exact
+        report["estimate"], report["exact"] = estimate_and_exact(d, args.lam, lengths, args.tol)
     _emit(dumps_report(report), args.output)
     return 0
 
@@ -405,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(func=cmd_generate)
 
     montecarlo = sub.add_parser(
-        "montecarlo", help="sampled estimate of the pwp matrix vs the exact one"
+        "montecarlo",
+        help="sampled estimates of pwp's d and f vs the exact ones, with z-scores",
     )
     montecarlo.add_argument("graph")
     montecarlo.add_argument(

@@ -153,10 +153,16 @@ def _closed_form(spec: FamilySpec, lam: float, eplus: float) -> np.ndarray:
             t[j, j] = math.exp(x - math.log(eplus)) * -math.expm1(-x)
         else:
             t[j, j] = ratio * _expm1_over(x) * spec.a
-        coef = math.exp(x + math.log(ratio))  # e^x lam / e_plus(lam), e^x unformed
-        for s in range(1, n):  # times lam^(s-1) / s!, as a running product
-            t[j[s:], j[:-s]] = coef
-            coef *= lam / (s + 1)
+        # e^x lam / e_plus(lam) times lam^(s-1) / s!, as a running product
+        # m 2^e: e^x = (e^(x/2))^2 is a product of normal floats for |x| < 1416,
+        # past which every entry leaves the float range
+        m, e = math.frexp(math.exp(x / 2.0))
+        m, shift = math.frexp(m * m * ratio)
+        e = 2 * e + shift
+        for s in range(1, n):
+            t[j[s:], j[:-s]] = math.ldexp(m, e)
+            m, shift = math.frexp(m * (lam / (s + 1)))
+            e += shift
         return t
     if isinstance(spec, Star):
         m = spec.n

@@ -98,8 +98,9 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
 
     `text` may be a string or any iterable of lines.  Lines that are blank
     or start with '#' are skipped.  The vertex count is the largest index
-    seen, or `n` if that is larger.  Duplicate (source, target) pairs are a
-    hard error rather than last-wins, so data bugs surface immediately.
+    seen, or `n`, an integer >= 0, if that is larger.  Duplicate (source,
+    target) pairs are a hard error rather than last-wins, so data bugs
+    surface immediately.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     rows = []
@@ -113,6 +114,8 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
         except ValueError:
             raise MalformedLine(line_no, raw.rstrip("\n")) from None
     source, target, weight, line_nos = tuple(zip(*rows)) or ((), (), (), ())
+    if n is not None:
+        _at_least("n", n, 0)
     n = max(max(source, default=0), max(target, default=0), n or 0)
     return _graph(n, source, target, weight, line_nos)
 

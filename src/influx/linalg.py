@@ -20,7 +20,9 @@ The row and column sums of e_plus(x) and of integer powers, which are all
 the rankings need, come from matrix-vector products without forming the
 matrix (the action of the matrix function, Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33(2), 2011), by an Operator: a dense d, or the columns of its
-nonzeros, whose products take O(nnz).
+nonzeros, whose products take O(nnz).  The same vector chains carry a
+sampled sum over given powers and its sum of squares, which give the
+Monte Carlo estimates of those sums their standard errors.
 """
 
 import math
@@ -427,12 +429,14 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
-def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, sampled=()):
+def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, sampled=(),
+           squares: bool = False):
     """The package's one power series: sum_{k>=1} w_k P_k with P_1 = first,
     P_{k+1} = step(P_k) and w_k = lam^k / k! (divided by e^lam - 1 when
     normalised), and along the same pass sum_k v P_k over the ascending
-    (k >= 1, v) pairs in `sampled`.  Returns (series sum, sampled sum or
-    None, report).
+    (k >= 1, v) pairs in `sampled`, and with `squares` sum_k v P_k^2, entry
+    by entry, too.  Returns (series sum, sampled sum or None, sampled sum
+    of squares or None, report).
 
     `norm` must bound each step in the max-absolute-entry norm:
     |step(P)| <= norm * |P|.  After adding term K, with u_K the max norm of
@@ -452,9 +456,9 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     2002, section 4.2), so by K eps |T| for a nonnegative d, but by up to
     eps e^{lam ||d||} where terms cancel.  The pass works in `first`, which
     it overwrites and lets go of before it returns, and in two arrays
-    allocated before it starts (three with `sampled`): step(q, out) writes
-    the next power into out, which also holds each term on its way into
-    the sums until then.
+    allocated before it starts (three with `sampled`, four with `squares`
+    too): step(q, out) writes the next power into out, which also holds
+    each term on its way into the sums until then.
 
     Raises NoConvergenceWithinBudget if the bound is still above tol after
     MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
@@ -465,6 +469,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     q += 0.0  # turns -0.0 into +0.0 as mat_pow does
     spare, total = np.empty_like(q), np.zeros_like(q)
     estimate = np.zeros_like(q) if sampled else None
+    second = np.zeros_like(q) if sampled and squares else None
     s, k, at, report = 0, 1, 0, None
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -494,7 +499,10 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
                     bound = u / (1.0 - r) if r < 1.0 else math.inf
                     raise NoConvergenceWithinBudget(k, bound, tol)
             if at < len(sampled) and sampled[at][0] == k:
-                estimate += np.multiply(q, _ldexp(sampled[at][1], s), out=spare)
+                share = sampled[at][1]
+                estimate += np.multiply(q, _ldexp(share, s), out=spare)
+                if second is not None:
+                    second += np.multiply(np.square(q, out=spare), _ldexp(share, 2 * s), out=spare)
                 at += 1
             if report is not None and at == len(sampled):
                 break
@@ -506,7 +514,9 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
         raise NumericOverflow("exponential series sum", report.terms_used, tol)
     if estimate is not None and not np.isfinite(estimate).all():
         raise NumericOverflow("weighted sum of matrix powers")
-    return total, estimate, report
+    if second is not None and not np.isfinite(second).all():
+        raise NumericOverflow("weighted sum of squared matrix powers")
+    return total, estimate, second, report
 
 
 def _expm1(lam: float) -> float:
@@ -532,24 +542,30 @@ def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
     op = _operator(d)
     first, _, step, leave = _stepper(op)
     # the row-sum norm bounds d P_k, and P_k d = d P_k as powers of d commute
-    total, estimate, report = _chain(first(), step, op.abs_sum(1), lam, tol, normalised, sampled)
+    total, estimate, _, report = _chain(first(), step, op.abs_sum(1), lam, tol, normalised, sampled)
     return leave(total), None if estimate is None else leave(estimate), report
 
 
-def _vectors(d, lam: float, tol: float, normalised: bool):
-    """The series over d^k 1 and 1 d^k; see :func:`exp_plus_vectors`."""
+def _vectors(d, lam: float, tol: float, normalised: bool, sampled=()):
+    """The series over d^k 1 and 1 d^k (see :func:`exp_plus_vectors`), and
+    with `sampled` their sampled sums and sampled sums of squares (see
+    :func:`_chain`), as (series sums, sampled sums, sampled sums of squares,
+    report), each a (row sums, column sums) pair, of Nones for what was
+    not sampled."""
     _checked(lam, tol, normalised)
     op = _operator(d)
     ones = np.ones(op.n)
-    rows, _, by_row = _chain(op.matvec(ones), lambda v, out: np.copyto(out, op.matvec(v)),
-                             op.abs_sum(1), lam, tol, normalised)
-    cols, _, by_col = _chain(op.rmatvec(ones), lambda v, out: np.copyto(out, op.rmatvec(v)),
-                             op.abs_sum(0), lam, tol, normalised)
+    sides = [
+        _chain(product(ones), lambda v, out, product=product: np.copyto(out, product(v)),
+               op.abs_sum(axis), lam, tol, normalised, sampled, squares=True)
+        for product, axis in ((op.matvec, 1), (op.rmatvec, 0))
+    ]
+    totals, estimates, seconds, (by_row, by_col) = zip(*sides)
     report = SeriesReport(
         terms_used=max(by_row.terms_used, by_col.terms_used),
         tail_bound=max(by_row.tail_bound, by_col.tail_bound),
     )
-    return rows, cols, report
+    return totals, estimates, seconds, report
 
 
 def exp_plus(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, SeriesReport]:
@@ -580,7 +596,8 @@ def exp_plus_vectors(
     below tol in max norm; the report gives the longer series' term count
     and the larger of the two bounds.  Raises like :func:`exp_plus`.
     """
-    return _vectors(d, lam, tol, normalised=False)
+    (rows, cols), _, _, report = _vectors(d, lam, tol, normalised=False)
+    return rows, cols, report
 
 
 def pwp_matrix_report(d, lam: float = 1.0, tol: float = 1e-12) -> tuple[np.ndarray, SeriesReport]:
@@ -607,4 +624,5 @@ def pwp_vectors_report(
     """Row and column sums of :func:`pwp_matrix` without forming it, each
     accurate to tol in max norm, with a report like that of
     :func:`exp_plus_vectors`; d is a matrix or an :class:`Operator`."""
-    return _vectors(d, lam, tol, normalised=True)
+    (rows, cols), _, _, report = _vectors(d, lam, tol, normalised=True)
+    return rows, cols, report

@@ -5,7 +5,9 @@ series for the single-edge influence.
 The length law is the zero-truncated Poisson distribution
 p(k) = lam^k / (e_plus(lam) * k!) for k >= 1.  Drawing a length K from p and
 averaging D^K over many draws converges to the exponential walk-weighting
-matrix, which is exactly what monte_carlo_pwp does.
+matrix, which is exactly what monte_carlo_pwp does; averaging D^K 1 and
+1 D^K gives its row and column sums, with a standard error for each
+(estimate_and_exact_vectors).
 
 Randomness comes from the Philox 4x64 counter-based generator (10 rounds,
 as implemented by numpy) keyed by the caller's seed, so every estimate is
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NumericOverflow
-from .linalg import _at_least, _dense, _positive, _poisson_weight, mat_pow_sum
+from .linalg import _at_least, _dense, _positive, _poisson_weight, _vectors, mat_pow_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,6 +148,15 @@ def estimate_from_lengths(d, lengths) -> np.ndarray:
     return mat_pow_sum(d, *_frequencies(lengths))
 
 
+def _sampled(lengths) -> list[tuple[int, float]]:
+    """The distinct sampled walk lengths, ascending, each with its share:
+    the (k, v) pairs of the power chain's sampled sum."""
+    values, shares = _frequencies(lengths)
+    if not np.issubdtype(values.dtype, np.integer) or values[0] < 1:
+        raise ValueError(f"sampled lengths must be integers >= 1, got {values[0]!r}")
+    return list(zip(values.tolist(), shares.tolist()))
+
+
 def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """:func:`estimate_from_lengths` and the exact pwp matrix
     (:func:`influx.linalg.pwp_matrix`) from one pass over the powers of d:
@@ -155,11 +166,37 @@ def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.n
     for bit when the lengths run consecutively from 1, and to rounding
     otherwise.
     """
-    values, shares = _frequencies(lengths)
-    if not np.issubdtype(values.dtype, np.integer) or values[0] < 1:
-        raise ValueError(f"sampled lengths must be integers >= 1, got {values[0]!r}")
-    exact, estimate, _ = _dense(d, lam, tol, normalised=True, sampled=zip(values.tolist(), shares.tolist()))
+    exact, estimate, _ = _dense(d, lam, tol, normalised=True, sampled=_sampled(lengths))
     return estimate, exact
+
+
+def estimate_and_exact_vectors(
+    d, lam: float, lengths, tol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row sums d = T 1 and column sums f = 1 T of
+    :func:`estimate_and_exact`'s estimate and exact T, and each estimated
+    sum's standard error, without forming a matrix; d is a matrix or an
+    :class:`influx.linalg.Operator`.  Each is a (2, n) array, d's row first.
+
+    One pass over the vectors v_k = d^k 1 (1 d^k for f) sums the exact
+    series of :func:`influx.linalg.pwp_vectors_report`, bit for bit, the
+    sampled mean m1 = sum_k (c_k / N) v_k, where c_k of the N lengths are k,
+    and the sampled second moment m2 = sum_k (c_k / N) v_k^2.  The standard
+    error of m1 is sqrt((m2 - m1^2) / N), and 0 where m2 - m1^2 is within
+    its rounding error, 2 (L + 1) eps m2 for L distinct lengths: where every
+    sampled v_k is the same, say 1, it would otherwise read about
+    sqrt(eps / N), and a length too rare to be sampled would give a z-score
+    of up to 1e5.  Raises like :func:`estimate_and_exact`, and NumericOverflow
+    where m2 leaves the float range.
+    """
+    lengths = np.asarray(lengths)
+    sampled = _sampled(lengths)
+    exact, estimate, second, _ = _vectors(d, lam, tol, normalised=True, sampled=sampled)
+    estimate, second = np.array(estimate), np.array(second)
+    with np.errstate(over="ignore"):
+        variance = second - estimate * estimate  # -inf where m1^2 overflows
+    variance[variance <= 2 * (len(sampled) + 1) * np.finfo(float).eps * second] = 0.0
+    return estimate, np.array(exact), np.sqrt(variance / lengths.size)
 
 
 def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:

@@ -25,3 +25,19 @@ def poisson_matrix():
         return np.where(rng.random((n, n)) < degree / n, rng.uniform(0, 0.4, (n, n)), 0.0)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def edge_list():
+    """edge_list(n, seed): the text of an n-vertex edge list of about 5 edges
+    a vertex, weights from U(0, 0.4], vertex n among the sources; made from
+    the edges alone, so no n x n array is formed at any n."""
+
+    def make(n, seed):
+        rng = np.random.default_rng(seed)
+        pairs = np.unique(np.append(rng.integers(0, n * n, 5 * n), (n - 1) * n))  # source * n + target
+        weights = 0.4 * (1.0 - rng.random(pairs.size))
+        return "".join(f"{s},{t},{w!r}\n" for s, t, w in zip(
+            (pairs // n + 1).tolist(), (pairs % n + 1).tolist(), weights.tolist()))
+
+    return make

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -610,6 +611,7 @@ def test_montecarlo_line3(line3, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["max_abs_error"] < 0.01
+    assert 0 < report["mean_abs_z"] <= report["max_abs_z"] < 6
     assert report["samples"] == 100000
     assert report["mean_length"]["expected"] == pytest.approx(
         math.e / (math.e - 1), abs=1e-10
@@ -645,6 +647,98 @@ def test_montecarlo_deterministic(line3, capsys):
     a = run(capsys, "montecarlo", line3, "-N", "2000", "--seed", "9")[1]
     b = run(capsys, "montecarlo", line3, "-N", "2000", "--seed", "9")[1]
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def graph_20000(tmp_path_factory, edge_list):
+    path = tmp_path_factory.mktemp("n20000") / "g.csv"
+    path.write_text(edge_list(20_000, 7))
+    return str(path)
+
+
+def test_montecarlo_deterministic_at_n_20000(graph_20000, capsys):
+    # four n x n arrays would take 12.8 GB here; the vector chains take a
+    # few n-vectors
+    argv = ["montecarlo", graph_20000, "--lambda", "4", "-N", "100000", "--seed", "9"]
+    a, b = run(capsys, *argv), run(capsys, *argv)
+    assert a == b and a[0] == 0 and a[2] == ""
+    report = json.loads(a[1])
+    assert report["graph"]["n"] == 20_000 and report["max_abs_z"] < 6
+
+
+def test_montecarlo_max_abs_error_is_over_d_and_f(tmp_path, capsys):
+    # the same field with and without --emit-matrix: the largest error of
+    # the sampled row and column sums of T, not of its entries
+    text = "1,2,0.5\n2,3,0.7\n3,1,0.9\n3,4,0.4\n4,2,0.3\n4,4,0.2\n"
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    argv = ["montecarlo", str(path), "--lambda", "2", "-N", "5000", "--seed", "3"]
+    plain = json.loads(run(capsys, *argv)[1])
+    full = json.loads(run(capsys, *argv, "--emit-matrix")[1])
+    estimate, exact = np.array(full.pop("estimate")), np.array(full.pop("exact"))
+    assert plain == full
+    error = estimate - exact
+    sums = np.abs(np.concatenate([error.sum(axis=1), error.sum(axis=0)]))
+    # each printed entry is rounded to 12 digits
+    assert plain["max_abs_error"] == pytest.approx(sums.max(), rel=0, abs=1e-10)
+
+
+def _montecarlo_report(text, *argv):
+    """montecarlo's report on the edge list `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "g.csv", Path(tmp) / "r.json"
+        path.write_text(text)
+        assert main(["montecarlo", str(path), *argv, "-o", str(out)]) == 0
+        return json.loads(out.read_text())
+
+
+FAMILIES = [influx.Line(1), influx.Line(6), influx.Cycle(5), influx.Jordan(4, 0.5), influx.Jordan(3, 2.0),
+            influx.Jordan(4, -1.0), influx.Star(7)]
+
+
+@pytest.mark.parametrize("lam", ["0.5", "1"])
+@pytest.mark.parametrize("spec", FAMILIES, ids=repr)
+def test_montecarlo_z_scores_stay_small_on_every_family(spec, lam):
+    # seeds 0-4, fixed.  The sample's standard error undershoots where
+    # E[(D^K 1)^2] rests on lengths too rare to be drawn: Star(7), of
+    # spectral radius sqrt(7), reads a largest |z| of 6.1 on two of six
+    # seeds at lambda = 4
+    text = influx.format_edge_list(influx.build(spec))
+    for seed in range(5):
+        report = _montecarlo_report(text, "--lambda", lam, "-N", "2000", "--seed", str(seed))
+        assert report["max_abs_z"] < 6
+
+
+@st.composite
+def _scaled_graphs(draw):
+    """Graphs of up to 9 vertices with signed weights and self-loops, scaled
+    so that no absolute row or column sum of D exceeds 1."""
+    n = draw(st.integers(1, 9))
+    present = draw(arrays(bool, (n, n)))
+    weights = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    weights = np.where(present, weights, 0.0)
+    weights /= max(1.0, np.abs(weights).sum(axis=0).max(), np.abs(weights).sum(axis=1).max())
+    source, target = np.nonzero(present)
+    g = influx.DirectInfluenceGraph(n, zip(source + 1, target + 1, weights[present]))
+    return influx.format_edge_list(g)
+
+
+@given(_scaled_graphs(), st.sampled_from(["0.5", "4"]), st.integers(0, 4))
+def test_montecarlo_z_scores_stay_small_on_signed_graphs(text, lam, seed):
+    report = _montecarlo_report(text, "--lambda", lam, "-N", "2000", "--seed", str(seed))
+    assert report["max_abs_z"] < 6
+
+
+def test_montecarlo_infinite_z_score_exits_3(line3, capsys, monkeypatch):
+    # an error of 1 over a subnormal standard error
+    def tiny_error_bars(d, lam, lengths, tol):
+        n = d.n
+        return np.ones((2, n)), np.zeros((2, n)), np.full((2, n), 5e-324)
+
+    monkeypatch.setattr(influx.cli, "estimate_and_exact_vectors", tiny_error_bars)
+    code, out, err = run(capsys, "montecarlo", line3, "-N", "10")
+    assert (code, out) == (3, "")
+    assert err == "error: the sampling error of d or f or its z-score overflows the float range\n"
 
 
 def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys):

@@ -219,6 +219,23 @@ def test_long_jordan_at_lambda_700():
             assert t[109, 109 - s] == t[s, 0]
 
 
+def test_jordan_with_negative_a_at_lambda_700_keeps_its_small_entries():
+    # e^{a lam} lam / (e^lam - 1) is about 7e-607 here, so a running product
+    # that starts from it as one float is 0 down the whole column; the
+    # entries climb back to 1.49e-306 at s = 699
+    t = closed_form_pwp(Jordan(700, -1.0), 700.0)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(700)
+        eplus = x.exp() - 1
+        column = [float(((-x).exp() - 1) / eplus)]
+        column += [float((-x).exp() * x**s / (math.factorial(s) * eplus)) for s in range(1, 700)]
+    column = np.array(column)
+    assert column[699] == pytest.approx(1.486524296126e-306, rel=1e-12)
+    # rounding of a subnormal result is at most half its spacing, 2^-1075
+    assert np.all(np.abs(t[:, 0] - column) <= 1e-12 * np.abs(column) + 2.0**-1075)
+    assert np.count_nonzero(t[:, 0]) == np.count_nonzero(column) > 200
+
+
 def test_star_closed_form_against_oracle():
     spec = Star(3)
     g = build(spec)

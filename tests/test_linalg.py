@@ -8,6 +8,7 @@ and the commuting-sum product identity.
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from influx import (
     Line,
     NoConvergenceWithinBudget,
     NumericOverflow,
+    Operator,
     PageRankConfig,
     PWPConfig,
     build,
@@ -38,6 +40,7 @@ from influx import (
     pwp_matrix_report,
     pwp_vectors_report,
     to_matrix,
+    to_operator,
 )
 from influx.linalg import SPARSE_CUTOFF, _SlicedEll, _sliced_ell
 
@@ -457,6 +460,8 @@ def _montecarlo_samples(v, tmp_path):
 # each integer parameter checked by linalg._at_least: (call, name, least)
 INTEGER_PARAMETERS = {
     "vertex count": (lambda v, _: influx.DirectInfluenceGraph(v, ()), "vertex count", 0),
+    # below the largest index, where the count it would raise is ignored
+    "parse_edge_list n": (lambda v, _: parse_edge_list("1,2,1\n", v), "n", 0),
     "family n": (lambda v, _: Line(v), "n", 1),
     "sample_lengths": (lambda v, _: influx.sample_lengths(1.0, v, influx.make_rng(0)), "size", 0),
     "monte_carlo_pwp": (lambda v, _: influx.monte_carlo_pwp(L3, 1.0, v, 0), "samples", 1),
@@ -803,6 +808,8 @@ def test_pwp_matrix_takes_one_product_per_term(matmuls, steps, poisson_matrix):
 
 
 def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, steps, poisson_matrix):
+    # the matrix chain runs for --emit-matrix's estimate and exact T; the
+    # vector chains beside it take no dense product
     lam, samples, seed = 4.0, 20_000, 3
     for n, degree in BOTH_STEPS:
         text = influx.format_edge_list(influx.from_matrix(poisson_matrix(n, 15, degree)))
@@ -810,7 +817,8 @@ def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, s
         path.write_text(text)
         d = to_matrix(parse_edge_list(text))
         assert (_sliced_ell(d) is None) == (n == 40)
-        argv = ["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed)]
+        argv = ["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed),
+                "--emit-matrix"]
         matmuls.clear()
         products.clear()
         steps.clear()
@@ -821,6 +829,42 @@ def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, s
         assert d.shape == (n, n) and terms != longest
         assert used == max(terms, longest) - 1
         assert used < (terms - 1) + (longest - 1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.02], ids=["series-longer", "sampled-longer"])
+def test_montecarlo_takes_each_vector_product_once(tmp_path, capsys, monkeypatch, poisson_matrix, scale):
+    # per side, the product d 1 (1 d), then one step a power up to the longer
+    # of that side's series and the longest sampled length
+    lam, samples, seed = 4.0, 20_000, 3
+    text = influx.format_edge_list(influx.from_matrix(scale * poisson_matrix(400, 15)))
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    products = {"matvec": 0, "rmatvec": 0}
+    for name in products:
+        real = getattr(Operator, name)
+
+        def counted(self, *args, name=name, real=real):
+            products[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Operator, name, counted)
+    reports = []
+    real_chain = influx.linalg._chain
+
+    def chain(*args, **kwargs):
+        result = real_chain(*args, **kwargs)
+        reports.append(result[-1])
+        return result
+
+    monkeypatch.setattr(influx.linalg, "_chain", chain)
+    assert main(["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed)]) == 0
+    by_row, by_col = reports
+    longest = int(influx.sample_lengths(lam, samples, influx.make_rng(seed)).max())
+    assert (by_row.terms_used > longest) == (scale == 1.0)
+    assert products == {"matvec": max(by_row.terms_used, longest), "rmatvec": max(by_col.terms_used, longest)}
+    monkeypatch.undo()
+    want = pwp_vectors_report(to_operator(parse_edge_list(text)), lam)[2].terms_used
+    assert max(by_row.terms_used, by_col.terms_used) == want
 
 
 def _peak_buffers(call, n):
@@ -856,14 +900,38 @@ def _montecarlo_file(tmp_path, poisson_matrix, n):
 
 
 def test_montecarlo_holds_four_n_by_n_buffers(tmp_path, poisson_matrix):
+    # the matrix chain of --emit-matrix, on the operator montecarlo passes it;
+    # the writer's nested lists of the two matrices would dwarf it in main
     n = 600
     path = _montecarlo_file(tmp_path, poisson_matrix, n)
-    argv = ["montecarlo", path, "--lambda", "4", "-N", "2000", "-o", str(tmp_path / "r.json")]
-    influx.make_rng(0)  # numpy.random's modules load once, outside the measurement
+    d = to_operator(parse_edge_list(Path(path).read_text()))
+    lengths = influx.sample_lengths(4.0, 2000, influx.make_rng(0))
     # the two powers, the sum and the sampled sum, and a gather of at most
     # GATHER_ENTRIES (0.18 n^2 here): no dense D, no row-ordered copy of it
     # and no n x n scratch
-    assert _peak_buffers(lambda: main(argv), n) <= 4.5
+    assert _peak_buffers(lambda: influx.estimate_and_exact(d, 4.0, lengths), n) <= 4.5
+
+
+def test_montecarlo_without_the_matrix_forms_no_n_by_n_array(tmp_path, monkeypatch, edge_list):
+    # d and f come from the vector chains, so the matrix chain never starts
+    n = 2000
+    path = tmp_path / "g.csv"
+    path.write_text(edge_list(n, 17))
+
+    def refuse(op):
+        raise AssertionError("montecarlo ran the matrix chain without --emit-matrix")
+
+    monkeypatch.setattr(influx.linalg, "_stepper", refuse)
+    # the parser's Python tuples, about 0.12 n^2 floats here, are read
+    # outside the measurement, as are numpy.random's modules
+    g = parse_edge_list(path.read_text())
+    monkeypatch.setattr(influx.cli, "_load_graph", lambda _: g)
+    influx.make_rng(0)
+    argv = ["montecarlo", str(path), "--lambda", "4", "-N", "2000", "-o", str(tmp_path / "r.json")]
+    codes = []
+    # the edge columns, a few n-vectors, the lengths and the report
+    assert _peak_buffers(lambda: codes.append(main(argv)), n) < 0.05
+    assert codes == [0]
 
 
 def test_montecarlo_forms_no_dense_d(tmp_path, monkeypatch, poisson_matrix):

@@ -30,6 +30,7 @@ from influx import (
     build,
     closed_form_pwp,
     estimate_and_exact,
+    estimate_and_exact_vectors,
     make_rng,
     exp_plus_vectors,
     influence_dependence,
@@ -40,6 +41,7 @@ from influx import (
     parse_edge_list,
     pwp_matrix_report,
     pwp_vectors,
+    pwp_vectors_report,
     sample_lengths,
     to_matrix,
     to_operator,
@@ -218,6 +220,18 @@ def test_matrix_chain_on_columns_is_bit_for_bit_the_dense_one(g, lam, seed):
     (t, report), (want_t, want_report) = pwp_matrix_report(columns, lam), pwp_matrix_report(dense, lam)
     # the stop rule reads the norm, now a bincount of |w| by row
     assert np.array_equal(t, want_t) and report.terms_used == want_report.terms_used
+
+
+@given(_graphs(), st.sampled_from([0.5, 4.0]), st.integers(0, 3))
+@example(DirectInfluenceGraph(0), 4.0, 0)
+def test_montecarlo_exact_vectors_are_pwp_vectors_report(g, lam, seed):
+    # the vector chains run on past the series to the longest sampled
+    # length, adding nothing more to it
+    op = to_operator(g)
+    lengths = sample_lengths(lam, 300, make_rng(seed))
+    _, (d, f), _ = estimate_and_exact_vectors(op, lam, lengths)
+    want_d, want_f, _ = pwp_vectors_report(op, lam)
+    assert d.tobytes() == want_d.tobytes() and f.tobytes() == want_f.tobytes()
 
 
 # -- the command line on the edge columns against the dense path ---------------------

@@ -17,13 +17,16 @@ from influx import (
     build,
     chebyshev_bound,
     estimate_and_exact,
+    estimate_and_exact_vectors,
     estimate_from_lengths,
     Line,
     make_rng,
     moments,
     monte_carlo_pwp,
     pmf,
+    mat_pow,
     pwp_matrix,
+    pwp_vectors_report,
     sample_length,
     sample_lengths,
     to_matrix,
@@ -361,6 +364,51 @@ def test_estimate_and_exact_reaches_lengths_past_the_series():
 def test_estimate_and_exact_rejects_lengths_outside_the_law(lengths):
     with pytest.raises(ValueError):
         estimate_and_exact(np.eye(2), 1.0, lengths)
+    with pytest.raises(ValueError):
+        estimate_and_exact_vectors(np.eye(2), 1.0, lengths)
+
+
+@given(_matrix_and_lengths())
+def test_estimate_and_exact_vectors_are_the_sample_moments_of_the_powers(case):
+    d, lengths = case
+    lengths = [k + 1 for k in lengths]  # the length law has no mass at 0
+    estimate, exact, sigma = estimate_and_exact_vectors(d, 1.5, lengths)
+    assert estimate.shape == exact.shape == sigma.shape == (2, d.shape[0])
+    assert all(np.array_equal(got, want) for got, want in zip(exact, pwp_vectors_report(d, 1.5)[:2]))
+    # the reference: each sample's row and column sums, averaged, and their
+    # population variance, against the scale |d|^k gives their rounding
+    ones = np.ones(d.shape[0])
+    samples = np.array([[mat_pow(d, k) @ ones, ones @ mat_pow(d, k)] for k in lengths])
+    scale = np.array([[mat_pow(np.abs(d), k) @ ones, ones @ mat_pow(np.abs(d), k)] for k in lengths])
+    mean, second = scale.mean(axis=0), (scale**2).mean(axis=0)
+    assert np.all(np.abs(estimate - samples.mean(axis=0)) <= 1e-12 * mean + 1e-300)
+    assert np.all(np.abs(sigma**2 * len(lengths) - samples.var(axis=0)) <= 1e-12 * second + 1e-300)
+    t = estimate_and_exact(d, 1.5, lengths)[0]
+    assert np.all(np.abs(estimate - [t.sum(axis=1), t.sum(axis=0)]) <= 1e-12 * mean + 1e-300)
+
+
+@pytest.mark.parametrize("v, seed", [(1.0, 1), (0.1, 2), (3.0, 1)])
+def test_estimate_and_exact_vectors_has_no_error_bar_where_every_sample_agrees(v, seed):
+    # row 0's sum over walks of k steps along 0 <- 1 <- ... <- 7 is v up to
+    # k = 7 and 0 beyond, where none of the 2000 lengths reach but the
+    # series does; on these seeds, rounding in m2 - m1^2 alone would give
+    # a standard error of 3e-11 to 9e-10 and a z-score of 500 to 670
+    d = np.diag(np.ones(7), 1)
+    d[0, 1] = v
+    lengths = sample_lengths(0.5, 2000, make_rng(seed))
+    assert lengths.max() < 8 and len(set(lengths.tolist())) > 3
+    estimate, exact, sigma = estimate_and_exact_vectors(d, 0.5, lengths)
+    assert estimate[0, 0] == pytest.approx(v, rel=1e-15) and exact[0, 0] < v * (1 - 1e-8)
+    assert sigma[0, 0] == 0.0
+
+
+def test_estimate_and_exact_vectors_squares_overflow_is_typed():
+    # d 1 = 1e160 is sampled, and its square leaves the float range; the
+    # exact series, at this lambda, does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match="squared"):
+            estimate_and_exact_vectors(np.array([[1e160]]), 1e-200, [1])
 
 
 def test_sample_lengths_reject_lambda_past_the_poisson_sampler():
