@@ -1,8 +1,8 @@
 """influx: indirect-influence matrices and rankings on weighted digraphs.
 
 Three engines over the same direct-influence matrix D (entry (i, j) holds
-the weight of edge j -> i), dense or as an Operator on a graph's edge
-columns (to_operator, web_operator):
+the weight of edge j -> i): each forms T from a dense D, and only T's vectors
+from an Operator such as a graph's edge columns (to_operator, web_operator):
 
 * micmac    -- T = D^k for a small fixed k
 * pagerank  -- T = limit of powers of the damped, repaired column-stochastic
@@ -50,7 +50,6 @@ from .linalg import (
     exp_plus,
     exp_plus_vectors,
     mat_pow,
-    mat_pow_sum,
     mat_pow_vectors,
     pwp_matrix,
     pwp_matrix_report,
@@ -65,11 +64,9 @@ from .methods import (
     PWPConfig,
     influence_dependence,
     micmac,
-    micmac_vectors,
     pagerank,
     pagerank_repair,
     pwp,
-    pwp_vectors,
     rank_vertices,
 )
 from .paths import (
@@ -151,10 +148,8 @@ __all__ = [
     "line_argmax_offset",
     "make_rng",
     "mat_pow",
-    "mat_pow_sum",
     "mat_pow_vectors",
     "micmac",
-    "micmac_vectors",
     "moments",
     "monte_carlo_pwp",
     "omega_lambda_sum",
@@ -167,7 +162,6 @@ __all__ = [
     "pwp",
     "pwp_matrix",
     "pwp_matrix_report",
-    "pwp_vectors",
     "pwp_vectors_report",
     "rank_vertices",
     "read_matrix_text",

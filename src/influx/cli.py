@@ -30,7 +30,7 @@ from .graph import (
     web_operator,
 )
 from .linalg import _at_least, _checked, mat_pow, pwp_matrix
-from .methods import micmac_vectors, pagerank, pwp_vectors, rank_vertices
+from .methods import micmac, pagerank, pwp, rank_vertices
 from .stochastic import estimate_and_exact, estimate_and_exact_vectors, make_rng, moments, sample_lengths
 
 def canonical_float(x: float) -> float:
@@ -157,13 +157,13 @@ def kendall_tau(x, y) -> float:
 
 # One entry per engine: (graph, args, emit_matrix) -> report block with the
 # engine's "method" parameters, "paper_scale", raw "d" and "f", "diagnostics"
-# and any fields of its own.  d, f and diagnostics come from the vector
-# kernels on the graph's edge columns, so neither depends on emit_matrix;
-# T is formed only when it is printed.
+# and any fields of its own.  d, f and diagnostics come from the engine on
+# the graph's edge columns, so neither depends on emit_matrix; T is formed
+# only when it is printed.
 
 def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
     op = to_operator(g)
-    result = pwp_vectors(op, lam=args.lam, tol=args.tol)
+    result = pwp(op, lam=args.lam, tol=args.tol)
     report = result.diagnostics
     scale = math.expm1(args.lam) if args.paper_scale else 1.0
     with np.errstate(over="ignore"):
@@ -183,7 +183,7 @@ def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
 
 
 def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
-    result = micmac_vectors(to_operator(g), k=args.k)
+    result = micmac(to_operator(g), k=args.k)
     block = {
         "method": {"name": "micmac", "k": args.k},
         "paper_scale": False,
@@ -260,7 +260,8 @@ def _csv(header: str, blocks: list[dict], n: int) -> str:
 
 def cmd_compute(args) -> int:
     g = _load_graph(args.graph)
-    [block] = _method_blocks([args.method], g, args, args.emit_matrix)
+    # the CSV holds d and f only, so it forms no T
+    [block] = _method_blocks([args.method], g, args, args.emit_matrix and not args.csv)
     if args.csv:
         _emit(_csv("vertex,d,f", [block], g.n), args.output)
     else:
@@ -388,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", required=True, choices=list(_METHODS)
     )
     _add_method_flags(compute)
-    compute.add_argument("--emit-matrix", dest="emit_matrix", action="store_true")
+    compute.add_argument("--emit-matrix", dest="emit_matrix", action="store_true",
+                         help="add T to the JSON report (no effect with --csv)")
     compute.add_argument("--csv", action="store_true", help="emit a vertex,d,f table")
     compute.add_argument("-o", dest="output", help="write to file instead of stdout")
     compute.set_defaults(func=cmd_compute)

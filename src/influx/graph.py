@@ -20,7 +20,7 @@ from .errors import (
     MalformedLine,
     NonFiniteWeight,
 )
-from .linalg import Operator, _at_least, _square
+from .linalg import Operator, _at_least, _integers, _square
 
 
 class Edge(NamedTuple):
@@ -72,7 +72,7 @@ def _graph(n: int, source, target, weight, line_nos=None) -> DirectInfluenceGrap
     """These columns as a graph, through the package's one edge check."""
     _at_least("vertex count", n, 0)
     try:
-        ends = np.asarray((source, target), dtype=np.int64)
+        ends = np.stack((_integers("source", source), _integers("target", target)))
     except OverflowError:
         raise IndexOutOfRange(max((*source, *target), key=abs), 2**63 - 1) from None
     weight = np.asarray(weight, dtype=float)
@@ -206,23 +206,24 @@ def read_matrix_text(text: str) -> np.ndarray:
     """Parse the matrix file format written by :func:`format_matrix_text`."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise MalformedLine(1, "")
     try:
         n = int(lines[0])
-    except ValueError:
-        raise MalformedLine(1, lines[0]) from None
+    except (IndexError, ValueError):
+        n = -1
+    if n < 0:
+        raise MalformedLine(1, lines[0] if lines else "", "a matrix row count n >= 0")
     if len(lines) != n + 1:
-        raise MalformedLine(len(lines), f"expected {n} rows, found {len(lines) - 1}")
+        raise MalformedLine(len(lines), str(len(lines) - 1), f"{n} matrix rows")
     d = np.zeros((n, n))
+    row = f"a matrix row of {n} comma-separated numbers"
     for i, line in enumerate(lines[1:], 1):
         parts = line.split(",")
         if len(parts) != n:
-            raise MalformedLine(i + 1, line)
+            raise MalformedLine(i + 1, line, row)
         try:
             d[i - 1] = [float(p) for p in parts]
         except ValueError:
-            raise MalformedLine(i + 1, line) from None
+            raise MalformedLine(i + 1, line, row) from None
         if not np.all(np.isfinite(d[i - 1])):
             raise NonFiniteWeight(line, line_no=i + 1)
     return d

@@ -95,6 +95,17 @@ def _at_least(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """values as an int64 array by the rule of :func:`_at_least`, where an
+    empty list passes too; an int past int64 raises OverflowError."""
+    a = np.asarray(values)
+    if a.dtype.kind == "i":
+        return a.astype(np.int64, copy=False)
+    if a.size and a.dtype.kind not in "uO":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    return np.asarray(a.tolist(), dtype=np.int64)
+
+
 def _product(a, b, what: str) -> np.ndarray:
     """a @ b, raising NumericOverflow instead of returning inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,7 +128,7 @@ class Operator:
 
     def __init__(self, n: int, rows, cols, values):
         _at_least("n", n, 0)
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        rows, cols = _integers("rows", rows), _integers("cols", cols)
         values = np.asarray(values, dtype=float)
         if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
             raise DimensionMismatch(
@@ -131,9 +142,10 @@ class Operator:
 
     @classmethod
     def dense(cls, d) -> "Operator":
-        """d as an Operator; d must be square and finite already."""
+        """The square, finite matrix d as an Operator on BLAS's products."""
         op = cls.__new__(cls)
-        op.n, op.d = d.shape[0], d
+        op.d = _square(d)
+        op.n = op.d.shape[0]
         return op
 
     def matvec(self, x: np.ndarray, what: str | None = None) -> np.ndarray:
@@ -186,8 +198,8 @@ def _finite(y: np.ndarray, what: str | None) -> np.ndarray:
 
 
 def _operator(d) -> Operator:
-    """d itself if it is an Operator, else the checked matrix d wrapped as one."""
-    return d if isinstance(d, Operator) else Operator.dense(_square(d))
+    """d itself if it is an Operator, else the matrix d wrapped as one."""
+    return d if isinstance(d, Operator) else Operator.dense(d)
 
 
 class _SlicedEll:
@@ -315,36 +327,27 @@ def mat_pow(d, k: int) -> np.ndarray:
     return np.eye(d.shape[0]) if result is None else result
 
 
-def mat_pow_sum(d, ks, weights) -> np.ndarray:
-    """sum_i weights[i] * d^ks[i] for strictly ascending integer powers ks >= 0.
+def _sampled_sum(d, sampled) -> np.ndarray:
+    """sum_k v d^k over the (k, v) pairs in `sampled`: one or more, with
+    distinct integer powers k >= 0 in ascending order.
 
-    One pass over ks: the first power comes from :func:`mat_pow`, and each
+    One pass over the powers: the first comes from :func:`mat_pow`, and each
     later one is the previous power times d when the powers are consecutive,
     or times d^gap (formed once per distinct gap in a row) when they are not,
-    so len(ks) consecutive powers cost len(ks) - 1 products after the first.
+    so m consecutive powers cost m - 1 products after the first.
     Consecutive powers take the power chain's step (see :func:`_stepper`),
     in its row order, so they are those of the chain bit for bit.
     Contributions are added in ascending power.  Raises NumericOverflow at
     the first product, or a sum, that leaves the float range.
     """
-    d = _square(d)
-    ks = np.asarray(ks)
-    weights = np.asarray(weights, dtype=float)
-    if ks.ndim != 1 or weights.shape != ks.shape:
-        raise ValueError(f"need one weight per power, got shapes {ks.shape} and {weights.shape}")
-    if ks.size and not np.issubdtype(ks.dtype, np.integer):
-        raise ValueError(f"powers must be integers, got dtype {ks.dtype}")
-    if ks.size and ks[0] < 0:
-        raise ValueError(f"power must be >= 0, got {ks[0]}")
-    if np.any(np.diff(ks) <= 0):
-        raise ValueError("powers must be strictly ascending")
-    _, enter, step, leave = _stepper(Operator.dense(d))
+    op = Operator.dense(d)
+    _, enter, step, leave = _stepper(op)
     total = spare = None
     at, gap, jump = 0, 0, None  # power = d^at once at > 0; jump = d^gap
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, weight in zip(ks.tolist(), weights.tolist()):
+        for k, share in sampled:
             if at == 0:
-                power = enter(mat_pow(d, k))
+                power = enter(mat_pow(op.d, k))
             elif k - at == 1:
                 if spare is None:
                     spare = np.empty_like(power)
@@ -355,15 +358,13 @@ def mat_pow_sum(d, ks, weights) -> np.ndarray:
             else:
                 if k - at != gap:
                     gap = k - at
-                    jump = mat_pow(d, gap)
+                    jump = mat_pow(op.d, gap)
                 power = _product(power, jump, f"matrix power {k}")
             at = k
             if total is None:
-                total = weight * power
+                total = share * power
             else:
-                total += weight * power
-    if total is None:
-        return np.zeros(d.shape)
+                total += share * power
     if not np.isfinite(total).all():
         raise NumericOverflow("weighted sum of matrix powers")
     return leave(total)

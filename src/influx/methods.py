@@ -3,9 +3,9 @@
 Every method produces a square matrix T of indirect influences.  Row sums of
 T give the dependence vector d (how much each vertex is acted on), column
 sums give the influence vector f (how much each vertex acts), and vertices
-are ranked by those scores.  pwp_vectors and micmac_vectors compute d and f
-by matrix-vector products without forming T, and so does pagerank given an
-Operator; each takes a dense matrix or an Operator.
+are ranked by those scores.  Each engine takes a dense matrix, and then
+forms T and sums it, or an Operator, and then takes d and f from
+matrix-vector products and leaves T None.
 """
 
 from dataclasses import dataclass, field
@@ -78,8 +78,8 @@ class IndirectInfluenceResult:
     For the damped stationary method, `stationary` holds the probability
     vector with sum 1 (the per-vertex ranking weight); `vectors.d` holds the
     row sums of T, which equal n times the stationary vector.  T is None
-    when only the vectors were computed (:func:`pwp_vectors`,
-    :func:`micmac_vectors`, :func:`pagerank` on an Operator).
+    exactly when the engine was given an Operator, and only the vectors
+    were computed.
     """
 
     T: np.ndarray | None
@@ -100,37 +100,32 @@ def influence_dependence(t) -> InfluenceVectors:
 
 
 def micmac(d, k: int = 4) -> IndirectInfluenceResult:
-    """Fixed-power method: T = d^k for a small natural number k."""
-    config = MicmacConfig(k=k)
-    t = mat_pow(d, k)
-    return IndirectInfluenceResult(T=t, vectors=influence_dependence(t), config=config)
+    """Fixed-power method: T = d^k for a small natural number k.
 
-
-def micmac_vectors(d, k: int = 4) -> IndirectInfluenceResult:
-    """The vectors of :func:`micmac` from k matrix-vector products each; T is None."""
+    On an :class:`Operator`, d and f come from k matrix-vector products
+    each and T is None.
+    """
     config = MicmacConfig(k=k)
-    rows, cols = mat_pow_vectors(d, k)
-    return IndirectInfluenceResult(T=None, vectors=InfluenceVectors(d=rows, f=cols), config=config)
+    t = None if isinstance(d, Operator) else mat_pow(d, k)
+    vectors = InfluenceVectors(*mat_pow_vectors(d, k)) if t is None else influence_dependence(t)
+    return IndirectInfluenceResult(T=t, vectors=vectors, config=config)
 
 
 def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
-    """Exponential walk-weighting method: T = e_plus(lam*d) / e_plus(lam)."""
-    config = PWPConfig(lam=lam, tol=tol)
-    t, report = pwp_matrix_report(d, lam, tol)
-    return IndirectInfluenceResult(
-        T=t, vectors=influence_dependence(t), config=config, diagnostics=report
-    )
+    """Exponential walk-weighting method: T = e_plus(lam*d) / e_plus(lam).
 
-
-def pwp_vectors(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
-    """The vectors of :func:`pwp` from matrix-vector series, each accurate to
-    tol in max norm; T is None.  The diagnostics describe the two vector
-    series (see :func:`influx.linalg.exp_plus_vectors`)."""
+    On an :class:`Operator`, d and f come from matrix-vector series, each
+    accurate to tol in max norm, T is None, and the diagnostics describe
+    the two vector series (see :func:`influx.linalg.exp_plus_vectors`).
+    """
     config = PWPConfig(lam=lam, tol=tol)
-    rows, cols, report = pwp_vectors_report(d, lam, tol)
-    return IndirectInfluenceResult(
-        T=None, vectors=InfluenceVectors(d=rows, f=cols), config=config, diagnostics=report
-    )
+    if isinstance(d, Operator):
+        *sums, report = pwp_vectors_report(d, lam, tol)
+        t, vectors = None, InfluenceVectors(*sums)
+    else:
+        t, report = pwp_matrix_report(d, lam, tol)
+        vectors = influence_dependence(t)
+    return IndirectInfluenceResult(T=t, vectors=vectors, config=config, diagnostics=report)
 
 
 def _empty_columns(op: Operator) -> np.ndarray:
@@ -153,10 +148,9 @@ def pagerank_repair(d) -> np.ndarray:
     1 (within 1e-9); the result is column stochastic.  Column indices in
     error messages are 1-based.
     """
-    d = _square(d)
-    empty = _empty_columns(Operator.dense(d))
-    repaired = d.copy()
-    repaired[:, empty] = 1.0 / max(1, d.shape[0])  # max: an empty d has no columns
+    op = Operator.dense(d)
+    repaired = op.d.copy()
+    repaired[:, _empty_columns(op)] = 1.0 / max(1, op.n)  # max: an empty d has no columns
     return repaired
 
 

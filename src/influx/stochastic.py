@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NumericOverflow
-from .linalg import _at_least, _dense, _positive, _poisson_weight, _vectors, mat_pow_sum
+from .linalg import _at_least, _dense, _positive, _poisson_weight, _sampled_sum, _vectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,28 +133,22 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     return lengths
 
 
-def _frequencies(lengths) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sampled lengths, ascending, and the share of each."""
+def _sampled(lengths, least: int = 1) -> list[tuple[int, float]]:
+    """The distinct sampled walk lengths, integers >= least, ascending, each
+    with its share: the (k, v) pairs of a sampled sum over the powers of d."""
     lengths = np.asarray(lengths)
     if lengths.size == 0:
         raise ValueError("need at least one sampled length")
     values, counts = np.unique(lengths, return_counts=True)
-    return values, counts / lengths.size
+    if not np.issubdtype(values.dtype, np.integer) or values[0] < least:
+        raise ValueError(f"sampled lengths must be integers >= {least}, got {values[0]!r}")
+    return list(zip(values.tolist(), (counts / lengths.size).tolist()))
 
 
 def estimate_from_lengths(d, lengths) -> np.ndarray:
-    """Average of d^k over the given integer walk lengths; each distinct power
-    is formed once, from the previous one (:func:`mat_pow_sum`)."""
-    return mat_pow_sum(d, *_frequencies(lengths))
-
-
-def _sampled(lengths) -> list[tuple[int, float]]:
-    """The distinct sampled walk lengths, ascending, each with its share:
-    the (k, v) pairs of the power chain's sampled sum."""
-    values, shares = _frequencies(lengths)
-    if not np.issubdtype(values.dtype, np.integer) or values[0] < 1:
-        raise ValueError(f"sampled lengths must be integers >= 1, got {values[0]!r}")
-    return list(zip(values.tolist(), shares.tolist()))
+    """Average of d^k over the given integer walk lengths k >= 0; each
+    distinct power is formed once, from the previous one."""
+    return _sampled_sum(d, _sampled(lengths, least=0))
 
 
 def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.
 """
 
+import inspect
 import math
 import time
 from contextlib import contextmanager
@@ -326,3 +327,13 @@ def test_criterion_12_star_closed_forms_and_rankings():
                 assert rank_vertices(result.vectors.d)[0][0] == hub
                 pr = pagerank(web_normalize(g), p=0.86)
                 assert rank_vertices(pr.stationary)[0][0] == hub
+
+
+def test_public_surface_is_all():
+    # a name added to or removed from the package shows in this one list
+    public = {name for name, value in vars(influx).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(influx.__all__) == sorted(public)
+    assert all(getattr(influx, name) is not None for name in influx.__all__)
+    for retired in ("pwp_vectors", "micmac_vectors", "mat_pow_sum"):
+        assert not hasattr(influx, retired)

@@ -99,6 +99,18 @@ def test_compute_csv(line3, capsys):
     assert first[0] == "1" and float(first[1]) == 0.0
 
 
+@pytest.mark.parametrize("method", ["pwp", "micmac"])
+def test_compute_csv_forms_no_matrix(line3, capsys, monkeypatch, method):
+    csv = run(capsys, "compute", "--method", method, "--csv", line3)
+
+    def refuse(*args):
+        raise AssertionError("T formed for a CSV")
+
+    monkeypatch.setattr(influx.cli, "pwp_matrix", refuse)
+    monkeypatch.setattr(influx.cli, "mat_pow", refuse)
+    assert run(capsys, "compute", "--method", method, "--csv", "--emit-matrix", line3) == csv
+
+
 def test_compute_output_file(line3, tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run(

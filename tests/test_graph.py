@@ -427,3 +427,59 @@ def test_matrix_text_bad_input():
         read_matrix_text("2\n1.0,2.0\n")  # missing a row
     with pytest.raises(MalformedLine):
         read_matrix_text("2\n1.0,2.0\n3.0\n")  # short row
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n1,2\n3\n", "line 3: expected a matrix row of 2 comma-separated numbers, got '3'"),
+        ("2\n1,x\n3,4\n", "line 2: expected a matrix row of 2 comma-separated numbers, got '1,x'"),
+        ("-1\n", "line 1: expected a matrix row count n >= 0, got '-1'"),
+        ("two\n", "line 1: expected a matrix row count n >= 0, got 'two'"),
+        ("# nothing\n", "line 1: expected a matrix row count n >= 0, got ''"),
+        ("2\n1,2\n", "line 2: expected 2 matrix rows, got '1'"),
+        ("1\n1\n2\n", "line 3: expected 1 matrix rows, got '2'"),
+    ],
+    ids=["short row", "bad number", "negative n", "n not a number", "no lines", "too few rows",
+         "too many rows"],
+)
+def test_matrix_text_errors_name_the_matrix_format(text, message):
+    with pytest.raises(MalformedLine) as err:
+        read_matrix_text(text)
+    assert str(err.value) == message
+
+
+def test_edge_list_errors_keep_their_message():
+    with pytest.raises(MalformedLine, match="^line 1: expected 'source,target,weight', got '1,2'$"):
+        parse_edge_list("1,2\n")
+
+
+@pytest.mark.parametrize(
+    "edges, match",
+    [
+        ([(2.9, 1, 1.0)], "source must be integers"),
+        ([(True, 2, 1.0)], "source must be integers"),
+        (np.array([[1.0, 2.0, 1.0]]), "source must be integers"),
+        ([(1, 2.0, 1.0)], "target must be integers"),
+        ([(1, "2", 1.0)], "target must be integers"),
+    ],
+)
+def test_vertex_indices_must_be_integers(edges, match):
+    with pytest.raises(ValueError, match=match):
+        DirectInfluenceGraph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[], [(np.int64(1), np.uint8(2), 1.0)], [(np.int32(3), 1, 0.5), (1, 3, 0.25)]],
+)
+def test_integer_vertex_indices_pass(edges):
+    g = DirectInfluenceGraph(3, edges)
+    assert g.source.dtype == g.target.dtype == np.int64
+    assert g.edges == tuple(sorted((int(s), int(t), w) for s, t, w in edges))
+
+
+@pytest.mark.parametrize("index", [2**63, -(2**63) - 1])  # numpy reads them as uint64 and object
+def test_vertex_index_past_int64_is_out_of_range(index):
+    with pytest.raises(IndexOutOfRange):
+        DirectInfluenceGraph(2, [(index, 1, 1.0)])

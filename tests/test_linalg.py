@@ -31,7 +31,6 @@ from influx import (
     influence_dependence,
     is_column_stochastic,
     mat_pow,
-    mat_pow_sum,
     mat_pow_vectors,
     pagerank,
     pagerank_repair,
@@ -120,7 +119,7 @@ def test_mat_pow_one_is_a_copy_with_positive_zeros():
     assert d[0, 1] == 1.0
 
 
-# -- mat_pow_sum and the number of dense products ----------------------------------
+# -- estimate_from_lengths and the number of dense products ------------------------
 
 @pytest.fixture
 def products(monkeypatch):
@@ -154,49 +153,29 @@ def test_single_power_costs_no_more_than_mat_pow(products, k):
     alone = mat_pow(C3, k)
     cost = len(products)
     products.clear()
-    assert np.array_equal(mat_pow_sum(C3, [k], [1.0]), alone)
+    assert np.array_equal(influx.estimate_from_lengths(C3, [k]), alone)
     assert len(products) <= cost
 
 
 def test_far_power_is_reached_by_squaring(products):
     # a cycle's powers are shift permutations, so the answer is exact
     cycle = to_matrix(parse_edge_list("\n".join(f"{i},{i % 7 + 1},1" for i in range(1, 8))))
-    got = mat_pow_sum(cycle, [1, 10**6], [0.5, 0.5])
+    got = influx.estimate_from_lengths(cycle, [1, 10**6])
     assert np.array_equal(got, 0.5 * cycle + 0.5 * np.linalg.matrix_power(cycle, 10**6 % 7))
     assert len(products) <= 2 * (10**6).bit_length()
 
 
-def test_mat_pow_sum_zero_power_is_identity():
+def test_estimate_from_lengths_zero_length_is_identity():
     d = np.random.default_rng(11).uniform(-1, 1, (4, 4))
-    got = mat_pow_sum(d, [0, 2], [0.25, 0.75])
+    got = influx.estimate_from_lengths(d, [0, 2, 2, 2])
     assert np.array_equal(got, 0.25 * np.eye(4) + 0.75 * mat_pow(d, 2))
 
 
-def test_mat_pow_sum_of_nothing_is_zero():
-    assert np.array_equal(mat_pow_sum(L3, [], []), np.zeros((3, 3)))
-
-
-@pytest.mark.parametrize(
-    "ks, weights, match",
-    [
-        ([-1, 2], [0.5, 0.5], ">= 0"),
-        ([2, 1], [0.5, 0.5], "ascending"),
-        ([2, 2], [0.5, 0.5], "ascending"),
-        ([1.5], [1.0], "integers"),
-        ([True], [1.0], "integers"),
-        ([1, 2], [1.0], "one weight per power"),
-    ],
-)
-def test_mat_pow_sum_rejects_bad_powers(ks, weights, match):
-    with pytest.raises(ValueError, match=match):
-        mat_pow_sum(L3, ks, weights)
-
-
-def test_mat_pow_sum_overflow_is_typed():
+@pytest.mark.parametrize("d", [np.array([[1e200]]), np.full((4, 4), 1e200)], ids=["sliced-ELL", "np.matmul"])
+def test_sampled_power_overflow_is_typed(d):
+    assert (_sliced_ell(d) is None) == (d.shape[0] == 4)
     with pytest.raises(NumericOverflow, match="matrix power 2"):
-        mat_pow_sum(np.array([[1e200]]), [1, 2], [0.5, 0.5])
-    with pytest.raises(NumericOverflow, match="weighted sum"):
-        mat_pow_sum(np.array([[1.7e308]]), [1], [2.0])
+        influx.estimate_from_lengths(d, [1, 2])
 
 
 # -- exp_plus ------------------------------------------------------------------
@@ -417,7 +396,7 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
         lambda k: mat_pow(L3, k),
         lambda k: mat_pow_vectors(L3, k),
         lambda k: influx.micmac(L3, k),
-        lambda k: influx.micmac_vectors(L3, k),
+        lambda k: influx.micmac(Operator.dense(L3), k),
         lambda k: influx.MicmacConfig(k=k),
         lambda k: influx.count_paths(build(Line(3)), 3, 1, k),
         lambda k: influx.enumerate_paths(build(Line(3)), 3, 1, k),
@@ -427,7 +406,7 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
         lambda k: influx.omega_lambda_tail_bound(build(Line(3)), 1.0, k),
     ],
     ids=[
-        "mat_pow", "mat_pow_vectors", "micmac", "micmac_vectors", "MicmacConfig",
+        "mat_pow", "mat_pow_vectors", "micmac", "micmac_operator", "MicmacConfig",
         "count_paths", "enumerate_paths", "omega_sum", "rho_sum", "omega_lambda_sum",
         "omega_lambda_tail_bound",
     ],
@@ -758,7 +737,7 @@ def test_sliced_ell_chain_overflow_is_typed(poisson_matrix):
     with pytest.raises(NumericOverflow, match="term"):
         pwp_matrix(d, 1.0)
     with pytest.raises(NumericOverflow, match="matrix power 2"):
-        mat_pow_sum(d, [1, 2], [0.5, 0.5])
+        influx.estimate_from_lengths(d, [1, 2])
 
 
 # -- how the chain spends products and memory --------------------------------------

@@ -7,6 +7,7 @@ d = (17500, 32550, 45493) / 95543 at p = 43/50.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,17 +25,19 @@ from influx import (
     Star,
     build,
     closed_form_pwp,
+    from_matrix,
     influence_dependence,
     mat_pow,
+    mat_pow_vectors,
     micmac,
-    micmac_vectors,
     pagerank,
     pagerank_repair,
     parse_edge_list,
     pwp,
-    pwp_vectors,
+    pwp_vectors_report,
     rank_vertices,
     to_matrix,
+    to_operator,
     web_normalize,
 )
 
@@ -374,13 +377,36 @@ def test_pwp_result_consistent_vectors():
 
 # -- vectors without the dense T --------------------------------------------------
 
+WEB = web_normalize(parse_edge_list("1,2,1\n2,3,1\n3,1,1\n1,3,1\n4,4,1"))
+
+
+@pytest.mark.parametrize(
+    "engine, kernel",
+    [
+        (lambda d: pwp(d, lam=1.5), lambda op: pwp_vectors_report(op, 1.5)[:2]),
+        (lambda d: micmac(d, 3), lambda op: mat_pow_vectors(op, 3)),
+        # pagerank has no vector kernel of its own: one iteration serves both
+        (pagerank, lambda op: astuple(pagerank(op.d).vectors)),
+    ],
+    ids=["pwp", "micmac", "pagerank"],
+)
+def test_every_engine_leaves_t_none_exactly_on_an_operator(engine, kernel):
+    assert engine(WEB).T is not None
+    assert engine(to_operator(from_matrix(WEB))).T is None
+    op = Operator.dense(WEB)
+    result = engine(op)
+    d, f = kernel(op)
+    assert result.T is None
+    assert result.vectors.d.tobytes() == d.tobytes() and result.vectors.f.tobytes() == f.tobytes()
+
+
 FAMILIES = [Line(1), Line(6), Cycle(5), Jordan(4, 0.5), Jordan(3, 2.0), Star(7)]
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
 @pytest.mark.parametrize("spec", FAMILIES, ids=repr)
 def test_pwp_vectors_match_closed_forms(spec, lam):
-    result = pwp_vectors(to_matrix(build(spec)), lam=lam)
+    result = pwp(Operator.dense(to_matrix(build(spec))), lam=lam)
     exact = influence_dependence(closed_form_pwp(spec, lam))
     assert result.T is None
     assert np.allclose(result.vectors.d, exact.d, rtol=1e-12, atol=1e-12)
@@ -391,7 +417,7 @@ def test_pwp_vectors_match_closed_forms(spec, lam):
 @pytest.mark.parametrize("spec", FAMILIES, ids=repr)
 def test_micmac_vectors_match_dense_power(spec, k):
     d = to_matrix(build(spec))
-    result = micmac_vectors(d, k)
+    result = micmac(Operator.dense(d), k)
     exact = influence_dependence(mat_pow(d, k))
     assert result.T is None
     assert np.allclose(result.vectors.d, exact.d, rtol=1e-14, atol=0)
@@ -408,7 +434,7 @@ def _sparse_matrices(draw):
 
 @given(_sparse_matrices(), st.floats(0.05, 2.0))
 def test_pwp_vectors_agree_with_dense_t(d, lam):
-    fast = pwp_vectors(d, lam=lam)
+    fast = pwp(Operator.dense(d), lam=lam)
     dense = pwp(d, lam=lam)
     # the dense T meets tol entrywise, so its row sums only within n * tol
     assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-10, atol=1e-11)
@@ -418,7 +444,7 @@ def test_pwp_vectors_agree_with_dense_t(d, lam):
 
 @given(_sparse_matrices(), st.integers(1, 6))
 def test_micmac_vectors_agree_with_dense_t(d, k):
-    fast = micmac_vectors(d, k)
+    fast = micmac(Operator.dense(d), k)
     dense = micmac(d, k)
     assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-12, atol=1e-12)
     assert np.allclose(fast.vectors.f, dense.vectors.f, rtol=1e-12, atol=1e-12)

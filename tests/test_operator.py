@@ -4,9 +4,9 @@ kernels it replaces on the command line.
 Every engine's vectors on the edge columns agree with those of the dense
 matrix, on hypothesis graphs and on every family; the command line gives
 the same bytes, or the same error and exit code, with the engines fed the
-edge columns or the dense matrices; and at sizes where the dense D cannot
-be formed, `compare` stays small and pwp agrees with scipy's action of the
-matrix exponential.
+edge columns or the dense matrices' BLAS products; and at sizes where the
+dense D cannot be formed, `compare` stays small and pwp agrees with scipy's
+action of the matrix exponential.
 """
 
 import math
@@ -36,11 +36,11 @@ from influx import (
     influence_dependence,
     mat_pow,
     mat_pow_vectors,
-    micmac_vectors,
+    micmac,
     pagerank,
     parse_edge_list,
     pwp_matrix_report,
-    pwp_vectors,
+    pwp,
     pwp_vectors_report,
     sample_lengths,
     to_matrix,
@@ -112,6 +112,45 @@ def test_operator_checks_its_columns(args, error):
         Operator(*args)
 
 
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((2, [1.9], [0], [1.0]), "rows must be integers"),
+        ((2, ["1"], [0], [1.0]), "rows must be integers"),
+        ((2, [True], [0], [1.0]), "rows must be integers"),
+        ((2, [0], [1.0], [1.0]), "cols must be integers"),
+        ((2, [0], np.array([False]), [1.0]), "cols must be integers"),
+    ],
+)
+def test_operator_indices_must_be_integers(args, match):
+    with pytest.raises(ValueError, match=match):
+        Operator(*args)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [([], []), ([1], [0]), (np.array([1], dtype=np.int32), [np.int64(0)]),
+     (np.array([1], dtype=np.uint16), [0])],
+)
+def test_operator_integer_indices_pass(rows, cols):
+    op = Operator(2, rows, cols, [1.0] * len(cols))
+    assert op.rows.dtype == op.cols.dtype == np.int64
+    # d[1, 0] = 1 where there is an entry
+    assert np.array_equal(op.matvec(np.array([1.0, 2.0])), [0.0, 1.0] if len(cols) else [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "d, error",
+    [(np.zeros((2, 3)), DimensionMismatch), (np.zeros(3), DimensionMismatch),
+     ([[1.0, math.nan], [0.0, 1.0]], ValueError), ([[math.inf]], ValueError)],
+    ids=["2 x 3", "1-D", "nan", "inf"],
+)
+def test_dense_operator_checks_its_matrix(d, error):
+    with pytest.raises(error) as err:
+        Operator.dense(d)
+    assert err.type is error
+
+
 BIG = "1,2,1e200\n2,1,1e200\n"
 
 
@@ -132,8 +171,8 @@ def test_vector_overflow_raises_the_same_messages(wrap):
 @given(_graphs(), st.floats(0.05, 3.0))
 def test_pwp_vectors_on_columns_agree_with_dense(g, lam):
     tol = 1e-12
-    fast = pwp_vectors(to_operator(g), lam=lam, tol=tol)
-    dense = pwp_vectors(to_matrix(g), lam=lam, tol=tol)
+    fast = pwp(to_operator(g), lam=lam, tol=tol)
+    dense = pwp(Operator.dense(to_matrix(g)), lam=lam, tol=tol)
     # each is within tol of the series in max norm, plus rounding
     assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-12, atol=2 * tol)
     assert np.allclose(fast.vectors.f, dense.vectors.f, rtol=1e-12, atol=2 * tol)
@@ -141,8 +180,8 @@ def test_pwp_vectors_on_columns_agree_with_dense(g, lam):
 
 @given(_graphs(), st.integers(1, 6))
 def test_micmac_vectors_on_columns_agree_with_dense(g, k):
-    fast = micmac_vectors(to_operator(g), k)
-    dense = micmac_vectors(to_matrix(g), k)
+    fast = micmac(to_operator(g), k)
+    dense = micmac(Operator.dense(to_matrix(g)), k)
     assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-12, atol=1e-14)
     assert np.allclose(fast.vectors.f, dense.vectors.f, rtol=1e-12, atol=1e-14)
 
@@ -164,11 +203,11 @@ def test_pagerank_on_web_columns_agrees_with_dense(g, p):
 def test_every_family_agrees_on_columns(spec):
     g = build(spec)
     exact = influence_dependence(closed_form_pwp(spec, 1.5))
-    pwp_result = pwp_vectors(to_operator(g), lam=1.5)
+    pwp_result = pwp(to_operator(g), lam=1.5)
     assert np.allclose(pwp_result.vectors.d, exact.d, rtol=1e-12, atol=1e-12)
     assert np.allclose(pwp_result.vectors.f, exact.f, rtol=1e-12, atol=1e-12)
     power = influence_dependence(mat_pow(to_matrix(g), 3))
-    micmac_result = micmac_vectors(to_operator(g), 3)
+    micmac_result = micmac(to_operator(g), 3)
     assert np.allclose(micmac_result.vectors.d, power.d, rtol=1e-14, atol=0)
     assert np.allclose(micmac_result.vectors.f, power.f, rtol=1e-14, atol=0)
     fast, dense = pagerank(web_operator(g)), pagerank(web_normalize(g))
@@ -274,8 +313,9 @@ def test_command_line_on_columns_matches_the_dense_path(tmp_path, capsys, monkey
     path = tmp_path / "g.csv"
     path.write_text(CASES[case])
     columns = _run(capsys, [*argv, str(path)])
-    monkeypatch.setattr(influx.cli, "to_operator", to_matrix)
-    monkeypatch.setattr(influx.cli, "web_operator", web_normalize)
+    # the engines on a dense matrix's BLAS products, which form no T
+    monkeypatch.setattr(influx.cli, "to_operator", lambda g: Operator.dense(to_matrix(g)))
+    monkeypatch.setattr(influx.cli, "web_operator", lambda g: Operator.dense(web_normalize(g)))
     assert _run(capsys, [*argv, str(path)]) == columns
 
 
@@ -328,7 +368,7 @@ def test_pwp_at_n_20000_matches_scipy_expm_multiply():
     n, lam, tol = 20_000, 1.0, 1e-12
     source, target, weight = _poisson_edges(n, 12)
     g = DirectInfluenceGraph(n, zip(source.tolist(), target.tolist(), weight.tolist()))
-    result = pwp_vectors(to_operator(g), lam=lam, tol=tol)
+    result = pwp(to_operator(g), lam=lam, tol=tol)
     d = sparse.csr_matrix((weight, (target - 1, source - 1)), shape=(n, n))
     ones = np.ones(n)
     # e_plus(lam D) 1 / e_plus(lam), and the same with D's transpose
