@@ -96,14 +96,19 @@ def _at_least(name: str, value, least: int) -> None:
 
 
 def _integers(name: str, values) -> np.ndarray:
-    """values as an int64 array by the rule of :func:`_at_least`, where an
-    empty list passes too; an int past int64 raises OverflowError."""
+    """values as an int64 array by the rule of :func:`_at_least`, entry by
+    entry, where an empty list passes too; an int past int64 raises
+    OverflowError."""
     a = np.asarray(values)
-    if a.dtype.kind == "i":
+    if a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max:
+        raise OverflowError(f"{name} past int64")
+    if a.dtype.kind in "iu" or not a.size:
         return a.astype(np.int64, copy=False)
-    if a.size and a.dtype.kind not in "uO":
-        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
-    return np.asarray(a.tolist(), dtype=np.int64)
+    a = np.asarray(values, dtype=object)  # the entries as given, not numpy's common type
+    for v in a.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be integers, got {v!r}")
+    return np.array([int(v) for v in a.flat], dtype=np.int64).reshape(a.shape)
 
 
 def _product(a, b, what: str) -> np.ndarray:
@@ -128,7 +133,10 @@ class Operator:
 
     def __init__(self, n: int, rows, cols, values):
         _at_least("n", n, 0)
-        rows, cols = _integers("rows", rows), _integers("cols", cols)
+        try:
+            rows, cols = _integers("rows", rows), _integers("cols", cols)
+        except OverflowError:
+            raise DimensionMismatch(f"an entry lies outside a {n} x {n} matrix") from None
         values = np.asarray(values, dtype=float)
         if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
             raise DimensionMismatch(

@@ -1,6 +1,7 @@
 """Graph construction, edge-list parsing, and the matrix encoding."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -462,6 +463,8 @@ def test_edge_list_errors_keep_their_message():
         (np.array([[1.0, 2.0, 1.0]]), "source must be integers"),
         ([(1, 2.0, 1.0)], "target must be integers"),
         ([(1, "2", 1.0)], "target must be integers"),
+        ([(Fraction(5, 2), 1, 1.0)], "source must be integers"),
+        ([(None, 1, 1.0)], "source must be integers"),
     ],
 )
 def test_vertex_indices_must_be_integers(edges, match):
@@ -471,7 +474,8 @@ def test_vertex_indices_must_be_integers(edges, match):
 
 @pytest.mark.parametrize(
     "edges",
-    [[], [(np.int64(1), np.uint8(2), 1.0)], [(np.int32(3), 1, 0.5), (1, 3, 0.25)]],
+    [[], [(np.int64(1), np.uint8(2), 1.0)], [(np.int32(3), 1, 0.5), (1, 3, 0.25)],
+     [(np.int64(1), 2, 1.0), (np.uint64(3), 1, 1.0)]],  # numpy reads this source column as float64
 )
 def test_integer_vertex_indices_pass(edges):
     g = DirectInfluenceGraph(3, edges)

@@ -41,7 +41,7 @@ from influx import (
     to_matrix,
     to_operator,
 )
-from influx.linalg import SPARSE_CUTOFF, _SlicedEll, _sliced_ell
+from influx.linalg import SPARSE_CUTOFF, _SlicedEll, _sampled_sum, _sliced_ell
 
 L2 = to_matrix(parse_edge_list("1,2,1"))
 L3 = to_matrix(parse_edge_list("1,2,1\n2,3,1"))
@@ -176,6 +176,16 @@ def test_sampled_power_overflow_is_typed(d):
     assert (_sliced_ell(d) is None) == (d.shape[0] == 4)
     with pytest.raises(NumericOverflow, match="matrix power 2"):
         influx.estimate_from_lengths(d, [1, 2])
+
+
+def test_weighted_sum_overflow_is_typed():
+    with pytest.raises(NumericOverflow, match="weighted sum"):
+        _sampled_sum(np.array([[1.7e308]]), [(1, 2.0)])
+    # every power of this d is d, and the shares 1/5, 2/5, 2/5 add up to more
+    # than 1 in floating point, so the sum passes the largest float
+    d = np.array([[1.0, np.finfo(float).max], [0.0, 0.0]])
+    with pytest.raises(NumericOverflow, match="weighted sum"):
+        influx.estimate_from_lengths(d, [1, 2, 2, 3, 3])
 
 
 # -- exp_plus ------------------------------------------------------------------

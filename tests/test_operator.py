@@ -102,6 +102,8 @@ def test_an_operator_with_no_entries_is_zero():
         ((2, [[0]], [[0]], [[1.0]]), DimensionMismatch),
         ((2, [2], [0], [1.0]), DimensionMismatch),
         ((2, [0], [-1], [1.0]), DimensionMismatch),
+        ((2, [2**70], [0], [1.0]), DimensionMismatch),  # past int64 is outside too
+        ((2, [0], np.array([2**64 - 1], dtype=np.uint64), [1.0]), DimensionMismatch),
         ((2, [0], [1], [math.inf]), ValueError),
         ((-1, [], [], []), ValueError),
         ((2.5, [], [], []), ValueError),
@@ -118,6 +120,8 @@ def test_operator_checks_its_columns(args, error):
         ((2, [1.9], [0], [1.0]), "rows must be integers"),
         ((2, ["1"], [0], [1.0]), "rows must be integers"),
         ((2, [True], [0], [1.0]), "rows must be integers"),
+        ((2, np.array([1.9], dtype=object), [0], [1.0]), "rows must be integers"),
+        ((2, [None], [0], [1.0]), "rows must be integers"),
         ((2, [0], [1.0], [1.0]), "cols must be integers"),
         ((2, [0], np.array([False]), [1.0]), "cols must be integers"),
     ],
@@ -130,13 +134,13 @@ def test_operator_indices_must_be_integers(args, match):
 @pytest.mark.parametrize(
     "rows, cols",
     [([], []), ([1], [0]), (np.array([1], dtype=np.int32), [np.int64(0)]),
-     (np.array([1], dtype=np.uint16), [0])],
+     (np.array([1], dtype=np.uint16), [0]), ([np.int64(1), np.uint64(1)], [0, 0])],
 )
 def test_operator_integer_indices_pass(rows, cols):
     op = Operator(2, rows, cols, [1.0] * len(cols))
     assert op.rows.dtype == op.cols.dtype == np.int64
-    # d[1, 0] = 1 where there is an entry
-    assert np.array_equal(op.matvec(np.array([1.0, 2.0])), [0.0, 1.0] if len(cols) else [0.0, 0.0])
+    # every entry is d[1, 0] = 1, and repeated ones add up
+    assert np.array_equal(op.matvec(np.array([1.0, 2.0])), [0.0, float(len(cols))])
 
 
 @pytest.mark.parametrize(
