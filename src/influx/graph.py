@@ -9,6 +9,7 @@ web_normalize) only where a whole matrix is needed.  All types are
 immutable and all operations are pure functions.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -68,7 +69,7 @@ class DirectInfluenceGraph:
         return _graph(self.n, self.target, self.source, self.weight)
 
 
-def _graph(n: int, source, target, weight, line_nos=None) -> DirectInfluenceGraph:
+def _graph(n: int, source, target, weight) -> DirectInfluenceGraph:
     """These columns as a graph, through the package's one edge check."""
     _at_least("vertex count", n, 0)
     try:
@@ -80,8 +81,7 @@ def _graph(n: int, source, target, weight, line_nos=None) -> DirectInfluenceGrap
     if outside.any():
         raise IndexOutOfRange(int(ends.T[outside][0]), n)
     if not np.isfinite(weight).all():
-        i = np.argmin(np.isfinite(weight))
-        raise NonFiniteWeight(float(weight[i]), line_no=None if line_nos is None else line_nos[i])
+        raise NonFiniteWeight(float(weight[~np.isfinite(weight)][0]))
     order = np.lexsort(ends[::-1])  # stable, so each pair's occurrences keep input order
     later = order[1:][(np.diff(ends[:, order]) == 0).all(axis=0)]  # second and later ones
     if later.size:
@@ -103,21 +103,24 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
     surface immediately.
     """
     lines = text.splitlines() if isinstance(text, str) else text
-    rows = []
+    source, target, weight = [], [], []
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            source, target, weight = line.split(",")
-            rows.append((int(source), int(target), float(weight), line_no))
+            s, t, w = line.split(",")
+            source.append(int(s))
+            target.append(int(t))
+            weight.append(float(w))
         except ValueError:
             raise MalformedLine(line_no, raw.rstrip("\n")) from None
-    source, target, weight, line_nos = tuple(zip(*rows)) or ((), (), (), ())
+        if not math.isfinite(weight[-1]):
+            raise NonFiniteWeight(weight[-1], line_no=line_no)
     if n is not None:
         _at_least("n", n, 0)
     n = max(max(source, default=0), max(target, default=0), n or 0)
-    return _graph(n, source, target, weight, line_nos)
+    return _graph(n, source, target, weight)
 
 
 def _check_size(n: int) -> None:
@@ -137,9 +140,10 @@ def _edge_operator(g: DirectInfluenceGraph, values: np.ndarray) -> Operator:
     return Operator(g.n, g.target - 1, g.source - 1, values)
 
 
-def _matrix(op: Operator) -> np.ndarray:
-    d = np.zeros((op.n, op.n))
-    d[op.rows, op.cols] = op.values  # no two edges share a (source, target) pair
+def _matrix(g: DirectInfluenceGraph, values: np.ndarray) -> np.ndarray:
+    _check_size(g.n)
+    d = np.zeros((g.n, g.n))
+    d[g.target - 1, g.source - 1] = values  # no two edges share a (source, target) pair
     return d
 
 
@@ -151,7 +155,7 @@ def to_operator(g: DirectInfluenceGraph) -> Operator:
 
 def to_matrix(g: DirectInfluenceGraph) -> np.ndarray:
     """Dense direct-influence matrix: entry (i, j) is the weight of edge j -> i."""
-    return _matrix(to_operator(g))
+    return _matrix(g, g.weight)
 
 
 def from_matrix(d: np.ndarray) -> DirectInfluenceGraph:
@@ -173,7 +177,7 @@ def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
     Edge weights are ignored.  Columns of vertices with no outgoing edges are
     all-zero; every other column sums to 1.
     """
-    return _matrix(web_operator(g))
+    return _matrix(g, 1.0 / np.bincount(g.source)[g.source])
 
 
 def is_column_stochastic(d: np.ndarray, tol: float = 1e-12) -> bool:
@@ -203,27 +207,28 @@ def format_matrix_text(d: np.ndarray) -> str:
 
 
 def read_matrix_text(text: str) -> np.ndarray:
-    """Parse the matrix file format written by :func:`format_matrix_text`."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse the matrix format of :func:`format_matrix_text`; errors name the text's own lines."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+    line_no, head = lines[0] if lines else (1, "")
     try:
-        n = int(lines[0])
-    except (IndexError, ValueError):
+        n = int(head)
+    except ValueError:
         n = -1
     if n < 0:
-        raise MalformedLine(1, lines[0] if lines else "", "a matrix row count n >= 0")
+        raise MalformedLine(line_no, head, "a matrix row count n >= 0")
     if len(lines) != n + 1:
-        raise MalformedLine(len(lines), str(len(lines) - 1), f"{n} matrix rows")
+        raise MalformedLine(lines[-1][0], str(len(lines) - 1), f"{n} matrix rows")
     d = np.zeros((n, n))
     row = f"a matrix row of {n} comma-separated numbers"
-    for i, line in enumerate(lines[1:], 1):
+    for i, (line_no, line) in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != n:
-            raise MalformedLine(i + 1, line, row)
+            raise MalformedLine(line_no, line, row)
         try:
-            d[i - 1] = [float(p) for p in parts]
+            d[i] = [float(p) for p in parts]
         except ValueError:
-            raise MalformedLine(i + 1, line, row) from None
-        if not np.all(np.isfinite(d[i - 1])):
-            raise NonFiniteWeight(line, line_no=i + 1)
+            raise MalformedLine(line_no, line, row) from None
+        if not np.all(np.isfinite(d[i])):
+            raise NonFiniteWeight(line, line_no=line_no)
     return d

@@ -14,8 +14,8 @@ rows sorted and grouped by nonzero count (SELL-C-sigma: Kreutzer et al.,
 SIAM J. Sci. Comput. 36(5), 2014), with the powers' rows held in that row
 order; each group's product is one gather and one batched BLAS product.
 A chain holds four n x n arrays, the two powers, the sum and the sampled
-sum, and d itself on the np.matmul step only: the sliced form and its
-first power come from an Operator's columns, with no dense d.
+sum, and d itself on the np.matmul step only: the sliced-ELL chain starts
+from a row-ordered copy of d and lets d go.
 The row and column sums of e_plus(x) and of integer powers, which are all
 the rankings need, come from matrix-vector products without forming the
 matrix (the action of the matrix function, Al-Mohy & Higham, SIAM J. Sci.
@@ -125,10 +125,10 @@ class Operator:
     take, and the absolute row and column sums that bound them.
 
     Operator(n, rows, cols, values) holds d as the columns of its nonzeros,
-    d[rows[e], cols[e]] = values[e] (entries at a repeated pair add up),
-    and takes each product as one np.bincount over them, in O(nnz) time
-    and O(n) memory.  A dense matrix passed to a vector kernel is wrapped
-    as Operator.dense(d), whose products are BLAS's d @ x and x @ d.
+    d[rows[e], cols[e]] = values[e] (a repeated pair's values add up), and
+    takes each product as one np.bincount, in O(nnz) time and O(n) memory;
+    Operator.dense(d) holds a dense d, whose products are BLAS's d @ x and
+    x @ d.  Only this class reads which of the two forms it holds.
     """
 
     def __init__(self, n: int, rows, cols, values):
@@ -156,27 +156,23 @@ class Operator:
         op.n = op.d.shape[0]
         return op
 
-    def matvec(self, x: np.ndarray, what: str | None = None) -> np.ndarray:
-        """d x; with `what`, raising NumericOverflow(what) where an entry
-        leaves the float range."""
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """d x, with no warning where an entry leaves the float range."""
         with np.errstate(over="ignore", invalid="ignore"):
             if self.d is not None:
-                y = self.d @ x
-            else:
-                y = _bincount(self.rows, self.values * x[self.cols], self.n)
-        return _finite(y, what)
+                return self.d @ x
+            return _bincount(self.rows, self.values * x[self.cols], self.n)
 
-    def rmatvec(self, x: np.ndarray, what: str | None = None) -> np.ndarray:
-        """x d, the product by d's transpose; raises like :meth:`matvec`."""
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """x d, the product by d's transpose, like :meth:`matvec`."""
         with np.errstate(over="ignore", invalid="ignore"):
             if self.d is not None:
-                y = x @ self.d
-            else:
-                y = _bincount(self.cols, self.values * x[self.rows], self.n)
-        return _finite(y, what)
+                return x @ self.d
+            return _bincount(self.cols, self.values * x[self.rows], self.n)
 
     def abs_sum(self, axis: int) -> float:
-        """Largest absolute row (axis=1) or column (axis=0) sum; 0 when empty."""
+        """Largest absolute row (axis=1) or column (axis=0) sum; 0 when empty,
+        and an upper bound where values at a repeated pair differ in sign."""
         if self.d is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 return float(np.abs(self.d).sum(axis=axis).max(initial=0.0))
@@ -187,22 +183,40 @@ class Operator:
         """Each column's sum, and its least entry where that is below 0, else 0."""
         if self.d is not None:
             return self.d.sum(axis=0), self.d.min(axis=0, initial=0.0)
+        _, cols, values = self._entries()  # a repeated pair's values added up
         low = np.zeros(self.n)
-        np.minimum.at(low, self.cols, self.values)
+        np.minimum.at(low, cols, values)
         return _bincount(self.cols, self.values, self.n), low
+
+    def _count(self) -> int:
+        """The number of nonzero stored values, found with no index arrays."""
+        return np.count_nonzero(self.values if self.d is None else self.d)
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """d's nonzero entries as (rows, cols, values), row by row, repeated pairs added up."""
+        if self.d is not None:
+            rows, cols = np.nonzero(self.d)
+            return rows, cols, self.d[rows, cols]
+        by = np.lexsort((self.cols, self.rows))  # row by row, each pair's values side by side
+        rows, cols = self.rows[by], self.cols[by]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+        values = np.add.reduceat(self.values[by], starts)
+        keep = values != 0
+        return rows[starts[keep]], cols[starts[keep]], values[keep]
+
+    def _array(self) -> np.ndarray:
+        """d as an n x n array: the one held, not to be written to, or a new one."""
+        if self.d is not None:
+            return self.d
+        d = np.zeros((self.n, self.n))
+        np.add.at(d, (self.rows, self.cols), self.values)
+        return d
 
 
 def _bincount(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """The sums of weights by index in [0, n), as floats also where there
     are no weights (np.bincount then gives integers)."""
     return np.bincount(index, weights, minlength=n).astype(float, copy=False)
-
-
-def _finite(y: np.ndarray, what: str | None) -> np.ndarray:
-    """y, or NumericOverflow(what) when `what` is given and y is not finite."""
-    if what is not None and not np.isfinite(y).all():
-        raise NumericOverflow(what)
-    return y
 
 
 def _operator(d) -> Operator:
@@ -220,29 +234,21 @@ class _SlicedEll:
     is cut into chunks that gather at most n rows of P into `scratch`, and
     at most GATHER_ENTRIES entries unless one row's c rows hold more.  The
     products run in the basis of that row order: with Pi the permutation,
-    (Pi d Pi^T)(Pi P) = Pi (d P), so a chain starts from Pi d
-    (:meth:`first`) or holds the rows of each power in `order`
-    (:meth:`enter`), and puts them back once at the end (:meth:`leave`).
-    Permuting rows changes no entry's value, so max norms, running scales
-    and tail bounds are those of the unpermuted chain.
+    (Pi d Pi^T)(Pi P) = Pi (d P), so a chain holds the rows of each power
+    in `order`, from Pi d on (:meth:`enter`), and puts them back once at
+    the end (:meth:`leave`).  Permuting rows changes no entry's value, so
+    max norms, running scales and tail bounds are those of the unpermuted
+    chain.
     """
 
     def __init__(self, d):
         op = _operator(d)
-        n = self.n = op.n
-        if op.d is None:
-            keep = op.values != 0
-            rows, cols, values = op.rows[keep], op.cols[keep], op.values[keep]
-        else:
-            rows, cols = np.nonzero(op.d)
-            values = op.d[rows, cols]
+        n = op.n
+        rows, cols, values = op._entries()
         counts = np.bincount(rows, minlength=n)
         self.order = np.argsort(-counts, kind="stable")
-        self.rank = np.empty(n, dtype=np.intp)
-        self.rank[self.order] = np.arange(n)
-        rows = self.rank[rows]
-        by = np.lexsort((cols, rows))  # row by row in the blocks' order, columns ascending
-        self.entries = (rows[by], cols[by]), values[by]  # of Pi d
+        self.rank = np.argsort(self.order)  # the inverse permutation
+        by = np.lexsort((cols, self.rank[rows]))  # row by row in the blocks' order, columns ascending
         columns = self.rank[cols[by]]
         values = values[by]
         sizes = np.bincount(counts).tolist()  # rows with each nonzero count
@@ -258,12 +264,6 @@ class _SlicedEll:
             a, e = end, e + (end - a) * c
         self.filled = a  # rows with a nonzero
         self.scratch = np.empty(max((columns.size for _, _, columns, _ in self.blocks), default=0) * n)
-
-    def first(self) -> np.ndarray:
-        """d with its rows in the blocks' order, formed from its nonzeros."""
-        a = np.zeros((self.n, self.n))
-        np.add.at(a, *self.entries)
-        return a
 
     def enter(self, a: np.ndarray) -> np.ndarray:
         """A copy of a with its rows in the blocks' order."""
@@ -293,25 +293,19 @@ def _sliced_ell(d) -> _SlicedEll | None:
     has at most sqrt(n / SPARSE_CUTOFF) nonzeros a row on average, else
     None: the chain then steps by np.matmul."""
     op = _operator(d)
-    if np.count_nonzero(op.values if op.d is None else op.d) ** 2 * SPARSE_CUTOFF > op.n**3:
-        return None
-    return _SlicedEll(op)
+    return None if op._count() ** 2 * SPARSE_CUTOFF > op.n**3 else _SlicedEll(op)
 
 
 def _stepper(op: Operator):
-    """A chain over the powers of op's matrix d as (first, enter, step, leave):
-    first() is d and enter(a) a copy of a in the chain's row order,
-    step(q, out) writes the power after q into out, and leave(a) is a
-    copy of such an a, or a itself, in d's basis.  The np.matmul step
-    forms d once where op holds it as columns."""
+    """A chain over the powers of op's matrix d as (enter, step, leave):
+    enter(a) is a copy of a in the chain's row order, so a chain starts
+    from enter(d), step(q, out) writes the power after q into out, and
+    leave(a) is a copy of such an a, or a itself, in d's basis."""
     sliced = _sliced_ell(op)
     if sliced is not None:
-        return sliced.first, sliced.enter, sliced, sliced.leave
-    d = op.d
-    if d is None:
-        d = np.zeros((op.n, op.n))
-        np.add.at(d, (op.rows, op.cols), op.values)
-    return d.copy, np.copy, lambda q, out: np.matmul(q, d, out=out), lambda a: a
+        return sliced.enter, sliced, sliced.leave
+    d = op._array()
+    return np.copy, lambda q, out: np.matmul(q, d, out=out), lambda a: a
 
 
 def mat_pow(d, k: int) -> np.ndarray:
@@ -348,14 +342,14 @@ def _sampled_sum(d, sampled) -> np.ndarray:
     Contributions are added in ascending power.  Raises NumericOverflow at
     the first product, or a sum, that leaves the float range.
     """
-    op = Operator.dense(d)
-    _, enter, step, leave = _stepper(op)
+    d = _square(d)
+    enter, step, leave = _stepper(Operator.dense(d))
     total = spare = None
     at, gap, jump = 0, 0, None  # power = d^at once at > 0; jump = d^gap
     with np.errstate(over="ignore", invalid="ignore"):
         for k, share in sampled:
             if at == 0:
-                power = enter(mat_pow(op.d, k))
+                power = enter(mat_pow(d, k))
             elif k - at == 1:
                 if spare is None:
                     spare = np.empty_like(power)
@@ -366,7 +360,7 @@ def _sampled_sum(d, sampled) -> np.ndarray:
             else:
                 if k - at != gap:
                     gap = k - at
-                    jump = mat_pow(op.d, gap)
+                    jump = mat_pow(d, gap)
                 power = _product(power, jump, f"matrix power {k}")
             at = k
             if total is None:
@@ -386,11 +380,11 @@ def mat_pow_vectors(d, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     op = _operator(d)
     _at_least("power", k, 0)
-    what = f"a row or column sum of matrix power {k}"
     rows = cols = np.ones(op.n)
     for _ in range(k):
-        rows = op.matvec(rows, what)
-        cols = op.rmatvec(cols, what)
+        rows, cols = op.matvec(rows), op.rmatvec(cols)
+        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+            raise NumericOverflow(f"a row or column sum of matrix power {k}")
     return rows, cols
 
 
@@ -549,9 +543,9 @@ def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
     """The series over the powers of d, a matrix or an Operator; see :func:`_chain`."""
     _checked(lam, tol, normalised)
     op = _operator(d)
-    first, _, step, leave = _stepper(op)
-    # the row-sum norm bounds d P_k, and P_k d = d P_k as powers of d commute
-    total, estimate, _, report = _chain(first(), step, op.abs_sum(1), lam, tol, normalised, sampled)
+    enter, step, leave = _stepper(op)
+    norm = op.abs_sum(1)  # bounds d P_k, and P_k d = d P_k as powers of d commute
+    total, estimate, _, report = _chain(enter(op._array()), step, norm, lam, tol, normalised, sampled)
     return leave(total), None if estimate is None else leave(estimate), report
 
 

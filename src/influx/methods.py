@@ -149,7 +149,7 @@ def pagerank_repair(d) -> np.ndarray:
     error messages are 1-based.
     """
     op = Operator.dense(d)
-    repaired = op.d.copy()
+    repaired = op._array().copy()
     repaired[:, _empty_columns(op)] = 1.0 / max(1, op.n)  # max: an empty d has no columns
     return repaired
 

@@ -1,6 +1,7 @@
 """Graph construction, edge-list parsing, and the matrix encoding."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,25 @@ def test_parse_non_finite_weight():
     assert err.value.line_no == 1
     with pytest.raises(NonFiniteWeight):
         parse_edge_list("1,2,nan")
+    # checked as its line is read: before the later bad line, and before
+    # the vertex 0 that the whole-graph check would find
+    with pytest.raises(NonFiniteWeight) as err:
+        parse_edge_list("1,2,1\n0,3,nan\nnot an edge\n")
+    assert err.value.line_no == 2
+
+
+def test_parse_holds_three_columns_not_a_tuple_an_edge(edge_list):
+    # 99 988 edges; a 4-tuple of Python objects an edge, transposed by zip,
+    # peaked at about 370 B an edge, three column lists at about 256
+    text = edge_list(20_000, 17)
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 99_988
+    assert peak / g.edge_count < 300
 
 
 def test_parse_index_out_of_range():
@@ -440,9 +460,13 @@ def test_matrix_text_bad_input():
         ("# nothing\n", "line 1: expected a matrix row count n >= 0, got ''"),
         ("2\n1,2\n", "line 2: expected 2 matrix rows, got '1'"),
         ("1\n1\n2\n", "line 3: expected 1 matrix rows, got '2'"),
+        ("# c\n\n2\n1,2\n3\n", "line 5: expected a matrix row of 2 comma-separated numbers, got '3'"),
+        ("# c\n\n2\n1,2\n", "line 4: expected 2 matrix rows, got '1'"),
+        ("# c\n-1\n", "line 2: expected a matrix row count n >= 0, got '-1'"),
     ],
     ids=["short row", "bad number", "negative n", "n not a number", "no lines", "too few rows",
-         "too many rows"],
+         "too many rows", "short row after comments", "too few rows after comments",
+         "negative n after a comment"],
 )
 def test_matrix_text_errors_name_the_matrix_format(text, message):
     with pytest.raises(MalformedLine) as err:

@@ -911,7 +911,7 @@ def test_montecarlo_without_the_matrix_forms_no_n_by_n_array(tmp_path, monkeypat
         raise AssertionError("montecarlo ran the matrix chain without --emit-matrix")
 
     monkeypatch.setattr(influx.linalg, "_stepper", refuse)
-    # the parser's Python tuples, about 0.12 n^2 floats here, are read
+    # the parser's Python column lists, about 0.08 n^2 floats here, are read
     # outside the measurement, as are numpy.random's modules
     g = parse_edge_list(path.read_text())
     monkeypatch.setattr(influx.cli, "_load_graph", lambda _: g)

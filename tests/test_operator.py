@@ -24,6 +24,7 @@ from influx import (
     DirectInfluenceGraph,
     Jordan,
     Line,
+    NotSubstochastic,
     NumericOverflow,
     Operator,
     Star,
@@ -66,17 +67,50 @@ def _graphs(draw):
 
 # -- the products --------------------------------------------------------------------
 
-@given(_graphs(), st.integers(0, 2**32 - 1))
-def test_products_and_norms_are_those_of_the_dense_matrix(g, seed):
+@pytest.mark.parametrize("split", [False, True], ids=["edges", "split"])
+@given(g=_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_products_and_norms_are_those_of_the_dense_matrix(split, g, seed):
     d, op = to_matrix(g), to_operator(g)
+    if split:
+        # each entry v held as two stored values of opposite sign, 2v and -v,
+        # which add up to v exactly
+        rows, cols = np.tile(g.target - 1, 2), np.tile(g.source - 1, 2)
+        op = Operator(g.n, rows, cols, np.concatenate((2 * g.weight, -g.weight)))
     x = np.random.default_rng(seed).uniform(-1, 1, g.n)
-    assert np.allclose(op.matvec(x), d @ x, rtol=1e-14, atol=1e-15)
-    assert np.allclose(op.rmatvec(x), x @ d, rtol=1e-14, atol=1e-15)
+    # a sum of up to 2n terms, and BLAS's of n, each rounds by at most 2n eps
+    # times its terms' magnitudes, which are 3 |d| where split, and by half
+    # the least subnormal a term where the terms are subnormal
+    slack = (3 if split else 1) * 4 * g.n * np.finfo(float).eps
+    tiny = 4 * g.n * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(op.matvec(x) - d @ x) <= slack * (np.abs(d) @ np.abs(x)) + tiny)
+    assert np.all(np.abs(op.rmatvec(x) - x @ d) <= slack * (np.abs(x) @ np.abs(d)) + tiny)
     for axis in (0, 1):
-        assert op.abs_sum(axis) == pytest.approx(np.abs(d).sum(axis=axis).max(), rel=1e-14)
+        dense = np.abs(d).sum(axis=axis).max()
+        if split:  # the stored values' absolute sums bound the entries'
+            assert op.abs_sum(axis) >= dense
+        else:
+            assert op.abs_sum(axis) == pytest.approx(dense, rel=1e-14)
     totals, low = op.column_stats()
-    assert np.allclose(totals, d.sum(axis=0), rtol=1e-14, atol=1e-15)
+    assert np.all(np.abs(totals - d.sum(axis=0)) <= slack * np.abs(d).sum(axis=0) + tiny)
     assert np.array_equal(low, d.min(axis=0, initial=0.0))
+
+
+def test_pagerank_checks_the_entries_a_repeated_pair_adds_up_to():
+    # column 1 holds -0.5 and 1.0 at one pair, the entry 0.5, and 0.5 below it
+    op = Operator(2, [0, 0, 1], [0, 0, 0], [-0.5, 1.0, 0.5])
+    assert np.array_equal(op.column_stats()[1], [0.0, 0.0])
+    dense = pagerank(Operator.dense([[0.5, 0.0], [0.5, 0.0]]))
+    assert np.array_equal(pagerank(op).stationary, dense.stationary)
+    with pytest.raises(NotSubstochastic, match="column 1"):
+        pagerank(Operator(2, [0, 0, 1], [0, 0, 0], [-0.5, 0.25, 0.5]))
+
+
+def test_entries_add_up_repeated_pairs_at_any_n():
+    # a key such as row * n + col would pass int64 at this n
+    n, far = 2**62, 2**61 + 3
+    op = Operator(n, [far, 0, far, far], [far, far, far, 0], [1.0, 2.0, -1.0, 0.5])
+    rows, cols, values = op._entries()  # row by row; the pair (far, far) adds up to 0
+    assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, far], [far, 0], [2.0, 0.5])
 
 
 def test_a_dense_matrix_wraps_as_its_blas_products():
