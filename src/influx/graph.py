@@ -177,7 +177,7 @@ def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
     Edge weights are ignored.  Columns of vertices with no outgoing edges are
     all-zero; every other column sums to 1.
     """
-    return _matrix(g, 1.0 / np.bincount(g.source)[g.source])
+    return web_operator(g)._array()
 
 
 def is_column_stochastic(d: np.ndarray, tol: float = 1e-12) -> bool:

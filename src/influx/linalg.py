@@ -342,14 +342,14 @@ def _sampled_sum(d, sampled) -> np.ndarray:
     Contributions are added in ascending power.  Raises NumericOverflow at
     the first product, or a sum, that leaves the float range.
     """
-    d = _square(d)
-    enter, step, leave = _stepper(Operator.dense(d))
+    op = Operator.dense(d)
+    enter, step, leave = _stepper(op)
     total = spare = None
     at, gap, jump = 0, 0, None  # power = d^at once at > 0; jump = d^gap
     with np.errstate(over="ignore", invalid="ignore"):
         for k, share in sampled:
             if at == 0:
-                power = enter(mat_pow(d, k))
+                power = enter(mat_pow(op._array(), k))
             elif k - at == 1:
                 if spare is None:
                     spare = np.empty_like(power)
@@ -360,7 +360,7 @@ def _sampled_sum(d, sampled) -> np.ndarray:
             else:
                 if k - at != gap:
                     gap = k - at
-                    jump = mat_pow(d, gap)
+                    jump = mat_pow(op._array(), gap)
                 power = _product(power, jump, f"matrix power {k}")
             at = k
             if total is None:

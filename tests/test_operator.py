@@ -77,21 +77,25 @@ def test_products_and_norms_are_those_of_the_dense_matrix(split, g, seed):
         rows, cols = np.tile(g.target - 1, 2), np.tile(g.source - 1, 2)
         op = Operator(g.n, rows, cols, np.concatenate((2 * g.weight, -g.weight)))
     x = np.random.default_rng(seed).uniform(-1, 1, g.n)
-    # a sum of up to 2n terms, and BLAS's of n, each rounds by at most 2n eps
-    # times its terms' magnitudes, which are 3 |d| where split, and by half
-    # the least subnormal a term where the terms are subnormal
-    slack = (3 if split else 1) * 4 * g.n * np.finfo(float).eps
-    tiny = 4 * g.n * np.finfo(float).smallest_subnormal
-    assert np.all(np.abs(op.matvec(x) - d @ x) <= slack * (np.abs(d) @ np.abs(x)) + tiny)
-    assert np.all(np.abs(op.rmatvec(x) - x @ d) <= slack * (np.abs(x) @ np.abs(d)) + tiny)
-    for axis in (0, 1):
-        dense = np.abs(d).sum(axis=axis).max()
-        if split:  # the stored values' absolute sums bound the entries'
-            assert op.abs_sum(axis) >= dense
-        else:
-            assert op.abs_sum(axis) == pytest.approx(dense, rel=1e-14)
     totals, low = op.column_stats()
-    assert np.all(np.abs(totals - d.sum(axis=0)) <= slack * np.abs(d).sum(axis=0) + tiny)
+    if not split:
+        assert np.allclose(op.matvec(x), d @ x, rtol=1e-14, atol=1e-15)
+        assert np.allclose(op.rmatvec(x), x @ d, rtol=1e-14, atol=1e-15)
+        for axis in (0, 1):
+            assert op.abs_sum(axis) == pytest.approx(np.abs(d).sum(axis=axis).max(), rel=1e-14)
+        assert np.allclose(totals, d.sum(axis=0), rtol=1e-14, atol=1e-15)
+    else:
+        # the cancelling stored values round apart from the entries' sums:
+        # a sum of up to 2n terms, and BLAS's of n, each rounds by at most
+        # 2n eps times its terms' magnitudes, which are 3 |d|, and by half
+        # the least subnormal a term where the terms are subnormal
+        slack = 12 * g.n * np.finfo(float).eps
+        tiny = 4 * g.n * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(op.matvec(x) - d @ x) <= slack * (np.abs(d) @ np.abs(x)) + tiny)
+        assert np.all(np.abs(op.rmatvec(x) - x @ d) <= slack * (np.abs(x) @ np.abs(d)) + tiny)
+        for axis in (0, 1):  # the stored values' absolute sums bound the entries'
+            assert op.abs_sum(axis) >= np.abs(d).sum(axis=axis).max()
+        assert np.all(np.abs(totals - d.sum(axis=0)) <= slack * np.abs(d).sum(axis=0) + tiny)
     assert np.array_equal(low, d.min(axis=0, initial=0.0))
 
 
