@@ -50,10 +50,8 @@ from .linalg import (
     exp_plus,
     exp_plus_vectors,
     mat_pow,
-    mat_pow_vectors,
     pwp_matrix,
     pwp_matrix_report,
-    pwp_vectors_report,
 )
 from .methods import (
     IndirectInfluenceResult,
@@ -91,7 +89,6 @@ from .stochastic import (
     moments,
     monte_carlo_pwp,
     pmf,
-    sample_length,
     sample_lengths,
 )
 
@@ -148,7 +145,6 @@ __all__ = [
     "line_argmax_offset",
     "make_rng",
     "mat_pow",
-    "mat_pow_vectors",
     "micmac",
     "moments",
     "monte_carlo_pwp",
@@ -162,11 +158,9 @@ __all__ = [
     "pwp",
     "pwp_matrix",
     "pwp_matrix_report",
-    "pwp_vectors_report",
     "rank_vertices",
     "read_matrix_text",
     "rho_sum",
-    "sample_length",
     "sample_lengths",
     "to_matrix",
     "to_operator",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflow
+from .errors import NonFiniteWeight, NumericOverflow
 from .graph import DirectInfluenceGraph, Edge
 from .linalg import _at_least, _expm1, _positive
 from .stochastic import pmf
@@ -45,6 +45,11 @@ class Jordan(_Family):
     """The line plus a self-loop of weight a on every vertex."""
 
     a: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(float(self.a)):
+            raise NonFiniteWeight(float(self.a))  # as build would
 
 
 class Star(_Family):

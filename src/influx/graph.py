@@ -230,5 +230,5 @@ def read_matrix_text(text: str) -> np.ndarray:
         except ValueError:
             raise MalformedLine(line_no, line, row) from None
         if not np.all(np.isfinite(d[i])):
-            raise NonFiniteWeight(line, line_no=line_no)
+            raise NonFiniteWeight(float(d[i][~np.isfinite(d[i])][0]), line_no=line_no)
     return d

@@ -16,13 +16,14 @@ order; each group's product is one gather and one batched BLAS product.
 A chain holds four n x n arrays, the two powers, the sum and the sampled
 sum, and d itself on the np.matmul step only: the sliced-ELL chain starts
 from a row-ordered copy of d and lets d go.
-The row and column sums of e_plus(x) and of integer powers, which are all
-the rankings need, come from matrix-vector products without forming the
-matrix (the action of the matrix function, Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33(2), 2011), by an Operator: a dense d, or the columns of its
-nonzeros, whose products take O(nnz).  The same vector chains carry a
-sampled sum over given powers and its sum of squares, which give the
-Monte Carlo estimates of those sums their standard errors.
+The row and column sums of e_plus(x), which are all the rankings need,
+come from matrix-vector products without forming the matrix (the action
+of the matrix function, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
+2011), by an Operator: a dense d, or the columns of its nonzeros, whose
+products take O(nnz).  The same vector chains carry a sampled sum over
+given powers and its sum of squares, which give the Monte Carlo
+estimates of those sums their standard errors.  The row and column sums
+of integer powers come from :func:`influx.methods.micmac` on an Operator.
 """
 
 import math
@@ -372,22 +373,6 @@ def _sampled_sum(d, sampled) -> np.ndarray:
     return leave(total)
 
 
-def mat_pow_vectors(d, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of d^k by k matrix-vector products each; d is a
-    matrix or an :class:`Operator`.
-
-    Raises NumericOverflow at the first product that leaves the float range.
-    """
-    op = _operator(d)
-    _at_least("power", k, 0)
-    rows = cols = np.ones(op.n)
-    for _ in range(k):
-        rows, cols = op.matvec(rows), op.rmatvec(cols)
-        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
-            raise NumericOverflow(f"a row or column sum of matrix power {k}")
-    return rows, cols
-
-
 def _log_expm1(lam: float) -> float:
     """log(e^lam - 1), finite for every finite lam > 0."""
     if lam > 30.0:
@@ -620,12 +605,3 @@ def pwp_matrix(d, lam: float = 1.0, tol: float = 1e-12) -> np.ndarray:
     within tol (rounding aside; see :func:`exp_plus`)."""
     return pwp_matrix_report(d, lam, tol)[0]
 
-
-def pwp_vectors_report(
-    d, lam: float = 1.0, tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, SeriesReport]:
-    """Row and column sums of :func:`pwp_matrix` without forming it, each
-    accurate to tol in max norm, with a report like that of
-    :func:`exp_plus_vectors`; d is a matrix or an :class:`Operator`."""
-    (rows, cols), _, _, report = _vectors(d, lam, tol, normalised=True)
-    return rows, cols, report

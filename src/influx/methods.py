@@ -20,10 +20,9 @@ from .linalg import (
     _operator,
     _positive,
     _square,
+    _vectors,
     mat_pow,
-    mat_pow_vectors,
     pwp_matrix_report,
-    pwp_vectors_report,
 )
 
 SUBSTOCHASTIC_TOL = 1e-9
@@ -106,9 +105,15 @@ def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     each and T is None.
     """
     config = MicmacConfig(k=k)
-    t = None if isinstance(d, Operator) else mat_pow(d, k)
-    vectors = InfluenceVectors(*mat_pow_vectors(d, k)) if t is None else influence_dependence(t)
-    return IndirectInfluenceResult(T=t, vectors=vectors, config=config)
+    if not isinstance(d, Operator):
+        t = mat_pow(d, k)
+        return IndirectInfluenceResult(T=t, vectors=influence_dependence(t), config=config)
+    rows = cols = np.ones(d.n)
+    for _ in range(k):
+        rows, cols = d.matvec(rows), d.rmatvec(cols)
+        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+            raise NumericOverflow(f"a row or column sum of matrix power {k}")
+    return IndirectInfluenceResult(T=None, vectors=InfluenceVectors(rows, cols), config=config)
 
 
 def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
@@ -120,7 +125,7 @@ def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
     """
     config = PWPConfig(lam=lam, tol=tol)
     if isinstance(d, Operator):
-        *sums, report = pwp_vectors_report(d, lam, tol)
+        sums, _, _, report = _vectors(d, lam, tol, normalised=True)
         t, vectors = None, InfluenceVectors(*sums)
     else:
         t, report = pwp_matrix_report(d, lam, tol)
@@ -159,13 +164,12 @@ def pagerank(
     p: float = 0.86,
     tol: float = 1e-12,
     max_iter: int = 10_000,
-    start=None,
 ) -> IndirectInfluenceResult:
     """Damped stationary-distribution method.
 
     The stationary vector of M = p * repaired(d) + (1 - p) * E_n, with E_n
     the uniform matrix, by the power iteration x <- M x from the uniform
-    vector (or `start`) until the successive l1 change drops below tol.
+    vector until the successive l1 change drops below tol.
     Each step takes one product by d, folding in the mass on d's all-zero
     columns (Langville & Meyer, Google's PageRank and Beyond, 2006), so M
     is never formed: x <- p (d x + (sum of x on those columns) / n) + (1 - p) / n.
@@ -174,9 +178,8 @@ def pagerank(
     d is a matrix, and then T is formed, or an :class:`Operator`, such as
     :func:`influx.graph.web_operator`'s, and then T is None.
 
-    Raises NoConvergence after max_iter iterations, NotSubstochastic if a
-    column of d sums to neither 0 nor 1, and ValueError if `start` has a
-    negative or non-finite entry or a sum that is 0 or overflows.
+    Raises NoConvergence after max_iter iterations, and NotSubstochastic if
+    a column of d sums to neither 0 nor 1.
     """
     config = PageRankConfig(p=p, tol=tol, max_iter=max_iter)
     op = _operator(d)
@@ -184,18 +187,7 @@ def pagerank(
     n = op.n
     if n == 0:
         raise DimensionMismatch("cannot rank an empty matrix")
-    if start is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = np.asarray(start, dtype=float)
-        if x.shape != (n,):
-            raise DimensionMismatch(f"start vector must have shape ({n},)")
-        with np.errstate(over="ignore"):
-            total = x.sum()
-        # a nan or inf would only show as a NoConvergence after max_iter steps
-        if not (np.isfinite(x).all() and np.all(x >= 0) and 0 < total < np.inf):
-            raise ValueError("start vector must be a finite nonnegative distribution with a finite sum")
-        x = x / total
+    x = np.full(n, 1.0 / n)
     live = ~empty  # the entries of an all-zero column within 1e-9 count as zeros
     iterations = 0
     err = np.inf

@@ -47,6 +47,7 @@ def pmf(lam: float, k: int) -> float:
     log space; these are the weights the pwp series sums.
     """
     _positive("lam", lam)
+    _at_least("k", k, -math.inf)  # only the integer rule: k < 1 is a DomainError
     if k < 1:
         raise DomainError(f"length distribution has no mass at k = {k}")
     return math.ldexp(*_poisson_weight(lam, k, normalised=True))
@@ -104,11 +105,6 @@ def chebyshev_bound(lam: float, c: float) -> float:
     if not (c > 0):
         raise ValueError(f"c must be > 0, got {c}")
     return min(1.0, moments(lam).variance / (c * c))
-
-
-def sample_length(lam: float, rng: np.random.Generator) -> int:
-    """One draw from the length law (see :func:`sample_lengths`)."""
-    return int(sample_lengths(lam, 1, rng)[0])
 
 
 def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,7 +169,7 @@ def estimate_and_exact_vectors(
     :class:`influx.linalg.Operator`.  Each is a (2, n) array, d's row first.
 
     One pass over the vectors v_k = d^k 1 (1 d^k for f) sums the exact
-    series of :func:`influx.linalg.pwp_vectors_report`, bit for bit, the
+    series of :func:`influx.methods.pwp` on an Operator, bit for bit, the
     sampled mean m1 = sum_k (c_k / N) v_k, where c_k of the N lengths are k,
     and the sampled second moment m2 = sum_k (c_k / N) v_k^2.  The standard
     error of m1 is sqrt((m2 - m1^2) / N), and 0 where m2 - m1^2 is within

@@ -335,5 +335,8 @@ def test_public_surface_is_all():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(influx.__all__) == sorted(public)
     assert all(getattr(influx, name) is not None for name in influx.__all__)
-    for retired in ("pwp_vectors", "micmac_vectors", "mat_pow_sum"):
-        assert not hasattr(influx, retired)
+    retired = ("pwp_vectors", "micmac_vectors", "mat_pow_sum", "pwp_vectors_report", "mat_pow_vectors",
+               "sample_length")
+    for module in (influx, influx.linalg, influx.methods, influx.stochastic):
+        assert not [name for name in retired if hasattr(module, name)]
+    assert "start" not in inspect.signature(influx.pagerank).parameters

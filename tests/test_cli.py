@@ -462,8 +462,10 @@ K50_WEIGHT_20 = "".join(f"{i},{j},20\n" for i in range(1, 51) for j in range(1, 
         (["pwp"], BIG_PAIR),
         (["pwp"], K50_WEIGHT_20),  # used to run all 10 000 series terms
         (["micmac", "-k", "1"], "1,2,1.7e308\n3,2,1.7e308\n"),  # finite T, infinite row sum
+        # finite d and f, times e^709 - 1
+        (["pwp", "--lambda", "709", "--paper-scale"], "1,1,1.01\n"),
     ],
-    ids=["micmac-1e200", "pwp-1e200", "pwp-K50", "micmac-row-sum"],
+    ids=["micmac-1e200", "pwp-1e200", "pwp-K50", "micmac-row-sum", "pwp-paper-scale-709"],
 )
 def test_kernel_overflow_exit_3(tmp_path, capsys, flags, edges):
     path = tmp_path / "big.csv"

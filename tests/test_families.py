@@ -11,6 +11,7 @@ from influx import (
     Edge,
     Jordan,
     Line,
+    NonFiniteWeight,
     NumericOverflow,
     Star,
     build,
@@ -265,6 +266,13 @@ def test_argmax_offset_matches_matrix(lam):
             column = t[:, j - 1]
             s_star = int(np.argmax(column)) + 1 - j
             assert s_star == line_argmax_offset(lam)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_jordan_refuses_a_non_finite_weight(a):
+    # build's usage error (exit 2), where closed_form_pwp used to overflow (exit 3)
+    with pytest.raises(NonFiniteWeight, match=f"^weight {a!r} is not finite$"):
+        Jordan(3, a)
 
 
 def test_invalid_sizes_rejected():

@@ -147,6 +147,9 @@ def test_columns_are_sorted_and_read_only():
     with pytest.raises(AttributeError):
         g.n = 5
     assert g.out_degree(1) == 2 and g.out_degree(3) == 0
+    for v in (0, 4):
+        with pytest.raises(IndexOutOfRange):
+            g.out_degree(v)
 
 
 def test_self_loops_allowed():
@@ -415,6 +418,12 @@ def test_identity_is_column_stochastic():
     assert is_column_stochastic(np.eye(4), 0.0)
 
 
+def test_empty_matrix_is_column_stochastic_and_tol_is_checked():
+    assert is_column_stochastic(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        is_column_stochastic(np.eye(2), -1.0)
+
+
 def test_negative_entries_rejected():
     d = np.array([[0.0, 1.5], [1.0, -0.5]])
     assert not is_column_stochastic(d, 1e-12)
@@ -472,6 +481,14 @@ def test_matrix_text_errors_name_the_matrix_format(text, message):
     with pytest.raises(MalformedLine) as err:
         read_matrix_text(text)
     assert str(err.value) == message
+
+
+def test_matrix_text_names_the_non_finite_weight():
+    # the edge-list parser's message for the same fault, not the whole row
+    with pytest.raises(NonFiniteWeight, match="^line 2: weight nan is not finite$"):
+        read_matrix_text("2\n1,nan\n0,0\n")
+    with pytest.raises(NonFiniteWeight, match="^line 3: weight -inf is not finite$"):
+        read_matrix_text("2\n0,0\n-inf,nan\n")
 
 
 def test_edge_list_errors_keep_their_message():

@@ -31,13 +31,13 @@ from influx import (
     influence_dependence,
     is_column_stochastic,
     mat_pow,
-    mat_pow_vectors,
+    micmac,
     pagerank,
     pagerank_repair,
     parse_edge_list,
     pwp_matrix,
+    pwp,
     pwp_matrix_report,
-    pwp_vectors_report,
     to_matrix,
     to_operator,
 )
@@ -186,6 +186,12 @@ def test_weighted_sum_overflow_is_typed():
     d = np.array([[1.0, np.finfo(float).max], [0.0, 0.0]])
     with pytest.raises(NumericOverflow, match="weighted sum"):
         influx.estimate_from_lengths(d, [1, 2, 2, 3, 3])
+    # past the series, the power chain's running scale carries 2^2000 into
+    # the sampled sum, which the exact series at this lambda never reaches
+    with pytest.raises(NumericOverflow, match="weighted sum of matrix powers"):
+        influx.estimate_and_exact(np.array([[2.0]]), 0.001, [1, 2000])
+    with pytest.raises(NumericOverflow, match="weighted sum of matrix powers"):
+        influx.estimate_and_exact_vectors(Operator.dense([[2.0]]), 0.001, [1, 2000])
 
 
 # -- exp_plus ------------------------------------------------------------------
@@ -267,14 +273,8 @@ def test_exp_plus_vectors_are_sums_of_exp_plus():
 def test_vector_kernels_on_an_empty_matrix():
     rows, cols, report = exp_plus_vectors(np.zeros((0, 0)))
     assert rows.shape == cols.shape == (0,) and report.tail_bound == 0.0
-    assert [v.shape for v in mat_pow_vectors(np.zeros((0, 0)), 3)] == [(0,), (0,)]
-
-
-def test_mat_pow_vectors_zero_power_and_bad_power():
-    rows, cols = mat_pow_vectors(L3, 0)
-    assert np.array_equal(rows, np.ones(3)) and np.array_equal(cols, np.ones(3))
-    with pytest.raises(ValueError):
-        mat_pow_vectors(L3, -1)
+    vectors = micmac(Operator.dense(np.zeros((0, 0))), 3).vectors
+    assert vectors.d.shape == vectors.f.shape == (0,)
 
 
 def test_exp_plus_diverging_budget():
@@ -351,21 +351,21 @@ def test_exp_plus_overflowing_sum_of_finite_terms():
 def test_vector_kernels_overflow_is_typed():
     big = np.array([[0.0, 1e200], [1e200, 0.0]])
     with pytest.raises(NumericOverflow, match="row or column sum"):
-        mat_pow_vectors(big, 4)
+        micmac(Operator.dense(big), 4)
     with pytest.raises(NumericOverflow, match="term"):
         exp_plus_vectors(big)
     with pytest.raises(NumericOverflow, match="matrix power 1"):
-        mat_pow_vectors(np.array([[0.0, 0.0], [1.7e308, 1.7e308]]), 1)  # finite d, infinite row sum
+        micmac(Operator.dense([[0.0, 0.0], [1.7e308, 1.7e308]]), 1)  # finite d, infinite row sum
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda lam: pwp_vectors_report(L3, lam),
+        lambda lam: pwp(Operator.dense(L3), lam),
         lambda lam: influx.omega_lambda_sum(build(Line(2)), 2, 1, lam, 5),
         lambda lam: influx.closed_form_pwp(Line(3), lam),
     ],
-    ids=["pwp_vectors_report", "omega_lambda_sum", "closed_form_pwp"],
+    ids=["pwp_operator", "omega_lambda_sum", "closed_form_pwp"],
 )
 def test_e_plus_lambda_overflow_is_typed_everywhere(call):
     with pytest.raises(NumericOverflow, match="e\\^lambda - 1"):
@@ -383,10 +383,9 @@ def test_e_plus_lambda_overflow_is_typed_everywhere(call):
         lambda v: exp_plus(L3, tol=v),
         lambda v: exp_plus_vectors(L3, lam=v),
         lambda v: pwp_matrix(L3, tol=v),
-        lambda v: pwp_vectors_report(L3, lam=v),
+        lambda v: pwp(Operator.dense(L3), lam=v),
         lambda v: influx.pmf(v, 1),
         lambda v: influx.moments(v),
-        lambda v: influx.sample_length(v, influx.make_rng(0)),
         lambda v: influx.sample_lengths(v, 3, influx.make_rng(0)),
         lambda v: influx.closed_form_pwp(Line(3), v),
         lambda v: influx.line_argmax_offset(v),
@@ -404,7 +403,6 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
     "call",
     [
         lambda k: mat_pow(L3, k),
-        lambda k: mat_pow_vectors(L3, k),
         lambda k: influx.micmac(L3, k),
         lambda k: influx.micmac(Operator.dense(L3), k),
         lambda k: influx.MicmacConfig(k=k),
@@ -416,7 +414,7 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
         lambda k: influx.omega_lambda_tail_bound(build(Line(3)), 1.0, k),
     ],
     ids=[
-        "mat_pow", "mat_pow_vectors", "micmac", "micmac_operator", "MicmacConfig",
+        "mat_pow", "micmac", "micmac_operator", "MicmacConfig",
         "count_paths", "enumerate_paths", "omega_sum", "rho_sum", "omega_lambda_sum",
         "omega_lambda_tail_bound",
     ],
@@ -429,8 +427,8 @@ def test_single_power_must_be_an_integer(call, bad):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda k: mat_pow(L3, k), lambda k: mat_pow_vectors(L3, k)[0], lambda k: influx.micmac(L3, k).T],
-    ids=["mat_pow", "mat_pow_vectors", "micmac"],
+    [lambda k: mat_pow(L3, k), lambda k: micmac(Operator.dense(L3), k).vectors.d, lambda k: micmac(L3, k).T],
+    ids=["mat_pow", "micmac_operator", "micmac"],
 )
 def test_numpy_integer_powers_are_accepted(call):
     assert np.array_equal(call(np.int64(2)), call(2))
@@ -462,10 +460,14 @@ INTEGER_PARAMETERS = {
 }
 
 
+# pmf's k follows the integer rule too, but a k below 1 is a DomainError
+INTEGER_TYPE_ONLY = {**INTEGER_PARAMETERS, "pmf": (lambda v, _: influx.pmf(1.0, v), "k", 1)}
+
+
 @pytest.mark.parametrize("bad", [2.5, True])
-@pytest.mark.parametrize("entry", INTEGER_PARAMETERS)
+@pytest.mark.parametrize("entry", INTEGER_TYPE_ONLY)
 def test_integer_parameters_refuse_floats_and_bools(entry, bad, tmp_path):
-    call, name, _ = INTEGER_PARAMETERS[entry]
+    call, name, _ = INTEGER_TYPE_ONLY[entry]
     with pytest.raises(ValueError) as exc:
         call(bad, tmp_path)
     assert str(exc.value) == f"{name} must be an integer, got {bad!r}"
@@ -559,10 +561,11 @@ def test_pwp_tail_bounds_are_honest():
             coarse, report = pwp_matrix_report(d, lam, tol=1e-6)
             fine, _ = pwp_matrix_report(d, lam, tol=1e-9)
             assert np.abs(coarse - fine).max() <= report.tail_bound + 1e-15
-            rows, cols, by_vector = pwp_vectors_report(d, lam, tol=1e-6)
-            fine_rows, fine_cols, _ = pwp_vectors_report(d, lam, tol=1e-9)
-            assert np.abs(rows - fine_rows).max() <= by_vector.tail_bound + 1e-15
-            assert np.abs(cols - fine_cols).max() <= by_vector.tail_bound + 1e-15
+            by_vector = pwp(Operator.dense(d), lam, tol=1e-6)
+            fine_vectors = pwp(Operator.dense(d), lam, tol=1e-9).vectors
+            bound = by_vector.diagnostics.tail_bound + 1e-15
+            assert np.abs(by_vector.vectors.d - fine_vectors.d).max() <= bound
+            assert np.abs(by_vector.vectors.f - fine_vectors.f).max() <= bound
 
 
 @st.composite
@@ -598,10 +601,10 @@ def test_pwp_agrees_with_poisson_weighted_powers(d, lam):
     # pmf(30, 150) ~ 1e-50 behind at lambda = 30
     want = sum(influx.pmf(lam, k) * np.linalg.matrix_power(d, k) for k in range(1, 150))
     t = pwp_matrix(d, lam)
-    rows, cols, _ = pwp_vectors_report(d, lam)
+    vectors = pwp(Operator.dense(d), lam).vectors
     assert np.abs(t - want).max() <= 1e-11
-    assert np.abs(rows - want.sum(axis=1)).max() <= 1e-11
-    assert np.abs(cols - want.sum(axis=0)).max() <= 1e-11
+    assert np.abs(vectors.d - want.sum(axis=1)).max() <= 1e-11
+    assert np.abs(vectors.f - want.sum(axis=0)).max() <= 1e-11
 
 
 @given(_contractions(), st.sampled_from([1e-8, 1.0, 4.0, 30.0]))
@@ -852,7 +855,7 @@ def test_montecarlo_takes_each_vector_product_once(tmp_path, capsys, monkeypatch
     assert (by_row.terms_used > longest) == (scale == 1.0)
     assert products == {"matvec": max(by_row.terms_used, longest), "rmatvec": max(by_col.terms_used, longest)}
     monkeypatch.undo()
-    want = pwp_vectors_report(to_operator(parse_edge_list(text)), lam)[2].terms_used
+    want = pwp(to_operator(parse_edge_list(text)), lam).diagnostics.terms_used
     assert max(by_row.terms_used, by_col.terms_used) == want
 
 

@@ -7,7 +7,6 @@ d = (17500, 32550, 45493) / 95543 at p = 43/50.
 """
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from influx import (
     Line,
     NoConvergence,
     NotSubstochastic,
+    NumericOverflow,
     Operator,
     Star,
     build,
@@ -28,13 +28,11 @@ from influx import (
     from_matrix,
     influence_dependence,
     mat_pow,
-    mat_pow_vectors,
     micmac,
     pagerank,
     pagerank_repair,
     parse_edge_list,
     pwp,
-    pwp_vectors_report,
     rank_vertices,
     to_matrix,
     to_operator,
@@ -252,25 +250,6 @@ def test_pagerank_eigenvector_residual():
     assert np.abs(m @ result.stationary - result.stationary).sum() < 1e-11
 
 
-def test_pagerank_start_independent():
-    d = web_normalize(parse_edge_list("1,2,1\n2,3,1"))
-    a = pagerank(d, p=0.86, tol=1e-12)
-    start = np.array([1.0, 0.0, 0.0])
-    b = pagerank(d, p=0.86, tol=1e-12, start=start)
-    assert np.abs(a.stationary - b.stationary).sum() < 1e-11
-
-
-@pytest.mark.parametrize(
-    "start", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1e308, 1e308, 0.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
-)
-def test_pagerank_rejects_bad_start_before_iterating(start):
-    # unchecked, a nan would surface only as a nan NoConvergence after
-    # max_iter steps, and an inf or an overflowing sum would warn in x / x.sum()
-    d = web_normalize(parse_edge_list("1,2,1\n2,3,1"))
-    with pytest.raises(ValueError, match="start vector"):
-        pagerank(d, p=0.86, tol=1e-12, start=start)
-
-
 def test_pagerank_no_convergence():
     d = web_normalize(parse_edge_list("1,2,1\n2,3,1"))
     with pytest.raises(NoConvergence):
@@ -322,6 +301,12 @@ def test_column_stochastic_matrix_has_unit_influence():
 def test_influence_dependence_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         influence_dependence(np.zeros((2, 3)))
+
+
+def test_influence_dependence_overflow_is_typed():
+    # finite entries whose row and column sums pass the largest float
+    with pytest.raises(NumericOverflow, match="^a row or column sum overflows"):
+        influence_dependence(np.full((2, 2), 1.7e308))
 
 
 def test_grand_sum_shared_by_both_vectors():
@@ -381,23 +366,18 @@ WEB = web_normalize(parse_edge_list("1,2,1\n2,3,1\n3,1,1\n1,3,1\n4,4,1"))
 
 
 @pytest.mark.parametrize(
-    "engine, kernel",
-    [
-        (lambda d: pwp(d, lam=1.5), lambda op: pwp_vectors_report(op, 1.5)[:2]),
-        (lambda d: micmac(d, 3), lambda op: mat_pow_vectors(op, 3)),
-        # pagerank has no vector kernel of its own: one iteration serves both
-        (pagerank, lambda op: astuple(pagerank(op.d).vectors)),
-    ],
-    ids=["pwp", "micmac", "pagerank"],
+    "engine", [lambda d: pwp(d, lam=1.5), lambda d: micmac(d, 3), pagerank], ids=["pwp", "micmac", "pagerank"]
 )
-def test_every_engine_leaves_t_none_exactly_on_an_operator(engine, kernel):
-    assert engine(WEB).T is not None
+def test_every_engine_leaves_t_none_exactly_on_an_operator(engine):
+    dense = engine(WEB)
+    assert dense.T is not None
     assert engine(to_operator(from_matrix(WEB))).T is None
-    op = Operator.dense(WEB)
-    result = engine(op)
-    d, f = kernel(op)
+    result = engine(Operator.dense(WEB))
     assert result.T is None
-    assert result.vectors.d.tobytes() == d.tobytes() and result.vectors.f.tobytes() == f.tobytes()
+    # against the dense T's row and column sums, which take no matrix-vector product
+    want = influence_dependence(dense.T)
+    assert np.allclose(result.vectors.d, want.d, rtol=0, atol=1e-12)
+    assert np.allclose(result.vectors.f, want.f, rtol=0, atol=1e-12)
 
 
 FAMILIES = [Line(1), Line(6), Cycle(5), Jordan(4, 0.5), Jordan(3, 2.0), Star(7)]

@@ -36,13 +36,11 @@ from influx import (
     exp_plus_vectors,
     influence_dependence,
     mat_pow,
-    mat_pow_vectors,
     micmac,
     pagerank,
     parse_edge_list,
     pwp_matrix_report,
     pwp,
-    pwp_vectors_report,
     sample_lengths,
     to_matrix,
     to_operator,
@@ -130,7 +128,7 @@ def test_an_operator_with_no_entries_is_zero():
     assert op.matvec(np.ones(3)).dtype == float
     assert np.array_equal(op.matvec(np.ones(3)), np.zeros(3))
     assert op.abs_sum(0) == op.abs_sum(1) == 0.0
-    assert np.array_equal(mat_pow_vectors(op, 2)[0], np.zeros(3))
+    assert np.array_equal(micmac(op, 2).vectors.d, np.zeros(3))
 
 
 @pytest.mark.parametrize(
@@ -201,7 +199,7 @@ def test_vector_overflow_raises_the_same_messages(wrap):
     # no RuntimeWarning either: the suite turns every one into an error
     d = wrap(parse_edge_list(BIG))
     with pytest.raises(NumericOverflow, match="^a row or column sum of matrix power 4 overflows"):
-        mat_pow_vectors(d, 4)
+        micmac(Operator.dense(d) if wrap is to_matrix else d, 4)
     with pytest.raises(NumericOverflow, match="^exponential series term 2 overflows"):
         exp_plus_vectors(d)
     with pytest.raises(NumericOverflow, match="^exponential series term 1 overflows"):
@@ -305,14 +303,14 @@ def test_matrix_chain_on_columns_is_bit_for_bit_the_dense_one(g, lam, seed):
 
 @given(_graphs(), st.sampled_from([0.5, 4.0]), st.integers(0, 3))
 @example(DirectInfluenceGraph(0), 4.0, 0)
-def test_montecarlo_exact_vectors_are_pwp_vectors_report(g, lam, seed):
+def test_montecarlo_exact_vectors_are_pwp_on_an_operator(g, lam, seed):
     # the vector chains run on past the series to the longest sampled
     # length, adding nothing more to it
     op = to_operator(g)
     lengths = sample_lengths(lam, 300, make_rng(seed))
     _, (d, f), _ = estimate_and_exact_vectors(op, lam, lengths)
-    want_d, want_f, _ = pwp_vectors_report(op, lam)
-    assert d.tobytes() == want_d.tobytes() and f.tobytes() == want_f.tobytes()
+    want = pwp(op, lam).vectors
+    assert d.tobytes() == want.d.tobytes() and f.tobytes() == want.f.tobytes()
 
 
 # -- the command line on the edge columns against the dense path ---------------------

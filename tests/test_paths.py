@@ -348,6 +348,12 @@ def test_omega_lambda_tail_bound_shrinks():
     assert bounds[-1] < 1e-30
 
 
+def test_omega_lambda_tail_bound_with_no_edges_or_no_geometric_tail():
+    assert omega_lambda_tail_bound(DirectInfluenceGraph(3), 1.0, 3) == 0.0
+    # lambda ||D||_inf = 10 >= K + 1: the terms past K need not shrink
+    assert omega_lambda_tail_bound(build(Line(3)), 10.0, 3) == math.inf
+
+
 def test_omega_lambda_tail_bound_forms_no_dense_d(monkeypatch):
     g = parse_edge_list("1,2,0.3\n2,1,0.7\n1,1,0.3\n3,1,-0.5")
     expected = [omega_lambda_tail_bound(g, 1.0, K) for K in (1, 5, 30)]

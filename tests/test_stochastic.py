@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from influx import (
     DomainError,
     NumericOverflow,
+    Operator,
     bernoulli_numbers,
     bernoulli_series,
     build,
@@ -25,9 +26,8 @@ from influx import (
     monte_carlo_pwp,
     pmf,
     mat_pow,
+    pwp,
     pwp_matrix,
-    pwp_vectors_report,
-    sample_length,
     sample_lengths,
     to_matrix,
 )
@@ -183,6 +183,12 @@ def test_chebyshev_at_one_sigma_is_one():
         assert chebyshev_bound(lam, c) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+def test_chebyshev_rejects_a_non_positive_distance(c):
+    with pytest.raises(ValueError, match="c must be > 0"):
+        chebyshev_bound(1.0, c)
+
+
 def test_chebyshev_value():
     assert chebyshev_bound(1.0, 3.0) == pytest.approx(moments(1.0).variance / 9.0, abs=1e-15)
 
@@ -205,9 +211,9 @@ def test_chebyshev_stays_honest_at_small_lambda(lam):
 
 # -- sampling --------------------------------------------------------------------------
 
-def test_sample_length_support():
+def test_single_draws_support():
     rng = make_rng(123)
-    assert all(sample_length(0.2, rng) >= 1 for _ in range(2000))
+    assert all(sample_lengths(0.2, 1, rng)[0] >= 1 for _ in range(2000))
 
 
 def test_sample_lengths_deterministic_for_seed():
@@ -260,11 +266,6 @@ def test_sample_lengths_in_place_are_the_expressions_draws(lam):
         got = sample_lengths(lam, 5000, make_rng(seed))
         want = _sample_lengths_by_expression(lam, 5000, make_rng(seed))
         assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_sample_length_is_one_vectorized_draw():
-    for lam in (1e-300, 0.2, 4.0):
-        assert sample_length(lam, make_rng(3)) == int(sample_lengths(lam, 1, make_rng(3))[0])
 
 
 # -- Monte Carlo estimator ----------------------------------------------------------------
@@ -374,7 +375,8 @@ def test_estimate_and_exact_vectors_are_the_sample_moments_of_the_powers(case):
     lengths = [k + 1 for k in lengths]  # the length law has no mass at 0
     estimate, exact, sigma = estimate_and_exact_vectors(d, 1.5, lengths)
     assert estimate.shape == exact.shape == sigma.shape == (2, d.shape[0])
-    assert all(np.array_equal(got, want) for got, want in zip(exact, pwp_vectors_report(d, 1.5)[:2]))
+    vectors = pwp(Operator.dense(d), 1.5).vectors
+    assert np.array_equal(exact[0], vectors.d) and np.array_equal(exact[1], vectors.f)
     # the reference: each sample's row and column sums, averaged, and their
     # population variance, against the scale |d|^k gives their rounding
     ones = np.ones(d.shape[0])
