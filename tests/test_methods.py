@@ -103,6 +103,12 @@ def test_micmac_rejects_nonpositive_k():
         micmac(L3, 0)
 
 
+def test_micmac_rejects_nonpositive_k_on_an_operator():
+    # the k products a side start from all ones, which k = 0 would return
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+        micmac(Operator.dense(L3), 0)
+
+
 # -- pagerank repair -----------------------------------------------------------
 
 def test_repair_fills_dangling_column():
@@ -233,6 +239,19 @@ def test_pagerank_cycle_is_uniform(n):
     result = pagerank(_cycle(n), p=0.86)
     assert np.allclose(result.stationary, 1.0 / n, rtol=0, atol=1e-12)
     assert np.allclose(result.vectors.d, 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, Operator.dense], ids=["dense", "operator"])
+def test_pagerank_starts_from_the_uniform_vector(wrap):
+    # on a cycle the uniform vector is already stationary, so one step ends it
+    assert pagerank(wrap(_cycle(5)), p=0.86, tol=1e-12).diagnostics == 1
+    # a tolerance no l1 change between distributions reaches stops after one
+    # step, which is M times the uniform vector
+    d = web_normalize(parse_edge_list("1,2,1\n2,3,1\n1,3,1", n=4))
+    result = pagerank(wrap(d), p=0.86, tol=3.0)
+    want = (0.86 * pagerank_repair(d) + 0.14 / 4) @ np.full(4, 0.25)
+    assert result.diagnostics == 1
+    assert np.allclose(result.stationary, want / want.sum(), rtol=0, atol=1e-15)
 
 
 def test_pagerank_t_columns_are_stationary():
