@@ -56,10 +56,6 @@ from .linalg import (
 from .methods import (
     IndirectInfluenceResult,
     InfluenceVectors,
-    MethodConfig,
-    MicmacConfig,
-    PageRankConfig,
-    PWPConfig,
     influence_dependence,
     micmac,
     pagerank,
@@ -110,8 +106,6 @@ __all__ = [
     "Jordan",
     "Line",
     "MalformedLine",
-    "MethodConfig",
-    "MicmacConfig",
     "MomentSummary",
     "NoConvergence",
     "NoConvergenceWithinBudget",
@@ -119,8 +113,6 @@ __all__ = [
     "NotSubstochastic",
     "NumericOverflow",
     "Operator",
-    "PWPConfig",
-    "PageRankConfig",
     "Path",
     "SeriesReport",
     "Star",

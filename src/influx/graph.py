@@ -181,12 +181,11 @@ def web_normalize(g: DirectInfluenceGraph) -> np.ndarray:
 
 
 def is_column_stochastic(d: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff all entries are >= -tol and every column sums to 1 within tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        return True
+    """True iff all entries are >= -tol and every column sums to 1 within tol,
+    for a square, finite d."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be >= 0 and finite, got {tol!r}")
+    d = _square(d)
     if np.any(d < -tol):
         return False
     return bool(np.all(np.abs(d.sum(axis=0) - 1.0) <= tol))

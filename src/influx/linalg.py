@@ -373,11 +373,38 @@ def _sampled_sum(d, sampled) -> np.ndarray:
     return leave(total)
 
 
-def _log_expm1(lam: float) -> float:
-    """log(e^lam - 1), finite for every finite lam > 0."""
-    if lam > 30.0:
-        return lam + math.log1p(-math.exp(-lam))
-    return math.log(math.expm1(lam))
+def _stirlerr(x: float) -> float:
+    """log(x!) - log(sqrt(2 pi x) (x/e)^x) for an integer x >= 1: by lgamma
+    up to 15, else the first five terms of its Stirling series."""
+    if x <= 15.0:
+        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * math.log(2.0 * math.pi)
+    xx = x * x
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / xx) / xx) / xx) / xx) / x
+
+
+def _bd0(x: float, lam: float, shift: float) -> float:
+    """x log(x / lam) + lam - x - shift, for shift 0 or lam: by its series in
+    v = (x - lam) / (x + lam) where the terms would cancel, else with lam
+    added only if shift is 0, so that lam - shift does not cancel either."""
+    v = (0.5 * x - 0.5 * lam) / (0.5 * x + 0.5 * lam)  # halves, so the sum cannot overflow
+    if abs(v) >= 0.1:
+        ratio = x / lam
+        normal = sys.float_info.min <= ratio < math.inf
+        log_ratio = math.log(ratio) if normal else math.log(x) - math.log(lam)
+        return x * log_ratio - x + (lam - shift)
+    total, term, j, last = (x - lam) * v, 2.0 * (x * v), 1, None
+    while total != last:
+        term *= v * v
+        total, last, j = total + term / (2 * j + 1), total, j + 1
+    return total - shift
+
+
+def _log_poisson(x: float, lam: float, shift: float = 0.0) -> float:
+    """log(e^-lam lam^x / x!) + shift for an integer x >= 1 and shift 0 or
+    lam, in Loader's saddle-point form -stirlerr(x) - bd0(x, lam)
+    - log(2 pi x) / 2, whose terms do not cancel (C. Loader, Fast and
+    Accurate Computation of Binomial Probabilities, 2000)."""
+    return -_stirlerr(x) - _bd0(x, lam, shift) - 0.5 * (math.log(2.0 * math.pi) + math.log(x))
 
 
 def _poisson_weight(lam: float, k: int, normalised: bool) -> tuple[float, int]:
@@ -385,8 +412,9 @@ def _poisson_weight(lam: float, k: int, normalised: bool) -> tuple[float, int]:
     probability of k), as (m, e) with weight m * 2^e.
 
     The direct form where it is a normal float; else, when normalised, the
-    same with lam / (e^lam - 1) taken first; log space where both over- or
-    underflow, so the pair is finite and nonzero at every lam and k.
+    same with lam / (e^lam - 1) taken first; where both over- or underflow,
+    from the log by :func:`_log_poisson`.  The pair is (0.0, 0) where that
+    log leaves the float range, as it does for a k past it.
     """
     if k <= 170:
         tiny = sys.float_info.min
@@ -404,9 +432,19 @@ def _poisson_weight(lam: float, k: int, normalised: bool) -> tuple[float, int]:
                 pass  # the log-space form below stays finite
         if tiny <= w <= sys.float_info.max:
             return math.frexp(w)
-    log_w = k * math.log(lam) - math.lgamma(k + 1) - (_log_expm1(lam) if normalised else 0.0)
-    e = math.floor(log_w / math.log(2.0))
-    return math.exp(log_w - e * math.log(2.0)), e
+    try:
+        x = float(k)
+    except OverflowError:
+        return 0.0, 0
+    # lam^k / k! is e^lam times the Poisson weight e^-lam lam^k / k!
+    log_w = _log_poisson(x, lam, 0.0 if normalised else lam)
+    if normalised:
+        log_w -= math.log(-math.expm1(-lam))
+    log2_w = log_w / math.log(2.0)
+    if not math.isfinite(log2_w):
+        return 0.0, 0
+    e = math.floor(log2_w)
+    return 2.0 ** (log2_w - e), e  # past 2^53, log2_w is an integer and the mantissa 1
 
 
 def _ldexp(m: float, e: int) -> float:

@@ -28,38 +28,10 @@ from .linalg import (
 SUBSTOCHASTIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PWPConfig:
-    lam: float = 1.0
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        _positive("lam", self.lam)
-        _positive("tol", self.tol)
-
-
-@dataclass(frozen=True)
-class MicmacConfig:
-    k: int = 4
-
-    def __post_init__(self):
-        _at_least("k", self.k, 1)
-
-
-@dataclass(frozen=True)
-class PageRankConfig:
-    p: float = 0.86
-    tol: float = 1e-12
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must lie strictly inside (0, 1), got {self.p}")
-        _positive("tol", self.tol)
-        _at_least("max_iter", self.max_iter, 1)
-
-
-MethodConfig = PWPConfig | MicmacConfig | PageRankConfig
+def _damping(p: float) -> None:
+    """The damping factor's check: strictly inside (0, 1)."""
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +44,7 @@ class InfluenceVectors:
 
 @dataclass(frozen=True)
 class IndirectInfluenceResult:
-    """A computed indirect-influence matrix with its vectors and provenance.
+    """A computed indirect-influence matrix with its vectors and diagnostics.
 
     For the damped stationary method, `stationary` holds the probability
     vector with sum 1 (the per-vertex ranking weight); `vectors.d` holds the
@@ -83,7 +55,6 @@ class IndirectInfluenceResult:
 
     T: np.ndarray | None
     vectors: InfluenceVectors
-    config: MethodConfig
     diagnostics: SeriesReport | int | None = None
     stationary: np.ndarray | None = field(default=None)
 
@@ -104,16 +75,16 @@ def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     On an :class:`Operator`, d and f come from k matrix-vector products
     each and T is None.
     """
-    config = MicmacConfig(k=k)
+    _at_least("k", k, 1)
     if not isinstance(d, Operator):
         t = mat_pow(d, k)
-        return IndirectInfluenceResult(T=t, vectors=influence_dependence(t), config=config)
+        return IndirectInfluenceResult(T=t, vectors=influence_dependence(t))
     rows = cols = np.ones(d.n)
     for _ in range(k):
         rows, cols = d.matvec(rows), d.rmatvec(cols)
         if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
             raise NumericOverflow(f"a row or column sum of matrix power {k}")
-    return IndirectInfluenceResult(T=None, vectors=InfluenceVectors(rows, cols), config=config)
+    return IndirectInfluenceResult(T=None, vectors=InfluenceVectors(rows, cols))
 
 
 def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
@@ -123,14 +94,13 @@ def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
     accurate to tol in max norm, T is None, and the diagnostics describe
     the two vector series (see :func:`influx.linalg.exp_plus_vectors`).
     """
-    config = PWPConfig(lam=lam, tol=tol)
     if isinstance(d, Operator):
         sums, _, _, report = _vectors(d, lam, tol, normalised=True)
         t, vectors = None, InfluenceVectors(*sums)
     else:
         t, report = pwp_matrix_report(d, lam, tol)
         vectors = influence_dependence(t)
-    return IndirectInfluenceResult(T=t, vectors=vectors, config=config, diagnostics=report)
+    return IndirectInfluenceResult(T=t, vectors=vectors, diagnostics=report)
 
 
 def _empty_columns(op: Operator) -> np.ndarray:
@@ -181,7 +151,9 @@ def pagerank(
     Raises NoConvergence after max_iter iterations, and NotSubstochastic if
     a column of d sums to neither 0 nor 1.
     """
-    config = PageRankConfig(p=p, tol=tol, max_iter=max_iter)
+    _damping(p)
+    _positive("tol", tol)
+    _at_least("max_iter", max_iter, 1)
     op = _operator(d)
     empty = _empty_columns(op)
     n = op.n
@@ -205,9 +177,7 @@ def pagerank(
     stationary = x / x.sum()
     t = None if isinstance(d, Operator) else np.tile(stationary[:, None], (1, n))
     vectors = InfluenceVectors(d=n * stationary, f=np.ones(n))
-    return IndirectInfluenceResult(
-        T=t, vectors=vectors, config=config, diagnostics=iterations, stationary=stationary
-    )
+    return IndirectInfluenceResult(T=t, vectors=vectors, diagnostics=iterations, stationary=stationary)
 
 
 def rank_vertices(v) -> list[tuple[int, float]]:

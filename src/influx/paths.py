@@ -15,15 +15,14 @@ counted.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, IndexOutOfRange
 from .graph import DirectInfluenceGraph, Edge, from_matrix, to_matrix, to_operator
-from .linalg import _at_least, _expm1, _log_expm1, _positive, mat_pow
-from .methods import PageRankConfig, pagerank_repair
+from .linalg import _at_least, _expm1, _log_poisson, _positive, mat_pow
+from .methods import _damping, pagerank_repair
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -69,7 +68,6 @@ def _check_walk(g: DirectInfluenceGraph, i: int, j: int, k: int):
 
 def _refuse_over_budget(total: int, cap: int):
     if total > cap:
-        warnings.warn(f"refusing to enumerate {total} paths (budget {cap})")
         raise BudgetExceeded(total, cap)
 
 
@@ -153,8 +151,8 @@ def enumerate_paths(
 ) -> list[Path]:
     """All length-k paths from j to i, in depth-first lexicographic edge order.
 
-    Refuses with BudgetExceeded (after a warning) when the exact path count
-    is larger than the budget.
+    Refuses with BudgetExceeded when the exact path count is larger than
+    the budget.
     """
     _check_walk(g, i, j, k)
     return list(_paths(g, i, j, [k], budget)[0])
@@ -182,7 +180,7 @@ def omega_sum(
 
 def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
     """p * repaired(D) + (1 - p) * E_n for the graph's direct matrix D."""
-    PageRankConfig(p=p)
+    _damping(p)
     dbar = pagerank_repair(to_matrix(g))
     n = g.n
     return p * dbar + (1.0 - p) / n
@@ -259,5 +257,6 @@ def omega_lambda_tail_bound(g: DirectInfluenceGraph, lam: float, K: int) -> floa
     r = x / (K + 1)
     if r >= 1.0:
         return math.inf
-    log_u = K * math.log(x) - math.lgamma(K + 1) - _log_expm1(lam)
+    # x^K / (K! (e^lam - 1)) = e^-x x^K / K! * e^(x - lam) / (1 - e^-lam)
+    log_u = _log_poisson(float(K), x) + (x - lam) - math.log(-math.expm1(-lam))
     return math.exp(log_u) * r / (1.0 - r)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.
 """
 
+import dataclasses
 import inspect
 import math
 import time
@@ -336,7 +337,8 @@ def test_public_surface_is_all():
     assert sorted(influx.__all__) == sorted(public)
     assert all(getattr(influx, name) is not None for name in influx.__all__)
     retired = ("pwp_vectors", "micmac_vectors", "mat_pow_sum", "pwp_vectors_report", "mat_pow_vectors",
-               "sample_length")
-    for module in (influx, influx.linalg, influx.methods, influx.stochastic):
+               "sample_length", "PWPConfig", "MicmacConfig", "PageRankConfig", "MethodConfig")
+    for module in (influx, influx.linalg, influx.methods, influx.paths, influx.stochastic):
         assert not [name for name in retired if hasattr(module, name)]
     assert "start" not in inspect.signature(influx.pagerank).parameters
+    assert "config" not in {f.name for f in dataclasses.fields(influx.IndirectInfluenceResult)}

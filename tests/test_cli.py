@@ -372,6 +372,25 @@ def test_bad_parameter_exit_2(line3, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "--method", "pwp", "--lambda", "-1"], "lam must be finite and > 0, got -1.0"),
+        (["compute", "--method", "pwp", "--tol", "nan"], "tol must be finite and > 0, got nan"),
+        (["compute", "--method", "micmac", "-k", "0"], "k must be >= 1, got 0"),
+        (["compute", "--method", "pagerank", "-p", "1.5"],
+         "p must lie strictly inside (0, 1), got 1.5"),
+        (["compute", "--method", "pagerank", "--tol", "0"], "tol must be finite and > 0, got 0.0"),
+        (["compute", "--method", "pagerank", "--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        # both bad: the first check compare reaches names lam
+        (["compare", "--lambda", "0", "-k", "0"], "lam must be finite and > 0, got 0.0"),
+    ],
+)
+def test_bad_parameter_stderr_is_exact(line3, capsys, argv, message):
+    code, out, err = run(capsys, *argv, line3)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_every_influence_error_names_its_exit_code():
     classes = [
         c for c in vars(errors).values()

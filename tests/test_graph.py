@@ -420,8 +420,24 @@ def test_identity_is_column_stochastic():
 
 def test_empty_matrix_is_column_stochastic_and_tol_is_checked():
     assert is_column_stochastic(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="tol must be >= 0"):
-        is_column_stochastic(np.eye(2), -1.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            is_column_stochastic(np.eye(2), tol)
+
+
+@pytest.mark.parametrize(
+    "d, error",
+    [
+        (np.full((2, 3), 0.5), DimensionMismatch),  # each column sums to 1
+        (np.ones(1), DimensionMismatch),
+        (np.ones((1, 1, 1)), DimensionMismatch),
+        # a nan entry raised no error, and the answer was False
+        (np.array([[math.nan]]), ValueError),
+    ],
+)
+def test_column_stochastic_takes_only_a_square_finite_matrix(d, error):
+    with pytest.raises(error):
+        is_column_stochastic(d)
 
 
 def test_negative_entries_rejected():

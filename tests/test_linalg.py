@@ -23,8 +23,6 @@ from influx import (
     NoConvergenceWithinBudget,
     NumericOverflow,
     Operator,
-    PageRankConfig,
-    PWPConfig,
     build,
     exp_plus,
     exp_plus_vectors,
@@ -376,9 +374,9 @@ def test_e_plus_lambda_overflow_is_typed_everywhere(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda v: PWPConfig(lam=v),
-        lambda v: PWPConfig(tol=v),
-        lambda v: PageRankConfig(tol=v),
+        lambda v: pwp(L3, lam=v),
+        lambda v: pwp(L3, tol=v),
+        lambda v: pagerank(L3, tol=v),
         lambda v: exp_plus(L3, lam=v),
         lambda v: exp_plus(L3, tol=v),
         lambda v: exp_plus_vectors(L3, lam=v),
@@ -405,7 +403,7 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
         lambda k: mat_pow(L3, k),
         lambda k: influx.micmac(L3, k),
         lambda k: influx.micmac(Operator.dense(L3), k),
-        lambda k: influx.MicmacConfig(k=k),
+        lambda k: influx.micmac(influx.to_operator(build(Line(3))), k),
         lambda k: influx.count_paths(build(Line(3)), 3, 1, k),
         lambda k: influx.enumerate_paths(build(Line(3)), 3, 1, k),
         lambda k: influx.omega_sum(build(Line(3)), 3, 1, k),
@@ -414,7 +412,7 @@ def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
         lambda k: influx.omega_lambda_tail_bound(build(Line(3)), 1.0, k),
     ],
     ids=[
-        "mat_pow", "micmac", "micmac_operator", "MicmacConfig",
+        "mat_pow", "micmac", "micmac_operator", "micmac_edges",
         "count_paths", "enumerate_paths", "omega_sum", "rho_sum", "omega_lambda_sum",
         "omega_lambda_tail_bound",
     ],
@@ -454,7 +452,8 @@ INTEGER_PARAMETERS = {
     "monte_carlo_pwp": (lambda v, _: influx.monte_carlo_pwp(L3, 1.0, v, 0), "samples", 1),
     "bernoulli_numbers": (lambda v, _: influx.bernoulli_numbers(v), "K", 0),
     "bernoulli_series": (lambda v, _: influx.bernoulli_series(1.0, v), "K", 0),
-    "max_iter": (lambda v, _: PageRankConfig(max_iter=v), "max_iter", 1),
+    # the uniform start is this matrix's stationary vector, so one iteration does
+    "max_iter": (lambda v, _: pagerank(np.full((2, 2), 0.5), max_iter=v), "max_iter", 1),
     "montecarlo -N": (_montecarlo_samples, "-N", 1),
     "make_rng": (lambda v, _: influx.make_rng(v), "seed", 0),
 }

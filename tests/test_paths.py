@@ -127,9 +127,8 @@ def test_enumeration_is_lexicographic_on_random_graphs():
 def test_budget_refusal():
     g = build(Star(4))
     hub = 5
-    with pytest.warns(UserWarning):
-        with pytest.raises(BudgetExceeded) as err:
-            enumerate_paths(g, hub, hub, 12, budget=100)
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_paths(g, hub, hub, 12, budget=100)
     assert err.value.estimate > 100
 
 
@@ -185,9 +184,8 @@ def test_omega_matches_matrix_power():
 
 def test_omega_literal_budget():
     g = build(Star(4))
-    with pytest.warns(UserWarning):
-        with pytest.raises(BudgetExceeded):
-            omega_sum(g, 5, 5, 20, literal=True, budget=1000)
+    with pytest.raises(BudgetExceeded):
+        omega_sum(g, 5, 5, 20, literal=True, budget=1000)
     # the default route handles the same query by recursion
     value = omega_sum(g, 5, 5, 20, budget=1000)
     assert value == pytest.approx(mat_pow(to_matrix(g), 20)[4, 4], rel=1e-12)
@@ -262,15 +260,14 @@ def test_rho_literal_and_fallback_agree():
 
 def test_rho_literal_budget():
     g = build(Cycle(4))
-    with pytest.warns(UserWarning):
-        with pytest.raises(BudgetExceeded):
-            rho_sum(g, 1, 1, 9, 0.86, literal=True, budget=100)
+    with pytest.raises(BudgetExceeded):
+        rho_sum(g, 1, 1, 9, 0.86, literal=True, budget=100)
     # the damped matrix has no zero entry, so there are exactly n**(k-1) walks
     k = 5
-    with pytest.warns(UserWarning, match=f"refusing to enumerate {4 ** (k - 1)} paths"):
-        with pytest.raises(BudgetExceeded):
-            rho_sum(g, 1, 1, k, 0.86, literal=True, budget=4 ** (k - 1) - 1)
-    value = rho_sum(g, 1, 1, k, 0.86, literal=True, budget=4 ** (k - 1))
+    walks = 4 ** (k - 1)
+    with pytest.raises(BudgetExceeded, match=f"estimated {walks} paths exceeds budget {walks - 1}$"):
+        rho_sum(g, 1, 1, k, 0.86, literal=True, budget=walks - 1)
+    value = rho_sum(g, 1, 1, k, 0.86, literal=True, budget=walks)
     assert type(value) is float
     assert value == pytest.approx(rho_sum(g, 1, 1, k, 0.86), abs=1e-13)
 
@@ -352,6 +349,22 @@ def test_omega_lambda_tail_bound_with_no_edges_or_no_geometric_tail():
     assert omega_lambda_tail_bound(DirectInfluenceGraph(3), 1.0, 3) == 0.0
     # lambda ||D||_inf = 10 >= K + 1: the terms past K need not shrink
     assert omega_lambda_tail_bound(build(Line(3)), 10.0, 3) == math.inf
+
+
+@pytest.mark.parametrize(
+    "lam, K",
+    [(1.0, 5), (3.0, 20), (800.0, 900), (1e12, 10**12 + 10**6), (1e15, 10**15 + 10**8)],
+)
+def test_omega_lambda_tail_bound_matches_mpmath(lam, K):
+    # K log x and log K! cancel at large K: keep 40 digits past their size
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + int(math.log10(K))):
+        x, k = mpmath.mpf(lam), mpmath.mpf(K)  # ||D||_inf = 1, so x = lam
+        u = mpmath.exp(k * mpmath.log(x) - mpmath.loggamma(k + 1) - mpmath.log(mpmath.expm1(x)))
+        r = x / (k + 1)
+        expected = float(u * r / (1 - r))
+    # 1 - r, about 1e-7 at the largest K, costs the float r its last digits
+    assert omega_lambda_tail_bound(build(Line(2)), lam, K) == pytest.approx(expected, rel=1e-8)
 
 
 def test_omega_lambda_tail_bound_forms_no_dense_d(monkeypatch):

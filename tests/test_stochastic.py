@@ -31,7 +31,7 @@ from influx import (
     sample_lengths,
     to_matrix,
 )
-from influx.linalg import _sliced_ell
+from influx.linalg import _poisson_weight, _sliced_ell
 from influx.stochastic import POISSON_LAM_MAX
 
 
@@ -110,6 +110,38 @@ def test_pmf_log_space_consistent_with_direct():
     stepped = pmf(lam, 171)
     assert stepped < direct
     assert stepped == pytest.approx(direct * lam / 171.0, rel=1e-10)
+
+
+def _log_weight_reference(lam, k, normalised):
+    mpmath = pytest.importorskip("mpmath")
+    # k log lam and log k! cancel: keep 40 digits past their size
+    with mpmath.workdps(40 + max(0, int(math.log10(lam)))):
+        lam, k = mpmath.mpf(lam), mpmath.mpf(k)
+        log_w = k * mpmath.log(lam) - mpmath.loggamma(k + 1)
+        return float(log_w - mpmath.log(mpmath.expm1(lam)) if normalised else log_w)
+
+
+@pytest.mark.parametrize(
+    "lam, k, normalised",
+    [(lam, int(lam), True) for lam in (200.0, 1e6, 1e12, 1e16, 1e20)]
+    + [(lam, int(lam + 3 * math.sqrt(lam)), True) for lam in (200.0, 700.0, 1e3, 1e6, 1e12)]
+    + [(lam, int(lam / 2), True) for lam in (700.0, 1e3, 1e6, 1e12)]
+    # x / lam overflows at the subnormal lam
+    + [(1e300, 3, True), (1e-200, 3, True), (5e-324, 200, True)]
+    + [(200.0, 250, False), (1e6, 10**6, False), (1e300, 2, False), (1e-200, 3, False)],
+)
+def test_pmf_log_space_matches_mpmath(lam, k, normalised):
+    # the weight as (m, e), whose log is finite where pmf itself underflows
+    m, e = _poisson_weight(lam, k, normalised)
+    log_w = math.log(m) + e * math.log(2.0)
+    reference = _log_weight_reference(lam, k, normalised)
+    assert abs(log_w - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
+def test_pmf_at_k_past_the_float_range():
+    assert pmf(1.0, 10**400) == 0.0
+    # at the mode, about 1 / sqrt(2 pi lam)
+    assert pmf(1e300, 10**300) == pytest.approx(1.0 / math.sqrt(2e300 * math.pi), rel=1e-12)
 
 
 # -- moments -----------------------------------------------------------------------
