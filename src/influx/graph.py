@@ -60,6 +60,7 @@ class DirectInfluenceGraph:
         return self.source.size
 
     def out_degree(self, v: int) -> int:
+        _at_least("v", v, -math.inf)
         if not 1 <= v <= self.n:
             raise IndexOutOfRange(v, self.n)
         return int(np.searchsorted(self.source, v, "right") - np.searchsorted(self.source, v))

@@ -4,14 +4,14 @@ A path of length k is a sequence of k edges with matching endpoints;
 vertices and edges may repeat.  P_k(i, j) is the set of all such paths from
 j to i, mirroring the (row, column) order of matrix entries.
 
-By default omega_sum and omega_lambda_sum are memoized sums over the walk
-set (adjacency-list recursion, no dense kernels), and rho_sum is read off a
-power of the damped matrix, which it provably equals.  enumerate_paths, and
-the valuations given literal=True, go path by path instead.  The paths are
-counted first and enumeration refuses with BudgetExceeded when there are
-more than `budget` (default 10**7); it then follows only edges from which i
-is still reachable in the steps left, so it visits only the paths it
-counted.
+omega_sum and omega_lambda_sum are memoized sums over the walk set
+(adjacency-list recursion, no dense kernels), and rho_sum is read off a
+power of the damped matrix, which it provably equals.  enumerate_paths is
+the path-by-path route: the paths are counted first and enumeration refuses
+with BudgetExceeded when there are more than `budget` (default 10**7); it
+then follows only edges from which i is still reachable in the steps left,
+so it visits only the paths it counted.  A sum that leaves the float range
+raises NumericOverflow.
 """
 
 import math
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, IndexOutOfRange
-from .graph import DirectInfluenceGraph, Edge, from_matrix, to_matrix, to_operator
+from .errors import BudgetExceeded, IndexOutOfRange, NumericOverflow
+from .graph import DirectInfluenceGraph, Edge, to_matrix, to_operator
 from .linalg import _at_least, _expm1, _log_poisson, _positive, mat_pow
 from .methods import _damping, pagerank_repair
 
@@ -56,19 +56,21 @@ class Path:
         w = 1.0
         for e in self.edges:
             w *= e.weight
-        return w
+        return _finite(w, f"weight product of a path of length {self.length}")
+
+
+def _finite(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise NumericOverflow(what)
+    return x
 
 
 def _check_walk(g: DirectInfluenceGraph, i: int, j: int, k: int):
-    for v in (i, j):
+    for name, v in (("i", i), ("j", j)):
+        _at_least(name, v, -math.inf)
         if not 1 <= v <= g.n:
             raise IndexOutOfRange(v, g.n)
     _at_least("path length", k, 1)
-
-
-def _refuse_over_budget(total: int, cap: int):
-    if total > cap:
-        raise BudgetExceeded(total, cap)
 
 
 def _adjacency(g: DirectInfluenceGraph) -> list[list[Edge]]:
@@ -107,75 +109,48 @@ def count_paths(g: DirectInfluenceGraph, i: int, j: int, k: int) -> int:
     return _walk_table(_adjacency(g), i, k, _one)[k][j]
 
 
-def _paths(g: DirectInfluenceGraph, i: int, j: int, lengths, budget: int) -> list:
-    """For each k in lengths, a generator of the length-k paths from j to i
-    in depth-first lexicographic edge order.
-
-    One table of walk counts to i serves every k.  Each count is checked
-    against the budget before any path is visited, and a walk follows an
-    edge only if i is reachable from its target in the steps left.
-    """
-    adj = _adjacency(g)
-    counts = _walk_table(adj, i, max(lengths), _one)
-    for k in lengths:
-        _refuse_over_budget(counts[k][j], budget)
-
-    def walk(k: int):
-        # a stack of edge iterators, one per step taken, in place of
-        # recursion, so a walk of any length runs
-        acc: list[Edge] = []
-        stack = [iter(adj[j])]
-        while stack:
-            left = k - len(stack)  # steps after the next edge
-            e = next((e for e in stack[-1] if counts[left][e.target]), None)
-            if e is None:
-                stack.pop()
-                del acc[-1:]  # the edge into the exhausted step, if any
-            elif left:
-                acc.append(e)
-                stack.append(iter(adj[e.target]))
-            else:
-                yield Path((*acc, e))
-
-    return [walk(k) for k in lengths]
-
-
-def _literal_sums(g: DirectInfluenceGraph, i: int, j: int, lengths, budget: int) -> list[float]:
-    """omega_sum for each k in lengths, summed path by path."""
-    walks = _paths(g, i, j, lengths, budget)
-    return [math.fsum(p.weight_product() for p in paths) for paths in walks]
-
-
 def enumerate_paths(
     g: DirectInfluenceGraph, i: int, j: int, k: int, budget: int = DEFAULT_BUDGET
 ) -> list[Path]:
     """All length-k paths from j to i, in depth-first lexicographic edge order.
 
-    Refuses with BudgetExceeded when the exact path count is larger than
-    the budget.
+    Refuses with BudgetExceeded, before any path is visited, when the exact
+    path count is larger than the budget.  A walk follows an edge only if i
+    is reachable from its target in the steps left.
     """
     _check_walk(g, i, j, k)
-    return list(_paths(g, i, j, [k], budget)[0])
+    adj = _adjacency(g)
+    counts = _walk_table(adj, i, k, _one)
+    if counts[k][j] > budget:
+        raise BudgetExceeded(counts[k][j], budget)
+    # a stack of edge iterators, one per step taken, in place of recursion,
+    # so a walk of any length runs
+    paths: list[Path] = []
+    acc: list[Edge] = []
+    stack = [iter(adj[j])]
+    while stack:
+        left = k - len(stack)  # steps after the next edge
+        e = next((e for e in stack[-1] if counts[left][e.target]), None)
+        if e is None:
+            stack.pop()
+            del acc[-1:]  # the edge into the exhausted step, if any
+        elif left:
+            acc.append(e)
+            stack.append(iter(adj[e.target]))
+        else:
+            paths.append(Path((*acc, e)))
+    return paths
 
 
-def omega_sum(
-    g: DirectInfluenceGraph,
-    i: int,
-    j: int,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    literal: bool = False,
-) -> float:
+def omega_sum(g: DirectInfluenceGraph, i: int, j: int, k: int) -> float:
     """Sum over all length-k paths from j to i of the edge-weight product.
 
     Equals the (i, j) entry of the k-th matrix power, but is computed on the
-    graph itself: by memoized recursion over the walk set, or with
-    literal=True path by path (budget applies).
+    graph itself, by memoized recursion over the walk set.
     """
     _check_walk(g, i, j, k)
-    if literal:
-        return _literal_sums(g, i, j, [k], budget)[0]
-    return float(_walk_table(_adjacency(g), i, k, _weight)[k][j])
+    value = float(_walk_table(_adjacency(g), i, k, _weight)[k][j])
+    return _finite(value, f"walk sum of length {k}")
 
 
 def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
@@ -186,59 +161,32 @@ def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
     return p * dbar + (1.0 - p) / n
 
 
-def rho_sum(
-    g: DirectInfluenceGraph,
-    i: int,
-    j: int,
-    k: int,
-    p: float = 0.86,
-    budget: int = DEFAULT_BUDGET,
-    literal: bool = False,
-) -> float:
+def rho_sum(g: DirectInfluenceGraph, i: int, j: int, k: int, p: float = 0.86) -> float:
     """Sum of damped-entry products over all length-k vertex sequences j -> i.
 
     The damped matrix has no zero entries, so the walks live in the complete
     graph on [n] and there are n**(k-1) of them.  The value is read off the
-    k-th power of the damped matrix, which equals the same sum; with
-    literal=True the walks of that complete graph are enumerated as
-    omega_sum's are (budget applies).
+    k-th power of the damped matrix, which equals the same sum.
     """
     _check_walk(g, i, j, k)
-    m = damped_matrix(g, p)
-    if literal:
-        return _literal_sums(from_matrix(m), i, j, [k], budget)[0]
-    return float(mat_pow(m, k)[i - 1, j - 1])
+    return float(mat_pow(damped_matrix(g, p), k)[i - 1, j - 1])
 
 
-def omega_lambda_sum(
-    g: DirectInfluenceGraph,
-    i: int,
-    j: int,
-    lam: float,
-    K: int,
-    budget: int = DEFAULT_BUDGET,
-    literal: bool = False,
-) -> float:
+def omega_lambda_sum(g: DirectInfluenceGraph, i: int, j: int, lam: float, K: int) -> float:
     """Truncated exponential walk weighting: sum over k <= K of
-    omega_sum(g, i, j, k) * lam^k / (e_plus(lam) * k!).
-
-    With literal=True every omega_sum term is enumerated path by path
-    (budget applies to each); the default evaluates the same sums by
-    recursion.  Use :func:`omega_lambda_tail_bound` for the discarded k > K
-    mass.
+    omega_sum(g, i, j, k) * lam^k / (e_plus(lam) * k!), every omega_sum
+    read off one memoized walk table.  Use :func:`omega_lambda_tail_bound`
+    for the discarded k > K mass.
     """
     _check_walk(g, i, j, K)
     _positive("lam", lam)
     scale = _expm1(lam)
-    if literal:
-        sums = _literal_sums(g, i, j, range(1, K + 1), budget)
-    else:
-        table = _walk_table(_adjacency(g), i, K, _weight)
-        sums = [table[k][j] for k in range(1, K + 1)]
+    table = _walk_table(_adjacency(g), i, K, _weight)
     coef = lam / scale  # first, so a subnormal lam's lam / k! stays normal
     terms = []
     for k in range(1, K + 1):
-        terms.append(sums[k - 1] * coef)
+        # each weight is at most 1, so a finite sum gives a finite term
+        terms.append(_finite(table[k][j], f"walk sum of length {k}") * coef)
         coef *= lam / (k + 1)
     return math.fsum(terms)
 

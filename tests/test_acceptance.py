@@ -337,8 +337,12 @@ def test_public_surface_is_all():
     assert sorted(influx.__all__) == sorted(public)
     assert all(getattr(influx, name) is not None for name in influx.__all__)
     retired = ("pwp_vectors", "micmac_vectors", "mat_pow_sum", "pwp_vectors_report", "mat_pow_vectors",
-               "sample_length", "PWPConfig", "MicmacConfig", "PageRankConfig", "MethodConfig")
+               "sample_length", "PWPConfig", "MicmacConfig", "PageRankConfig", "MethodConfig",
+               "_literal_sums", "_refuse_over_budget", "_paths")
     for module in (influx, influx.linalg, influx.methods, influx.paths, influx.stochastic):
         assert not [name for name in retired if hasattr(module, name)]
     assert "start" not in inspect.signature(influx.pagerank).parameters
+    for valuation in (influx.omega_sum, influx.rho_sum, influx.omega_lambda_sum):
+        assert not {"literal", "budget"} & set(inspect.signature(valuation).parameters)
+    assert inspect.signature(influx.enumerate_paths).parameters["budget"].default == influx.paths.DEFAULT_BUDGET
     assert "config" not in {f.name for f in dataclasses.fields(influx.IndirectInfluenceResult)}

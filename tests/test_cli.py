@@ -267,8 +267,9 @@ def test_import_leaves_numpy_random_unloaded():
 
 @pytest.mark.parametrize("methods", ["pwp,micmac,pagerank", "pagerank"])
 def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
-    # every engine runs on the graph's edge columns, pwp's T too; D is formed
-    # only for micmac's --emit-matrix
+    # every engine runs on the graph's edge columns and to_matrix is called
+    # only for micmac's --emit-matrix; pwp's --emit-matrix chain still forms
+    # a dense D from the columns as its first power
     calls = []
     for module, name in [(influx.cli, "to_matrix"), (influx.graph, "web_normalize"),
                          (influx.methods, "pagerank_repair")]:

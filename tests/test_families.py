@@ -175,6 +175,12 @@ def test_closed_form_overflow_is_typed(spec, lam):
         closed_form_pwp(spec, lam)
 
 
+@pytest.mark.parametrize("call", [build, lambda spec: closed_form_pwp(spec, 1.0)], ids=["build", "closed_form_pwp"])
+def test_unknown_family_spec_is_refused(call):
+    with pytest.raises(TypeError, match="^unknown family spec <object object at "):
+        call(object())
+
+
 @pytest.mark.parametrize("lam", [1.0, 30.0])
 @pytest.mark.parametrize("spec", [Line(200), Cycle(200)], ids=str)
 def test_long_line_and_cycle_match_series(spec, lam):

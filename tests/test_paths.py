@@ -1,8 +1,8 @@
 """Walk enumeration and the three valuations, checked against the kernels.
 
-Every valuation has two routes: literal path-by-path enumeration and a
-memoized recursion (for rho, a damped-matrix power).  The tests pin the
-routes to each other on small cases and to the dense kernels everywhere.
+Each valuation has one route: a memoized recursion (for rho, a
+damped-matrix power).  The tests pin it to path-by-path sums over
+enumerate_paths on small cases and to the dense kernels everywhere.
 """
 
 import math
@@ -14,6 +14,8 @@ import influx
 from influx import (
     BudgetExceeded,
     DirectInfluenceGraph,
+    IndexOutOfRange,
+    NumericOverflow,
     Edge,
     Path,
     build,
@@ -29,6 +31,7 @@ from influx import (
     omega_lambda_tail_bound,
     omega_sum,
     parse_edge_list,
+    pmf,
     pwp_matrix,
     rho_sum,
     to_matrix,
@@ -47,6 +50,11 @@ def _random_graph(rng, n_max=5, weights=(-1.0, 0.5, 1.0, 2.0)):
             if rng.random() < 0.35:
                 edges.append(Edge(s, t, float(rng.choice(weights))))
     return DirectInfluenceGraph(n, tuple(edges))
+
+
+def _path_sum(g, i, j, k, budget=influx.paths.DEFAULT_BUDGET):
+    """omega_sum path by path: the weight products of enumerate_paths, summed."""
+    return math.fsum(p.weight_product() for p in enumerate_paths(g, i, j, k, budget))
 
 
 # -- Path type -----------------------------------------------------------------
@@ -86,7 +94,7 @@ def test_long_walk_runs_without_recursion():
     g = build(Cycle(3))
     paths = enumerate_paths(g, 1, 1, 3000)
     assert len(paths) == 1 and paths[0].length == 3000
-    assert omega_sum(g, 1, 1, 3000, literal=True) == omega_sum(g, 1, 1, 3000)
+    assert _path_sum(g, 1, 1, 3000) == omega_sum(g, 1, 1, 3000)
 
 
 @pytest.mark.parametrize("k,s", [(3, 1), (4, 2), (5, 0), (6, 3)])
@@ -132,6 +140,69 @@ def test_budget_refusal():
     assert err.value.estimate > 100
 
 
+# each vertex index on Line(3), as a call on that index and the name its
+# check gives it
+VERTEX_INDICES = {
+    "count_paths i": (lambda g, v: count_paths(g, v, 1, 2), "i"),
+    "count_paths j": (lambda g, v: count_paths(g, 3, v, 2), "j"),
+    "enumerate_paths i": (lambda g, v: enumerate_paths(g, v, 1, 2), "i"),
+    "enumerate_paths j": (lambda g, v: enumerate_paths(g, 3, v, 2), "j"),
+    "omega_sum i": (lambda g, v: omega_sum(g, v, 1, 2), "i"),
+    "omega_sum j": (lambda g, v: omega_sum(g, 3, v, 2), "j"),
+    "rho_sum i": (lambda g, v: rho_sum(g, v, 1, 2), "i"),
+    "rho_sum j": (lambda g, v: rho_sum(g, 3, v, 2), "j"),
+    "omega_lambda_sum i": (lambda g, v: omega_lambda_sum(g, v, 1, 1.0, 3), "i"),
+    "omega_lambda_sum j": (lambda g, v: omega_lambda_sum(g, 3, v, 1.0, 3), "j"),
+    "out_degree": (lambda g, v: g.out_degree(v), "v"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("entry", VERTEX_INDICES)
+def test_vertex_indices_follow_the_integer_rule(entry, bad):
+    # True would be vertex 1, and np.float64(3.0) vertex 3, to a looser rule
+    call, name = VERTEX_INDICES[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(build(Line(3)), bad)
+
+
+@pytest.mark.parametrize("bad", [0, 4])
+@pytest.mark.parametrize("entry", VERTEX_INDICES)
+def test_vertex_indices_outside_the_graph(entry, bad):
+    call, _ = VERTEX_INDICES[entry]
+    with pytest.raises(IndexOutOfRange):
+        call(build(Line(3)), bad)
+
+
+# edge lists whose walk sums leave the float range: 1e200 * 1e200 is inf,
+# and inf - inf is nan
+SELF_LOOP = "1,1,1e200\n1,2,1.0\n"
+OVERFLOWS = {
+    "omega_sum inf": (SELF_LOOP, lambda g: omega_sum(g, 1, 1, 2), "walk sum of length 2"),
+    "omega_lambda_sum inf": (SELF_LOOP, lambda g: omega_lambda_sum(g, 1, 1, 1.0, 3), "walk sum of length 2"),
+    "weight_product inf": (
+        SELF_LOOP, lambda g: enumerate_paths(g, 1, 1, 2)[0].weight_product(),
+        "weight product of a path of length 2",
+    ),
+    "omega_sum nan": (
+        "1,1,1e200\n1,2,1e200\n2,2,-1e200\n", lambda g: omega_sum(g, 2, 1, 2), "walk sum of length 2"
+    ),
+    # the sums of length 2 and 3 are inf and -inf, which fsum cannot add
+    "omega_lambda_sum inf and -inf": (
+        "1,3,1e200\n3,2,1e200\n1,4,1e200\n4,5,-1e200\n5,2,1e200\n",
+        lambda g: omega_lambda_sum(g, 2, 1, 1.0, 3),
+        "walk sum of length 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", OVERFLOWS)
+def test_walk_sums_past_the_float_range_are_typed(entry):
+    text, call, what = OVERFLOWS[entry]
+    with pytest.raises(NumericOverflow, match=f"^{what} overflows the float range$"):
+        call(parse_edge_list(text))
+
+
 def test_rejects_zero_length():
     with pytest.raises(ValueError):
         enumerate_paths(L3, 1, 1, 0)
@@ -163,8 +234,8 @@ def test_omega_literal_and_recursive_agree_exactly():
         i = int(rng.integers(1, g.n + 1))
         j = int(rng.integers(1, g.n + 1))
         for k in (1, 3, 5):
-            lit = omega_sum(g, i, j, k, literal=True)
-            rec = omega_sum(g, i, j, k, literal=False)
+            lit = _path_sum(g, i, j, k)
+            rec = omega_sum(g, i, j, k)
             assert lit == rec  # dyadic weights: both routes are exact
 
 
@@ -185,13 +256,17 @@ def test_omega_matches_matrix_power():
 def test_omega_literal_budget():
     g = build(Star(4))
     with pytest.raises(BudgetExceeded):
-        omega_sum(g, 5, 5, 20, literal=True, budget=1000)
-    # the default route handles the same query by recursion
-    value = omega_sum(g, 5, 5, 20, budget=1000)
+        _path_sum(g, 5, 5, 20, 1000)
+    # the recursion handles the same query, which no budget limits
+    value = omega_sum(g, 5, 5, 20)
     assert value == pytest.approx(mat_pow(to_matrix(g), 20)[4, 4], rel=1e-12)
 
 
-@pytest.mark.parametrize("route", [{}, {"literal": True}], ids=["default", "literal"])
+@pytest.mark.parametrize(
+    "route",
+    [lambda g, k: omega_sum(g, 7, 1, k) == 0.0, lambda g, k: enumerate_paths(g, 7, 1, k) == []],
+    ids=["default", "literal"],
+)
 def test_zero_path_query_visits_no_walk(monkeypatch, route):
     # 5**k walks of length k leave vertex 1 of this complete digraph, but
     # none reaches vertex 7, whose one edge points out
@@ -215,7 +290,7 @@ def test_zero_path_query_visits_no_walk(monkeypatch, route):
     monkeypatch.setattr(influx.paths, "_adjacency", lambda g: [Row(r) for r in adjacency(g)])
     assert count_paths(g, 7, 1, k) == 0
     scans = 0
-    assert omega_sum(g, 7, 1, k, **route) == 0.0
+    assert route(g, k)
 
 
 # -- rho -----------------------------------------------------------------------------
@@ -253,21 +328,22 @@ def test_rho_literal_and_fallback_agree():
         i = int(rng.integers(1, g.n + 1))
         j = int(rng.integers(1, g.n + 1))
         for k in (1, 2, 4):
-            lit = rho_sum(g, i, j, k, 0.7, literal=True)
-            fb = rho_sum(g, i, j, k, 0.7, literal=False)
+            lit = _path_sum(from_matrix(damped_matrix(g, 0.7)), i, j, k)
+            fb = rho_sum(g, i, j, k, 0.7)
             assert lit == pytest.approx(fb, abs=1e-13)
 
 
 def test_rho_literal_budget():
     g = build(Cycle(4))
+    damped = from_matrix(damped_matrix(g, 0.86))
     with pytest.raises(BudgetExceeded):
-        rho_sum(g, 1, 1, 9, 0.86, literal=True, budget=100)
+        _path_sum(damped, 1, 1, 9, 100)
     # the damped matrix has no zero entry, so there are exactly n**(k-1) walks
     k = 5
     walks = 4 ** (k - 1)
     with pytest.raises(BudgetExceeded, match=f"estimated {walks} paths exceeds budget {walks - 1}$"):
-        rho_sum(g, 1, 1, k, 0.86, literal=True, budget=walks - 1)
-    value = rho_sum(g, 1, 1, k, 0.86, literal=True, budget=walks)
+        _path_sum(damped, 1, 1, k, walks - 1)
+    value = _path_sum(damped, 1, 1, k, walks)
     assert type(value) is float
     assert value == pytest.approx(rho_sum(g, 1, 1, k, 0.86), abs=1e-13)
 
@@ -333,7 +409,7 @@ def test_omega_lambda_cycle_diagonal():
 
 def test_omega_lambda_literal_route_agrees():
     g = build(Star(2))
-    lit = omega_lambda_sum(g, 3, 3, 1.0, 8, literal=True)
+    lit = math.fsum(pmf(1.0, k) * _path_sum(g, 3, 3, k) for k in range(1, 9))
     rec = omega_lambda_sum(g, 3, 3, 1.0, 8)
     assert lit == pytest.approx(rec, abs=1e-15)
 

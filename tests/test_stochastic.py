@@ -140,6 +140,9 @@ def test_pmf_log_space_matches_mpmath(lam, k, normalised):
 
 def test_pmf_at_k_past_the_float_range():
     assert pmf(1.0, 10**400) == 0.0
+    # k is a float here, but the log of its weight is not
+    assert pmf(1.0, 10**308) == 0.0
+    assert _poisson_weight(1.0, 10**308, False) == (0.0, 0)
     # at the mode, about 1 / sqrt(2 pi lam)
     assert pmf(1e300, 10**300) == pytest.approx(1.0 / math.sqrt(2e300 * math.pi), rel=1e-12)
 
