@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import families
-from .errors import InfluenceError, NumericOverflow
+from .errors import InfluenceError
 from .graph import (
     DirectInfluenceGraph,
     format_edge_list,
@@ -29,7 +29,7 @@ from .graph import (
     to_operator,
     web_operator,
 )
-from .linalg import _at_least, _checked, mat_pow, pwp_matrix
+from .linalg import _at_least, _checked, _finite, mat_pow, pwp_matrix
 from .methods import micmac, pagerank, pwp, rank_vertices
 from .stochastic import estimate_and_exact, estimate_and_exact_vectors, make_rng, moments, sample_lengths
 
@@ -130,7 +130,8 @@ def kendall_tau(x, y) -> float:
     """Kendall tau-b between two score vectors.
 
     Both-constant vectors agree perfectly (1.0); exactly one constant
-    vector counts as no agreement (0.0).  O(n log n) by Knight's method
+    vector counts as no agreement (0.0).  A nan score is a ValueError; an
+    infinite one ranks.  O(n log n) by Knight's method
     (JASA 61, 1966): sort by (x, y), count ties, and count the discordant
     pairs as inversions of y.  The pair counts are exact integers, so the
     result equals the pairwise definition bit for bit.
@@ -139,6 +140,8 @@ def kendall_tau(x, y) -> float:
     y = np.fromiter(map(float, y), dtype=float)
     if x.size != y.size:
         raise ValueError("vectors must have equal length")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("scores must not be nan")
     order = np.lexsort((y, x))
     x, y = x[order], y[order]
     x_differs = x[1:] != x[:-1]
@@ -168,8 +171,7 @@ def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
     scale = math.expm1(args.lam) if args.paper_scale else 1.0
     with np.errstate(over="ignore"):
         d_scaled, f_scaled = result.vectors.d * scale, result.vectors.f * scale
-    if not (np.isfinite(d_scaled).all() and np.isfinite(f_scaled).all()):
-        raise NumericOverflow("paper-scaled d or f")
+    _finite("paper-scaled d or f", d_scaled, f_scaled)
     block = {
         "method": {"name": "pwp", "lambda": args.lam, "tol": args.tol},
         "paper_scale": args.paper_scale,
@@ -329,8 +331,7 @@ def cmd_montecarlo(args) -> int:
             "max_abs_z": z.max(initial=0.0),
             "mean_abs_z": z.mean() if z.size else 0.0,
         }
-    if not np.isfinite(list(errors.values())).all():
-        raise NumericOverflow("the sampling error of d or f or its z-score")
+    _finite("the sampling error of d or f or its z-score", *errors.values())
     report = {
         "graph": _graph_summary(g),
         "lambda": args.lam,

@@ -78,7 +78,8 @@ class NoConvergenceWithinBudget(InfluenceError):
 class NumericOverflow(NoConvergenceWithinBudget):
     """A finite input whose result leaves the float range.
 
-    Raised when e^lam - 1, a matrix product or a series term overflows.  A
+    Raised by influx.linalg._finite, the one check every result goes
+    through, where an entry is inf or nan, and where e^lam - 1 overflows.  A
     series whose terms overflow can never meet its tolerance, hence the base
     class; `terms` counts the series terms summed before the overflow.
     """
@@ -113,7 +114,7 @@ class NotSubstochastic(InfluenceError):
 
 
 class BudgetExceeded(InfluenceError):
-    """Literal path enumeration would visit more paths than the budget allows."""
+    """enumerate_paths would list more paths than its budget allows."""
 
     def __init__(self, estimate: int, budget: int):
         super().__init__(f"estimated {estimate} paths exceeds budget {budget}")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteWeight, NumericOverflow
+from .errors import NonFiniteWeight
 from .graph import DirectInfluenceGraph, Edge
-from .linalg import _at_least, _expm1, _positive
+from .linalg import _at_least, _expm1, _finite, _positive
 from .stochastic import pmf
 
 
@@ -128,10 +128,8 @@ def closed_form_pwp(spec: FamilySpec, lam: float = 1.0) -> np.ndarray:
     try:
         t = _closed_form(spec, lam, eplus)
     except OverflowError:
-        t = None
-    if t is None or not np.isfinite(t).all():
-        raise NumericOverflow(f"closed form of {spec!r} at lambda = {lam!r}")
-    return t
+        t = math.inf
+    return _finite(f"closed form of {spec!r} at lambda = {lam!r}", t)
 
 
 def _closed_form(spec: FamilySpec, lam: float, eplus: float) -> np.ndarray:

@@ -112,13 +112,20 @@ def _integers(name: str, values) -> np.ndarray:
     return np.array([int(v) for v in a.flat], dtype=np.int64).reshape(a.shape)
 
 
+def _finite(what: str, *values, terms: int = 0, tol: float = math.nan):
+    """The package's one overflow rule: NumericOverflow(what, terms, tol)
+    where an entry of a value, a number or an array, is nan or infinite;
+    else the last value.  A value of None passes."""
+    for value in values:
+        if value is not None and not np.isfinite(value).all():
+            raise NumericOverflow(what, terms, tol)
+    return values[-1]
+
+
 def _product(a, b, what: str) -> np.ndarray:
     """a @ b, raising NumericOverflow instead of returning inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        c = a @ b
-    if not np.isfinite(c).all():
-        raise NumericOverflow(what)
-    return c
+        return _finite(what, a @ b)
 
 
 class Operator:
@@ -267,8 +274,11 @@ class _SlicedEll:
         self.scratch = np.empty(max((columns.size for _, _, columns, _ in self.blocks), default=0) * n)
 
     def enter(self, a: np.ndarray) -> np.ndarray:
-        """A copy of a with its rows in the blocks' order."""
-        return a[self.order]
+        """A copy of a with its rows in the blocks' order, and -0.0 as +0.0
+        as mat_pow gives it."""
+        a = a[self.order]
+        a += 0.0
+        return a
 
     def leave(self, a: np.ndarray) -> np.ndarray:
         """A copy of a row-ordered a with its rows back in d's order."""
@@ -298,15 +308,17 @@ def _sliced_ell(d) -> _SlicedEll | None:
 
 
 def _stepper(op: Operator):
-    """A chain over the powers of op's matrix d as (enter, step, leave):
-    enter(a) is a copy of a in the chain's row order, so a chain starts
-    from enter(d), step(q, out) writes the power after q into out, and
-    leave(a) is a copy of such an a, or a itself, in d's basis."""
+    """A chain over the powers of op's matrix d as (start, step, leave):
+    start(k) is a new d^k in the chain's row order, step(q, out) writes the
+    power after q into out, and leave(a) is a copy of such an a, or a
+    itself, in d's basis.  d is formed from op once a start(k), and once in
+    all on the np.matmul step, which holds it."""
     sliced = _sliced_ell(op)
     if sliced is not None:
-        return sliced.enter, sliced, sliced.leave
+        return (lambda k: sliced.enter(op._array() if k == 1 else mat_pow(op._array(), k)),
+                sliced, sliced.leave)
     d = op._array()
-    return np.copy, lambda q, out: np.matmul(q, d, out=out), lambda a: a
+    return lambda k: mat_pow(d, k), lambda q, out: np.matmul(q, d, out=out), lambda a: a
 
 
 def mat_pow(d, k: int) -> np.ndarray:
@@ -344,20 +356,18 @@ def _sampled_sum(d, sampled) -> np.ndarray:
     the first product, or a sum, that leaves the float range.
     """
     op = Operator.dense(d)
-    enter, step, leave = _stepper(op)
+    start, step, leave = _stepper(op)
     total = spare = None
     at, gap, jump = 0, 0, None  # power = d^at once at > 0; jump = d^gap
     with np.errstate(over="ignore", invalid="ignore"):
         for k, share in sampled:
             if at == 0:
-                power = enter(mat_pow(op._array(), k))
+                power = start(k)
             elif k - at == 1:
                 if spare is None:
                     spare = np.empty_like(power)
                 step(power, spare)
-                power, spare = spare, power
-                if not np.isfinite(power).all():
-                    raise NumericOverflow(f"matrix power {k}")
+                power, spare = _finite(f"matrix power {k}", spare), power
             else:
                 if k - at != gap:
                     gap = k - at
@@ -368,9 +378,7 @@ def _sampled_sum(d, sampled) -> np.ndarray:
                 total = share * power
             else:
                 total += share * power
-    if not np.isfinite(total).all():
-        raise NumericOverflow("weighted sum of matrix powers")
-    return leave(total)
+    return leave(_finite("weighted sum of matrix powers", total))
 
 
 def _stirlerr(x: float) -> float:
@@ -500,8 +508,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             qmax = max(float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
-            if not math.isfinite(qmax):
-                raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
+            _finite(f"exponential series term {k}", qmax, terms=k - 1, tol=tol)
             if qmax and not 1.0 <= qmax <= 2.0**64:
                 shift = math.frexp(qmax)[1] - 1  # to [1, 2)
                 np.ldexp(q, -shift, out=q)
@@ -510,9 +517,7 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
             if report is None:
                 m, e = _poisson_weight(lam, k, normalised)
                 c = _ldexp(m, e + s)
-                u = c * qmax if qmax else 0.0
-                if not math.isfinite(u):
-                    raise NumericOverflow(f"exponential series term {k}", k - 1, tol)
+                u = _finite(f"exponential series term {k}", c * qmax if qmax else 0.0, terms=k - 1, tol=tol)
                 total += np.multiply(q, c, out=spare)
                 r = lam * norm / (k + 1)
                 if u == 0.0:
@@ -536,12 +541,9 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
             q, spare = spare, q
             k += 1
     del first, q, spare  # so the sums' checks and copies take the powers' place
-    if not np.isfinite(total).all():
-        raise NumericOverflow("exponential series sum", report.terms_used, tol)
-    if estimate is not None and not np.isfinite(estimate).all():
-        raise NumericOverflow("weighted sum of matrix powers")
-    if second is not None and not np.isfinite(second).all():
-        raise NumericOverflow("weighted sum of squared matrix powers")
+    _finite("exponential series sum", total, terms=report.terms_used, tol=tol)
+    _finite("weighted sum of matrix powers", estimate)
+    _finite("weighted sum of squared matrix powers", second)
     return total, estimate, second, report
 
 
@@ -566,9 +568,9 @@ def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
     """The series over the powers of d, a matrix or an Operator; see :func:`_chain`."""
     _checked(lam, tol, normalised)
     op = _operator(d)
-    enter, step, leave = _stepper(op)
+    start, step, leave = _stepper(op)
     norm = op.abs_sum(1)  # bounds d P_k, and P_k d = d P_k as powers of d commute
-    total, estimate, _, report = _chain(enter(op._array()), step, norm, lam, tol, normalised, sampled)
+    total, estimate, _, report = _chain(start(1), step, norm, lam, tol, normalised, sampled)
     return leave(total), None if estimate is None else leave(estimate), report
 
 

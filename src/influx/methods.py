@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSubstochastic, NumericOverflow
+from .errors import DimensionMismatch, NoConvergence, NotSubstochastic
 from .linalg import (
     Operator,
     SeriesReport,
     _at_least,
+    _finite,
     _operator,
     _positive,
     _square,
@@ -64,9 +65,7 @@ def influence_dependence(t) -> InfluenceVectors:
     t = _square(t)
     with np.errstate(over="ignore"):
         d, f = t.sum(axis=1), t.sum(axis=0)
-    if not (np.isfinite(d).all() and np.isfinite(f).all()):
-        raise NumericOverflow("a row or column sum")
-    return InfluenceVectors(d=d, f=f)
+    return InfluenceVectors(d=d, f=_finite("a row or column sum", d, f))
 
 
 def micmac(d, k: int = 4) -> IndirectInfluenceResult:
@@ -81,9 +80,9 @@ def micmac(d, k: int = 4) -> IndirectInfluenceResult:
         return IndirectInfluenceResult(T=t, vectors=influence_dependence(t))
     rows = cols = np.ones(d.n)
     for _ in range(k):
+        # at each step: the edge columns' next product drops an inf that no stored entry reads
         rows, cols = d.matvec(rows), d.rmatvec(cols)
-        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
-            raise NumericOverflow(f"a row or column sum of matrix power {k}")
+        _finite(f"a row or column sum of matrix power {k}", rows, cols)
     return IndirectInfluenceResult(T=None, vectors=InfluenceVectors(rows, cols))
 
 
@@ -181,7 +180,10 @@ def pagerank(
 
 
 def rank_vertices(v) -> list[tuple[int, float]]:
-    """Vertices ordered by descending score; ties break by ascending index."""
+    """Vertices ordered by descending score; ties break by ascending index.
+    A nan score is a ValueError; an infinite one ranks."""
     v = np.asarray(v, dtype=float)
+    if np.isnan(v).any():
+        raise ValueError("scores must not be nan")
     order = np.lexsort((-v,))  # stable, so tied vertices keep ascending index
     return list(zip((order + 1).tolist(), v[order].tolist()))

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, IndexOutOfRange, NumericOverflow
+from .errors import BudgetExceeded, IndexOutOfRange
 from .graph import DirectInfluenceGraph, Edge, to_matrix, to_operator
-from .linalg import _at_least, _expm1, _log_poisson, _positive, mat_pow
+from .linalg import _at_least, _expm1, _finite, _log_poisson, _positive, mat_pow
 from .methods import _damping, pagerank_repair
 
 DEFAULT_BUDGET = 10_000_000
@@ -56,13 +56,7 @@ class Path:
         w = 1.0
         for e in self.edges:
             w *= e.weight
-        return _finite(w, f"weight product of a path of length {self.length}")
-
-
-def _finite(x: float, what: str) -> float:
-    if not math.isfinite(x):
-        raise NumericOverflow(what)
-    return x
+        return _finite(f"weight product of a path of length {self.length}", w)
 
 
 def _check_walk(g: DirectInfluenceGraph, i: int, j: int, k: int):
@@ -119,6 +113,7 @@ def enumerate_paths(
     is reachable from its target in the steps left.
     """
     _check_walk(g, i, j, k)
+    _at_least("budget", budget, 0)
     adj = _adjacency(g)
     counts = _walk_table(adj, i, k, _one)
     if counts[k][j] > budget:
@@ -150,7 +145,7 @@ def omega_sum(g: DirectInfluenceGraph, i: int, j: int, k: int) -> float:
     """
     _check_walk(g, i, j, k)
     value = float(_walk_table(_adjacency(g), i, k, _weight)[k][j])
-    return _finite(value, f"walk sum of length {k}")
+    return _finite(f"walk sum of length {k}", value)
 
 
 def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
@@ -186,7 +181,7 @@ def omega_lambda_sum(g: DirectInfluenceGraph, i: int, j: int, lam: float, K: int
     terms = []
     for k in range(1, K + 1):
         # each weight is at most 1, so a finite sum gives a finite term
-        terms.append(_finite(table[k][j], f"walk sum of length {k}") * coef)
+        terms.append(_finite(f"walk sum of length {k}", table[k][j]) * coef)
         coef *= lam / (k + 1)
     return math.fsum(terms)
 

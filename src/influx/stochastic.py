@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NumericOverflow
-from .linalg import _at_least, _dense, _positive, _poisson_weight, _sampled_sum, _vectors
+from .errors import DomainError
+from .linalg import _at_least, _dense, _finite, _positive, _poisson_weight, _sampled_sum, _vectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,10 +61,7 @@ class MomentSummary:
     @property
     def second_moment(self) -> float:
         """variance + mean^2; NumericOverflow above lam ~ 1.3e154."""
-        second = self.mean * self.mean + self.variance
-        if not math.isfinite(second):
-            raise NumericOverflow("second moment of the length law")
-        return second
+        return _finite("second moment of the length law", self.mean * self.mean + self.variance)
 
 
 def _expm1_minus_x_over_x2(lam: float) -> float:

@@ -4,11 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.
 """
 
+import ast
 import dataclasses
 import inspect
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,3 +348,40 @@ def test_public_surface_is_all():
         assert not {"literal", "budget"} & set(inspect.signature(valuation).parameters)
     assert inspect.signature(influx.enumerate_paths).parameters["budget"].default == influx.paths.DEFAULT_BUDGET
     assert "config" not in {f.name for f in dataclasses.fields(influx.IndirectInfluenceResult)}
+
+
+class _Uses(ast.NodeVisitor):
+    """Where modules name `name` in their code, as (module, enclosing
+    functions...), and which modules import it."""
+
+    def __init__(self, name: str):
+        self.name, self.where, self.uses, self.imports = name, [], [], []
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self.uses.append(tuple(self.where))
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self.uses.append(tuple(self.where))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if self.name in {alias.name for alias in node.names}:
+            self.imports.append(self.where[0])
+
+
+def test_one_overflow_rule():
+    # NumericOverflow is raised by linalg's _finite, and by _expm1, where
+    # math.expm1 raises instead of returning a value to check
+    uses = _Uses("NumericOverflow")
+    for path in sorted(Path(influx.__file__).parent.glob("*.py")):
+        uses.where = [path.stem]
+        uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(uses.uses) == [("linalg", "_expm1"), ("linalg", "_finite")]
+    assert sorted(uses.imports) == ["__init__", "linalg"]

@@ -864,6 +864,18 @@ def test_kendall_tau_matches_scipy(pair):
     assert kendall_tau(x, y) == pytest.approx(stats.kendalltau(x, y).statistic, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0], [math.nan, math.nan]), ([math.nan], [math.nan])],
+    ids=["one in x", "all of y", "both"],
+)
+def test_kendall_tau_refuses_nan_scores(x, y):
+    with pytest.raises(ValueError, match="^scores must not be nan$"):
+        kendall_tau(x, y)
+    with pytest.raises(ValueError, match="^scores must not be nan$"):
+        kendall_tau(y, x)
+
+
 def test_kendall_tau_unequal_lengths():
     with pytest.raises(ValueError, match="equal length"):
         kendall_tau([1, 2, 3], [1, 2])

@@ -881,6 +881,18 @@ def test_pwp_matrix_memory_does_not_grow_with_terms(poisson_matrix):
         assert round(peaks[0]) == round(peaks[1]) <= 3
 
 
+@pytest.mark.parametrize("n, degree", [(300, 150), (400, 5)], ids=["np.matmul", "sliced-ELL"])
+def test_matrix_chain_forms_d_once(poisson_matrix, monkeypatch, n, degree):
+    op = to_operator(influx.from_matrix(poisson_matrix(n, 16, degree)))
+    assert (_sliced_ell(op) is None) == (degree == 150)
+    want = pwp_matrix(op, 1.0)
+    calls = []
+    real = Operator._array
+    monkeypatch.setattr(Operator, "_array", lambda self: calls.append(self) or real(self))
+    assert np.array_equal(pwp_matrix(op, 1.0), want)
+    assert calls == [op]
+
+
 def _montecarlo_file(tmp_path, poisson_matrix, n):
     """An edge-list file of about 5 nonzeros a row, on the sliced-ELL step."""
     d = poisson_matrix(n, 17)

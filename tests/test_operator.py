@@ -206,6 +206,13 @@ def test_vector_overflow_raises_the_same_messages(wrap):
         exp_plus_vectors(wrap(parse_edge_list("1,2,1.7e308\n3,2,1.7e308\n")))
 
 
+def test_micmac_checks_every_step():
+    # d 1 is inf at vertex 1, which no edge reads, so d^2 1 is finite again
+    op = Operator(3, [0, 0], [1, 2], [1.7e308, 1.7e308])
+    with pytest.raises(NumericOverflow, match="^a row or column sum of matrix power 2 overflows"):
+        micmac(op, 2)
+
+
 # -- the engines on the edge columns against the dense kernels -----------------------
 
 @given(_graphs(), st.floats(0.05, 3.0))

@@ -140,6 +140,21 @@ def test_budget_refusal():
     assert err.value.estimate > 100
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [(None, "budget must be an integer, got None"), (1.5, "budget must be an integer, got 1.5"),
+     (True, "budget must be an integer, got True"), (-1, "budget must be >= 0, got -1")],
+    ids=str,
+)
+def test_budget_takes_the_integer_rule(budget, message):
+    g = build(Line(3))
+    with pytest.raises(ValueError) as err:
+        enumerate_paths(g, 3, 1, 2, budget=budget)
+    assert str(err.value) == message and not isinstance(err.value, BudgetExceeded)
+    [path] = enumerate_paths(g, 3, 1, 2, budget=np.int64(10))
+    assert (path.source, path.target) == (1, 3)
+
+
 # each vertex index on Line(3), as a call on that index and the name its
 # check gives it
 VERTEX_INDICES = {
