@@ -1,8 +1,10 @@
 """influx: indirect-influence matrices and rankings on weighted digraphs.
 
 Three engines over the same direct-influence matrix D (entry (i, j) holds
-the weight of edge j -> i): each forms T from a dense D, and only T's vectors
-from an Operator such as a graph's edge columns (to_operator, web_operator):
+the weight of edge j -> i), each taking T's row and column sums from
+matrix-vector products on a dense D or an Operator such as a graph's edge
+columns (to_operator, web_operator); T itself comes from the matrix kernels
+(mat_pow, pwp_matrix):
 
 * micmac    -- T = D^k for a small fixed k
 * pagerank  -- T = limit of powers of the damped, repaired column-stochastic

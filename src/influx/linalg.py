@@ -23,7 +23,7 @@ of the matrix function, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
 products take O(nnz).  The same vector chains carry a sampled sum over
 given powers and its sum of squares, which give the Monte Carlo
 estimates of those sums their standard errors.  The row and column sums
-of integer powers come from :func:`influx.methods.micmac` on an Operator.
+of integer powers come from :func:`influx.methods.micmac`.
 """
 
 import math

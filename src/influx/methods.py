@@ -1,11 +1,13 @@
 """The three indirect-influence engines and the shared vector extraction.
 
-Every method produces a square matrix T of indirect influences.  Row sums of
+Every method defines a square matrix T of indirect influences.  Row sums of
 T give the dependence vector d (how much each vertex is acted on), column
 sums give the influence vector f (how much each vertex acts), and vertices
-are ranked by those scores.  Each engine takes a dense matrix, and then
-forms T and sums it, or an Operator, and then takes d and f from
-matrix-vector products and leaves T None.
+are ranked by those scores.  Each engine takes a dense matrix or an
+Operator, and takes d and f from matrix-vector products on either, without
+forming T, so a matrix and Operator.dense of it give the same result bit
+for bit.  T itself comes from the matrix kernels: pwp_matrix_report for
+pwp, mat_pow for micmac.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +24,6 @@ from .linalg import (
     _positive,
     _square,
     _vectors,
-    mat_pow,
-    pwp_matrix_report,
 )
 
 SUBSTOCHASTIC_TOL = 1e-9
@@ -45,16 +45,13 @@ class InfluenceVectors:
 
 @dataclass(frozen=True)
 class IndirectInfluenceResult:
-    """A computed indirect-influence matrix with its vectors and diagnostics.
+    """An engine's vectors and diagnostics.
 
     For the damped stationary method, `stationary` holds the probability
     vector with sum 1 (the per-vertex ranking weight); `vectors.d` holds the
-    row sums of T, which equal n times the stationary vector.  T is None
-    exactly when the engine was given an Operator, and only the vectors
-    were computed.
+    row sums of T, which equal n times the stationary vector.
     """
 
-    T: np.ndarray | None
     vectors: InfluenceVectors
     diagnostics: SeriesReport | int | None = None
     stationary: np.ndarray | None = field(default=None)
@@ -71,35 +68,29 @@ def influence_dependence(t) -> InfluenceVectors:
 def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     """Fixed-power method: T = d^k for a small natural number k.
 
-    On an :class:`Operator`, d and f come from k matrix-vector products
-    each and T is None.
+    d is a matrix or an :class:`Operator`; d and f come from k
+    matrix-vector products each.
     """
     _at_least("k", k, 1)
-    if not isinstance(d, Operator):
-        t = mat_pow(d, k)
-        return IndirectInfluenceResult(T=t, vectors=influence_dependence(t))
-    rows = cols = np.ones(d.n)
+    op = _operator(d)
+    rows = cols = np.ones(op.n)
     for _ in range(k):
         # at each step: the edge columns' next product drops an inf that no stored entry reads
-        rows, cols = d.matvec(rows), d.rmatvec(cols)
+        rows, cols = op.matvec(rows), op.rmatvec(cols)
         _finite(f"a row or column sum of matrix power {k}", rows, cols)
-    return IndirectInfluenceResult(T=None, vectors=InfluenceVectors(rows, cols))
+    return IndirectInfluenceResult(vectors=InfluenceVectors(rows, cols))
 
 
 def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:
     """Exponential walk-weighting method: T = e_plus(lam*d) / e_plus(lam).
 
-    On an :class:`Operator`, d and f come from matrix-vector series, each
-    accurate to tol in max norm, T is None, and the diagnostics describe
-    the two vector series (see :func:`influx.linalg.exp_plus_vectors`).
+    d is a matrix or an :class:`Operator`; d and f come from matrix-vector
+    series, each truncated to within tol in max norm, and the diagnostics
+    describe the two vector series (see
+    :func:`influx.linalg.exp_plus_vectors`).
     """
-    if isinstance(d, Operator):
-        sums, _, _, report = _vectors(d, lam, tol, normalised=True)
-        t, vectors = None, InfluenceVectors(*sums)
-    else:
-        t, report = pwp_matrix_report(d, lam, tol)
-        vectors = influence_dependence(t)
-    return IndirectInfluenceResult(T=t, vectors=vectors, diagnostics=report)
+    sums, _, _, report = _vectors(d, lam, tol, normalised=True)
+    return IndirectInfluenceResult(vectors=InfluenceVectors(*sums), diagnostics=report)
 
 
 def _empty_columns(op: Operator) -> np.ndarray:
@@ -144,8 +135,8 @@ def pagerank(
     is never formed: x <- p (d x + (sum of x on those columns) / n) + (1 - p) / n.
     T has the stationary vector in every column, so the influence vector is
     all ones and the row sums equal n times the stationary probabilities.
-    d is a matrix, and then T is formed, or an :class:`Operator`, such as
-    :func:`influx.graph.web_operator`'s, and then T is None.
+    d is a matrix or an :class:`Operator`, such as
+    :func:`influx.graph.web_operator`'s.
 
     Raises NoConvergence after max_iter iterations, and NotSubstochastic if
     a column of d sums to neither 0 nor 1.
@@ -174,9 +165,8 @@ def pagerank(
     else:
         raise NoConvergence(max_iter, err, tol)
     stationary = x / x.sum()
-    t = None if isinstance(d, Operator) else np.tile(stationary[:, None], (1, n))
     vectors = InfluenceVectors(d=n * stationary, f=np.ones(n))
-    return IndirectInfluenceResult(T=t, vectors=vectors, diagnostics=iterations, stationary=stationary)
+    return IndirectInfluenceResult(vectors=vectors, diagnostics=iterations, stationary=stationary)
 
 
 def rank_vertices(v) -> list[tuple[int, float]]:

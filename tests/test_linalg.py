@@ -425,7 +425,7 @@ def test_single_power_must_be_an_integer(call, bad):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda k: mat_pow(L3, k), lambda k: micmac(Operator.dense(L3), k).vectors.d, lambda k: micmac(L3, k).T],
+    [lambda k: mat_pow(L3, k), lambda k: micmac(Operator.dense(L3), k).vectors.d, lambda k: micmac(L3, k).vectors.f],
     ids=["mat_pow", "micmac_operator", "micmac"],
 )
 def test_numpy_integer_powers_are_accepted(call):

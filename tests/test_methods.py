@@ -33,6 +33,7 @@ from influx import (
     pagerank_repair,
     parse_edge_list,
     pwp,
+    pwp_matrix,
     rank_vertices,
     to_matrix,
     to_operator,
@@ -64,7 +65,7 @@ def _stationary_by_solve(m):
 
 def test_micmac_line3_k4_vanishes():
     result = micmac(L3, 4)
-    assert np.array_equal(result.T, np.zeros((3, 3)))
+    assert np.array_equal(mat_pow(L3, 4), np.zeros((3, 3)))
     assert np.array_equal(result.vectors.d, np.zeros(3))
     assert np.array_equal(result.vectors.f, np.zeros(3))
 
@@ -81,7 +82,7 @@ def test_micmac_cycle_unit_vectors(n, k):
 def test_micmac_jordan_binomial_entries(a):
     n, k = 5, 4
     d = np.diag([a] * n) + np.diag([1.0] * (n - 1), -1)
-    t = micmac(d, k).T
+    t = mat_pow(d, k)
     for j in range(1, n + 1):
         for s in range(0, n - j + 1):
             assert t[j + s - 1, j - 1] == pytest.approx(
@@ -89,13 +90,18 @@ def test_micmac_jordan_binomial_entries(a):
             )
 
 
-def test_micmac_equals_mat_pow_exactly():
+def test_micmac_equals_k_products_exactly():
     rng = np.random.default_rng(8)
     for _ in range(10):
         n = int(rng.integers(1, 7))
         d = rng.uniform(-1, 1, (n, n))
         k = int(rng.integers(1, 6))
-        assert np.array_equal(micmac(d, k).T, mat_pow(d, k))
+        rows = cols = np.ones(n)
+        for _ in range(k):
+            rows, cols = d @ rows, cols @ d
+        result = micmac(d, k)
+        assert result.vectors.d.tobytes() == rows.tobytes()
+        assert result.vectors.f.tobytes() == cols.tobytes()
 
 
 def test_micmac_rejects_nonpositive_k():
@@ -204,6 +210,7 @@ def test_pagerank_on_an_operator_checks_and_repairs_like_the_dense_path(d, p):
         return
     fast = pagerank(op, p=p, tol=1e-13)
     assert np.allclose(fast.stationary, dense.stationary, rtol=1e-11, atol=1e-15)
+    _assert_identical(dense, pagerank(Operator.dense(d), p=p, tol=1e-13))
 
 
 # -- pagerank --------------------------------------------------------------------
@@ -256,8 +263,12 @@ def test_pagerank_starts_from_the_uniform_vector(wrap):
 
 def test_pagerank_t_columns_are_stationary():
     result = pagerank(web_normalize(parse_edge_list("1,2,1\n2,3,1")))
+    t = np.tile(result.stationary[:, None], (1, 3))  # T, formed from the result
     for j in range(3):
-        assert np.array_equal(result.T[:, j], result.stationary)
+        assert np.array_equal(t[:, j], result.stationary)
+    want = influence_dependence(t)
+    assert np.allclose(result.vectors.d, want.d, rtol=0, atol=1e-15)
+    assert np.allclose(result.vectors.f, want.f, rtol=0, atol=1e-15)
     assert np.allclose(result.vectors.f, 1.0, rtol=0, atol=1e-12)
     assert np.allclose(result.vectors.d, 3.0 * result.stationary, rtol=0, atol=1e-12)
 
@@ -336,12 +347,15 @@ def test_grand_sum_shared_by_both_vectors():
             d = rng.uniform(0, 1, (n, n))
             d /= d.sum(axis=0, keepdims=True)
             result = pagerank(d)
+            t = np.tile(result.stationary[:, None], (1, n))
         elif method == "micmac":
-            result = micmac(rng.uniform(-1, 1, (n, n)), 3)
+            d = rng.uniform(-1, 1, (n, n))
+            result, t = micmac(d, 3), mat_pow(d, 3)
         else:
-            result = pwp(rng.uniform(-1, 1, (n, n)))
+            d = rng.uniform(-1, 1, (n, n))
+            result, t = pwp(d), pwp_matrix(d)
         assert result.vectors.d.sum() == pytest.approx(result.vectors.f.sum(), abs=1e-10)
-        assert result.vectors.d.sum() == pytest.approx(result.T.sum(), abs=1e-10)
+        assert result.vectors.d.sum() == pytest.approx(t.sum(), abs=1e-10)
 
 
 def test_rank_vertices_dependency_example():
@@ -381,31 +395,55 @@ def test_rank_vertices_scale_invariant():
 
 def test_pwp_result_consistent_vectors():
     result = pwp(L3, lam=1.0)
-    assert np.allclose(result.vectors.d, result.T.sum(axis=1), rtol=0, atol=1e-15)
-    assert np.allclose(result.vectors.f, result.T.sum(axis=0), rtol=0, atol=1e-15)
+    t = pwp_matrix(L3, 1.0)
+    assert np.allclose(result.vectors.d, t.sum(axis=1), rtol=0, atol=1e-15)
+    assert np.allclose(result.vectors.f, t.sum(axis=0), rtol=0, atol=1e-15)
 
 
 # -- vectors without the dense T --------------------------------------------------
 
 WEB = web_normalize(parse_edge_list("1,2,1\n2,3,1\n3,1,1\n1,3,1\n4,4,1"))
 
+# each engine, and the kernel that forms its T from d and the engine's result
+ENGINES = {
+    "pwp": (lambda d: pwp(d, lam=1.5), lambda d, result: pwp_matrix(d, 1.5)),
+    "micmac": (lambda d: micmac(d, 3), lambda d, result: mat_pow(d, 3)),
+    "pagerank": (pagerank, lambda d, result: np.tile(result.stationary[:, None], (1, d.shape[0]))),
+}
 
-@pytest.mark.parametrize(
-    "engine", [lambda d: pwp(d, lam=1.5), lambda d: micmac(d, 3), pagerank], ids=["pwp", "micmac", "pagerank"]
-)
-def test_every_engine_leaves_t_none_exactly_on_an_operator(engine):
-    dense = engine(WEB)
-    assert dense.T is not None
-    assert engine(to_operator(from_matrix(WEB))).T is None
-    result = engine(Operator.dense(WEB))
-    assert result.T is None
-    # against the dense T's row and column sums, which take no matrix-vector product
-    want = influence_dependence(dense.T)
-    assert np.allclose(result.vectors.d, want.d, rtol=0, atol=1e-12)
-    assert np.allclose(result.vectors.f, want.f, rtol=0, atol=1e-12)
+
+def _assert_identical(a, b):
+    """Two engine results equal bit for bit: vectors, diagnostics and stationary."""
+    assert a.vectors.d.tobytes() == b.vectors.d.tobytes()
+    assert a.vectors.f.tobytes() == b.vectors.f.tobytes()
+    assert a.diagnostics == b.diagnostics
+    assert (a.stationary is None) == (b.stationary is None)
+    if a.stationary is not None:
+        assert a.stationary.tobytes() == b.stationary.tobytes()
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_every_engine_takes_vectors_from_products_on_every_input(name):
+    engine, kernel = ENGINES[name]
+    result = engine(WEB)
+    _assert_identical(result, engine(Operator.dense(WEB)))
+    columns = engine(to_operator(from_matrix(WEB)))
+    # against the kernel's T's row and column sums, which take no matrix-vector product
+    want = influence_dependence(kernel(WEB, result))
+    for got in (result, columns):
+        assert np.allclose(got.vectors.d, want.d, rtol=0, atol=1e-12)
+        assert np.allclose(got.vectors.f, want.f, rtol=0, atol=1e-12)
 
 
 FAMILIES = [Line(1), Line(6), Cycle(5), Jordan(4, 0.5), Jordan(3, 2.0), Star(7)]
+
+
+@pytest.mark.parametrize("name", ENGINES)
+@pytest.mark.parametrize("spec", FAMILIES, ids=repr)
+def test_every_engine_gives_a_matrix_and_its_operator_one_result(spec, name):
+    engine, _ = ENGINES[name]
+    d = (web_normalize if name == "pagerank" else to_matrix)(build(spec))
+    _assert_identical(engine(d), engine(Operator.dense(d)))
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
@@ -413,9 +451,20 @@ FAMILIES = [Line(1), Line(6), Cycle(5), Jordan(4, 0.5), Jordan(3, 2.0), Star(7)]
 def test_pwp_vectors_match_closed_forms(spec, lam):
     result = pwp(Operator.dense(to_matrix(build(spec))), lam=lam)
     exact = influence_dependence(closed_form_pwp(spec, lam))
-    assert result.T is None
     assert np.allclose(result.vectors.d, exact.d, rtol=1e-12, atol=1e-12)
     assert np.allclose(result.vectors.f, exact.f, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0])
+def test_pwp_diagnostics_bound_the_vectors_it_returns(poisson_matrix, lam):
+    d = poisson_matrix(200, 3)
+    result = pwp(d, lam=lam)
+    t = pwp_matrix(d, lam, 1e-18)
+    for got, want in ((result.vectors.d, t.sum(axis=1)), (result.vectors.f, t.sum(axis=0))):
+        # rounding: each side's sum of K nonnegative terms is off by about
+        # K eps times its value, and so is the reference's
+        allowance = 2 * result.diagnostics.terms_used * np.finfo(float).eps * want.max()
+        assert np.abs(got - want).max() <= result.diagnostics.tail_bound + allowance
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -424,7 +473,6 @@ def test_micmac_vectors_match_dense_power(spec, k):
     d = to_matrix(build(spec))
     result = micmac(Operator.dense(d), k)
     exact = influence_dependence(mat_pow(d, k))
-    assert result.T is None
     assert np.allclose(result.vectors.d, exact.d, rtol=1e-14, atol=0)
     assert np.allclose(result.vectors.f, exact.f, rtol=1e-14, atol=0)
 
@@ -438,17 +486,10 @@ def _sparse_matrices(draw):
 
 
 @given(_sparse_matrices(), st.floats(0.05, 2.0))
-def test_pwp_vectors_agree_with_dense_t(d, lam):
-    fast = pwp(Operator.dense(d), lam=lam)
-    dense = pwp(d, lam=lam)
-    # the dense T meets tol entrywise, so its row sums only within n * tol
-    assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-10, atol=1e-11)
-    assert np.allclose(fast.vectors.f, dense.vectors.f, rtol=1e-10, atol=1e-11)
+def test_pwp_on_a_matrix_is_pwp_on_its_operator(d, lam):
+    _assert_identical(pwp(d, lam=lam), pwp(Operator.dense(d), lam=lam))
 
 
 @given(_sparse_matrices(), st.integers(1, 6))
-def test_micmac_vectors_agree_with_dense_t(d, k):
-    fast = micmac(Operator.dense(d), k)
-    dense = micmac(d, k)
-    assert np.allclose(fast.vectors.d, dense.vectors.d, rtol=1e-12, atol=1e-12)
-    assert np.allclose(fast.vectors.f, dense.vectors.f, rtol=1e-12, atol=1e-12)
+def test_micmac_on_a_matrix_is_micmac_on_its_operator(d, k):
+    _assert_identical(micmac(d, k), micmac(Operator.dense(d), k))

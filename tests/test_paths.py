@@ -371,12 +371,13 @@ def test_damped_matrix_p_must_lie_inside_unit_interval(p):
 
 
 def test_rho_converges_to_stationary_column():
-    # long powers of the damped matrix approach the rank-one limit
+    # long powers of the damped matrix approach the rank-one limit, whose
+    # every column is the stationary vector
     result = influx.pagerank(web_normalize(L3), p=0.86, tol=1e-14)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             assert rho_sum(L3, i, j, 40, 0.86) == pytest.approx(
-                result.T[i - 1, j - 1], abs=1e-6
+                result.stationary[i - 1], abs=1e-6
             )
 
 
