@@ -30,7 +30,7 @@ from .graph import (
     web_operator,
 )
 from .linalg import _at_least, _checked, _finite, mat_pow, pwp_matrix
-from .methods import micmac, pagerank, pwp, rank_vertices
+from .methods import _scores, micmac, pagerank, pwp, rank_vertices
 from .stochastic import estimate_and_exact, estimate_and_exact_vectors, make_rng, moments, sample_lengths
 
 def canonical_float(x: float) -> float:
@@ -130,18 +130,15 @@ def kendall_tau(x, y) -> float:
     """Kendall tau-b between two score vectors.
 
     Both-constant vectors agree perfectly (1.0); exactly one constant
-    vector counts as no agreement (0.0).  A nan score is a ValueError; an
-    infinite one ranks.  O(n log n) by Knight's method
+    vector counts as no agreement (0.0).  Scores that are not 1-D, or a nan
+    score, are a ValueError; an infinite one ranks.  O(n log n) by Knight's method
     (JASA 61, 1966): sort by (x, y), count ties, and count the discordant
     pairs as inversions of y.  The pair counts are exact integers, so the
     result equals the pairwise definition bit for bit.
     """
-    x = np.fromiter(map(float, x), dtype=float)
-    y = np.fromiter(map(float, y), dtype=float)
+    x, y = _scores(x), _scores(y)
     if x.size != y.size:
         raise ValueError("vectors must have equal length")
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise ValueError("scores must not be nan")
     order = np.lexsort((y, x))
     x, y = x[order], y[order]
     x_differs = x[1:] != x[:-1]
@@ -239,7 +236,8 @@ def _graph_summary(g: DirectInfluenceGraph) -> dict:
 
 
 def _load_graph(path: str) -> DirectInfluenceGraph:
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig: a byte-order mark, as spreadsheets save "CSV UTF-8", is not text
+    return parse_edge_list(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _emit(text: str, output: str | None):

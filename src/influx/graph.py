@@ -43,6 +43,12 @@ class DirectInfluenceGraph:
     weight: np.ndarray
 
     def __init__(self, n: int, edges: Iterable = ()):
+        edges = tuple(edges)
+        for edge in edges:
+            try:
+                source, target, weight = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"an edge must be a (source, target, weight) triple, got {edge!r}") from None
         vars(self).update(vars(_graph(n, *(tuple(zip(*edges)) or ((), (), ())))))
 
     def __eq__(self, other):

@@ -165,7 +165,9 @@ class Operator:
         return op
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """d x, with no warning where an entry leaves the float range."""
+        """d x, with no warning where an entry leaves the float range; x
+        must have shape (n,)."""
+        x = self._vector(x)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.d is not None:
                 return self.d @ x
@@ -173,10 +175,18 @@ class Operator:
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """x d, the product by d's transpose, like :meth:`matvec`."""
+        x = self._vector(x)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.d is not None:
                 return x @ self.d
             return _bincount(self.cols, self.values * x[self.rows], self.n)
+
+    def _vector(self, x) -> np.ndarray:
+        """x as a float array, refused unless its shape is (n,)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise DimensionMismatch(f"expected a vector of shape ({self.n},), got shape {x.shape}")
+        return x
 
     def abs_sum(self, axis: int) -> float:
         """Largest absolute row (axis=1) or column (axis=0) sum; 0 when empty,

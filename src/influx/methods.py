@@ -69,15 +69,19 @@ def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     """Fixed-power method: T = d^k for a small natural number k.
 
     d is a matrix or an :class:`Operator`; d and f come from k
-    matrix-vector products each.
+    matrix-vector products each, or fewer: once a step returns both
+    vectors unchanged bit for bit, every later step would repeat them.
     """
     _at_least("k", k, 1)
     op = _operator(d)
     rows = cols = np.ones(op.n)
     for _ in range(k):
-        # at each step: the edge columns' next product drops an inf that no stored entry reads
+        last = rows, cols
         rows, cols = op.matvec(rows), op.rmatvec(cols)
+        # at each step: the edge columns' next product drops an inf that no stored entry reads
         _finite(f"a row or column sum of matrix power {k}", rows, cols)
+        if rows.tobytes() == last[0].tobytes() and cols.tobytes() == last[1].tobytes():
+            break
     return IndirectInfluenceResult(vectors=InfluenceVectors(rows, cols))
 
 
@@ -169,11 +173,20 @@ def pagerank(
     return IndirectInfluenceResult(vectors=vectors, diagnostics=iterations, stationary=stationary)
 
 
-def rank_vertices(v) -> list[tuple[int, float]]:
-    """Vertices ordered by descending score; ties break by ascending index.
-    A nan score is a ValueError; an infinite one ranks."""
+def _scores(v) -> np.ndarray:
+    """v as a float array of scores, refused unless it is 1-D without a nan."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"scores must be a 1-D array, got shape {v.shape}")
     if np.isnan(v).any():
         raise ValueError("scores must not be nan")
+    return v
+
+
+def rank_vertices(v) -> list[tuple[int, float]]:
+    """Vertices ordered by descending score; ties break by ascending index.
+    Scores that are not 1-D, or a nan score, are a ValueError; an infinite
+    score ranks."""
+    v = _scores(v)
     order = np.lexsort((-v,))  # stable, so tied vertices keep ascending index
     return list(zip((order + 1).tolist(), v[order].tolist()))

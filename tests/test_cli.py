@@ -265,6 +265,16 @@ def test_import_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [["compare"], ["compare", "--csv"], ["montecarlo", "-N", "100"]], ids=" ".join)
+def test_an_edge_list_with_a_byte_order_mark_reads_as_without(random12, tmp_path, capsys, argv):
+    # spreadsheets save "CSV UTF-8" with the mark EF BB BF before the first line
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(random12).read_bytes())
+    want = run(capsys, *argv, random12)
+    assert want[0] == 0
+    assert run(capsys, *argv, str(marked)) == want
+
+
 @pytest.mark.parametrize("methods", ["pwp,micmac,pagerank", "pagerank"])
 def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
     # every engine runs on the graph's edge columns and to_matrix is called
@@ -874,6 +884,14 @@ def test_kendall_tau_refuses_nan_scores(x, y):
         kendall_tau(x, y)
     with pytest.raises(ValueError, match="^scores must not be nan$"):
         kendall_tau(y, x)
+
+
+@pytest.mark.parametrize("x, shape", [([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"), (2.0, "()")])
+def test_kendall_tau_refuses_scores_that_are_not_1_d(x, shape):
+    for pair in ((x, [1.0, 2.0]), ([1.0, 2.0], x), (x, x)):
+        with pytest.raises(ValueError) as err:
+            kendall_tau(*pair)
+        assert str(err.value) == f"scores must be a 1-D array, got shape {shape}"
 
 
 def test_kendall_tau_unequal_lengths():

@@ -129,6 +129,18 @@ def test_graph_rejects_bad_edges_directly():
         DirectInfluenceGraph(2, (Edge(1, 2, 1.0), Edge(1, 2, 2.0)))
 
 
+@pytest.mark.parametrize(
+    "edges, named",
+    [([(1, 2)], "(1, 2)"), ([(1, 2, 1.0, 5)], "(1, 2, 1.0, 5)"),
+     ([(1, 2, 1.0, 5), (2, 3, 1.0)], "(1, 2, 1.0, 5)"),  # zip would drop the extra column
+     ([(2, 3, 1.0), (1, 2)], "(1, 2)"), ([7], "7")],
+)
+def test_graph_refuses_an_edge_that_is_not_a_triple(edges, named):
+    with pytest.raises(ValueError) as err:
+        DirectInfluenceGraph(3, edges)
+    assert str(err.value) == f"an edge must be a (source, target, weight) triple, got {named}"
+
+
 def test_duplicate_named_by_its_earliest_second_occurrence():
     # sorted by (source, target), 1->2 would come first
     with pytest.raises(DuplicateEdge) as err:

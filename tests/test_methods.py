@@ -104,6 +104,61 @@ def test_micmac_equals_k_products_exactly():
         assert result.vectors.f.tobytes() == cols.tobytes()
 
 
+def _k_products(op, k):
+    """micmac's vectors by k products a side, with no early stop."""
+    rows = cols = np.ones(op.n)
+    for _ in range(k):
+        rows, cols = op.matvec(rows), op.rmatvec(cols)
+    return rows, cols
+
+
+STOPS = {  # a matrix, and the products a side that reach a fixed point
+    "nilpotent": (L3, 4),
+    "negative nilpotent": (-L3, 4),
+    "unit cycle": (_cycle(7), 1),
+    "rows fixed first": (np.array([[0.0, 1.0], [0.0, 1.0]]), 2),
+}
+
+
+@pytest.mark.parametrize("form", [Operator.dense, lambda d: to_operator(from_matrix(d))], ids=["dense", "columns"])
+@pytest.mark.parametrize("name", STOPS)
+def test_micmac_stops_at_a_fixed_point_of_its_step(monkeypatch, name, form):
+    d, products = STOPS[name]
+    op = form(d)
+    want = _k_products(op, 50)
+    calls = []
+    real = Operator.matvec
+    monkeypatch.setattr(Operator, "matvec", lambda self, x: calls.append(1) or real(self, x))
+    result = micmac(op, 200_000)
+    assert len(calls) == products
+    assert result.vectors.d.tobytes() == want[0].tobytes()
+    assert result.vectors.f.tobytes() == want[1].tobytes()
+
+
+def _signed(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    d = np.where(rng.random((n, n)) < 0.6, rng.uniform(-0.5, 0.5, (n, n)), 0.0)
+    d[np.abs(d) < 0.05] = 0.0
+    return d
+
+
+SIGNED = [np.array([[-0.5]]), np.array([[0.0, -0.5], [0.5, 0.0]])] + [_signed(seed) for seed in range(4)]
+
+
+@pytest.mark.parametrize("form", [Operator.dense, lambda d: to_operator(from_matrix(d))], ids=["dense", "columns"])
+@pytest.mark.parametrize("d", SIGNED)
+def test_micmac_equals_its_k_products_where_zeros_carry_signs(form, d):
+    # entries of both signs, whose vectors flip sign from step to step
+    # until they underflow to zero, where the stop must come no sooner
+    op = form(d)
+    for k in (1, 3, 40, 3000, 3001):
+        rows, cols = _k_products(op, k)
+        result = micmac(op, k)
+        assert result.vectors.d.tobytes() == rows.tobytes()
+        assert result.vectors.f.tobytes() == cols.tobytes()
+
+
 def test_micmac_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         micmac(L3, 0)
@@ -384,6 +439,13 @@ def test_rank_vertices_refuses_nan():
     # an infinite score ranks: see test_rank_vertices_is_the_sorted_order
     with pytest.raises(ValueError, match="^scores must not be nan$"):
         rank_vertices([1.0, math.nan, 2.0])
+
+
+@pytest.mark.parametrize("scores, shape", [([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"), (2.0, "()")])
+def test_rank_vertices_refuses_scores_that_are_not_1_d(scores, shape):
+    with pytest.raises(ValueError) as err:
+        rank_vertices(scores)
+    assert str(err.value) == f"scores must be a 1-D array, got shape {shape}"
 
 
 def test_rank_vertices_scale_invariant():

@@ -123,6 +123,17 @@ def test_a_dense_matrix_wraps_as_its_blas_products():
     assert op.rmatvec(x).tobytes() == (x @ d).tobytes()
 
 
+@pytest.mark.parametrize("op", [Operator(2, [0], [1], [1.0]), Operator.dense(np.eye(2))], ids=["columns", "dense"])
+@pytest.mark.parametrize("x", [np.ones(3), np.ones(1), np.ones((2, 1)), np.ones((1, 2)), np.float64(1.0)],
+                         ids=["3", "1", "2x1", "1x2", "scalar"])
+def test_products_refuse_a_vector_of_another_shape(op, x):
+    # the columns' gather read past 2 entries or stopped short of them
+    for product in (op.matvec, op.rmatvec):
+        with pytest.raises(DimensionMismatch) as err:
+            product(x)
+        assert str(err.value) == f"expected a vector of shape (2,), got shape {x.shape}"
+
+
 def test_an_operator_with_no_entries_is_zero():
     op = Operator(3, [], [], [])
     assert op.matvec(np.ones(3)).dtype == float
