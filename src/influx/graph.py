@@ -48,7 +48,8 @@ class DirectInfluenceGraph:
             try:
                 source, target, weight = edge
             except (TypeError, ValueError):
-                raise ValueError(f"an edge must be a (source, target, weight) triple, got {edge!r}") from None
+                raise ValueError(
+                    f"an edge must be a (source, target, weight) triple, got {edge!r}") from None
         vars(self).update(vars(_graph(n, *(tuple(zip(*edges)) or ((), (), ())))))
 
     def __eq__(self, other):

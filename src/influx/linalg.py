@@ -182,8 +182,8 @@ class Operator:
             return _bincount(self.cols, self.values * x[self.rows], self.n)
 
     def _vector(self, x) -> np.ndarray:
-        """x as a float array, refused unless its shape is (n,)."""
-        x = np.asarray(x, dtype=float)
+        """x as an array, refused unless its shape is (n,)."""
+        x = np.asarray(x)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of shape ({self.n},), got shape {x.shape}")
         return x
