@@ -69,19 +69,15 @@ def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     """Fixed-power method: T = d^k for a small natural number k.
 
     d is a matrix or an :class:`Operator`; d and f come from k
-    matrix-vector products each, or fewer: once a step returns both
-    vectors unchanged bit for bit, every later step would repeat them.
+    matrix-vector products each, so the cost is linear in k.
     """
     _at_least("k", k, 1)
     op = _operator(d)
     rows = cols = np.ones(op.n)
     for _ in range(k):
-        last = rows, cols
-        rows, cols = op.matvec(rows), op.rmatvec(cols)
         # at each step: the edge columns' next product drops an inf that no stored entry reads
+        rows, cols = op.matvec(rows), op.rmatvec(cols)
         _finite(f"a row or column sum of matrix power {k}", rows, cols)
-        if rows.tobytes() == last[0].tobytes() and cols.tobytes() == last[1].tobytes():
-            break
     return IndirectInfluenceResult(vectors=InfluenceVectors(rows, cols))
 
 
