@@ -356,38 +356,24 @@ def _sampled_sum(d, sampled) -> np.ndarray:
     """sum_k v d^k over the (k, v) pairs in `sampled`: one or more, with
     distinct integer powers k >= 0 in ascending order.
 
-    One pass over the powers: the first comes from :func:`mat_pow`, and each
-    later one is the previous power times d when the powers are consecutive,
-    or times d^gap (formed once per distinct gap in a row) when they are not,
-    so m consecutive powers cost m - 1 products after the first.
-    Consecutive powers take the power chain's step (see :func:`_stepper`),
-    in its row order, so they are those of the chain bit for bit.
-    Contributions are added in ascending power.  Raises NumericOverflow at
-    the first product, or a sum, that leaves the float range.
+    One pass over the powers: the first comes from the power chain's start
+    (see :func:`_stepper`), by squaring, and every later one from the one
+    before by the chain's step, in its row order, so where the first is
+    d^1 they are the chain's powers bit for bit.  Contributions are added
+    in ascending power.  Raises NumericOverflow at the first product, or a
+    sum, that leaves the float range.
     """
-    op = Operator.dense(d)
-    start, step, leave = _stepper(op)
-    total = spare = None
-    at, gap, jump = 0, 0, None  # power = d^at once at > 0; jump = d^gap
+    start, step, leave = _stepper(Operator.dense(d))
+    (at, share), *later = sampled
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, share in sampled:
-            if at == 0:
-                power = start(k)
-            elif k - at == 1:
-                if spare is None:
-                    spare = np.empty_like(power)
+        power = start(at)
+        spare, total = np.empty_like(power), share * power
+        for k, share in later:
+            while at < k:
                 step(power, spare)
-                power, spare = _finite(f"matrix power {k}", spare), power
-            else:
-                if k - at != gap:
-                    gap = k - at
-                    jump = mat_pow(op._array(), gap)
-                power = _product(power, jump, f"matrix power {k}")
-            at = k
-            if total is None:
-                total = share * power
-            else:
-                total += share * power
+                at += 1
+                power, spare = _finite(f"matrix power {at}", spare), power
+            total += share * power
     return leave(_finite("weighted sum of matrix powers", total))
 
 

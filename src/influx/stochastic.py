@@ -139,8 +139,9 @@ def _sampled(lengths, least: int = 1) -> list[tuple[int, float]]:
 
 
 def estimate_from_lengths(d, lengths) -> np.ndarray:
-    """Average of d^k over the given integer walk lengths k >= 0; each
-    distinct power is formed once, from the previous one."""
+    """Average of d^k over the given integer walk lengths k >= 0: the
+    shortest power by repeated squaring, and each later one up to the
+    longest from the one before, by the power chain's step."""
     return _sampled_sum(d, _sampled(lengths, least=0))
 
 
@@ -150,8 +151,9 @@ def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.n
     each D^k is formed once, for both its probability pmf(lam, k) and its
     sampled frequency.  The pass runs to the longer of the series and the
     longest sampled length.  The estimate equals estimate_from_lengths' bit
-    for bit when the lengths run consecutively from 1, and to rounding
-    otherwise.
+    for bit whenever the shortest length is 1, gaps between the lengths
+    included, except where an entry falls below the normal float range,
+    which the chain's running scale may keep in it.
     """
     exact, estimate, _ = _dense(d, lam, tol, normalised=True, sampled=_sampled(lengths))
     return estimate, exact

@@ -785,19 +785,27 @@ def test_montecarlo_infinite_z_score_exits_3(line3, capsys, monkeypatch):
     assert err == "error: the sampling error of d or f or its z-score overflows the float range\n"
 
 
-def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys):
+def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys, monkeypatch):
     # cmd_montecarlo draws its own lengths (it reports their mean), so it
-    # must stay the same estimate as the library's monte_carlo_pwp
+    # must stay the same estimate as the library's monte_carlo_pwp, bit for
+    # bit, also where the sampled lengths skip a power
     text = "1,2,0.5\n2,3,0.7\n3,1,0.9\n3,4,0.4\n4,2,0.3\n4,4,0.2\n"
     path = tmp_path / "g.csv"
     path.write_text(text)
-    code, out, _ = run(
-        capsys, "montecarlo", str(path), "--lambda", "2", "-N", "5000", "--seed", "3", "--emit-matrix"
-    )
+    assert (np.diff(np.unique(influx.sample_lengths(4.0, 100_000, influx.make_rng(0)))) > 1).any()
+    estimates = []
+    real = influx.cli.estimate_and_exact
+
+    def recorded(*args):
+        estimate, exact = real(*args)
+        estimates.append(estimate)
+        return estimate, exact
+
+    monkeypatch.setattr(influx.cli, "estimate_and_exact", recorded)
+    code, _, _ = run(capsys, "montecarlo", str(path), "--lambda", "4", "-N", "100000", "--emit-matrix")
     assert code == 0
     d = influx.to_matrix(parse_edge_list(text))
-    library = influx.monte_carlo_pwp(d, 2.0, 5000, 3)
-    assert json.loads(out)["estimate"] == json.loads(dumps_report({"e": library}))["e"]
+    assert np.array_equal(estimates[0], influx.monte_carlo_pwp(d, 4.0, 100_000, 0))
 
 
 @pytest.mark.parametrize("lam", ["1e-300", "1e-8", "1e-4"])

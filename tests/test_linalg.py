@@ -155,12 +155,13 @@ def test_single_power_costs_no_more_than_mat_pow(products, k):
     assert len(products) <= cost
 
 
-def test_far_power_is_reached_by_squaring(products):
-    # a cycle's powers are shift permutations, so the answer is exact
+def test_far_power_is_reached_by_the_chain_step(products, steps):
+    # a cycle's powers are shift permutations, so the answer is exact; past
+    # the first power every one comes from the one before, by the step
     cycle = to_matrix(parse_edge_list("\n".join(f"{i},{i % 7 + 1},1" for i in range(1, 8))))
-    got = influx.estimate_from_lengths(cycle, [1, 10**6])
-    assert np.array_equal(got, 0.5 * cycle + 0.5 * np.linalg.matrix_power(cycle, 10**6 % 7))
-    assert len(products) <= 2 * (10**6).bit_length()
+    got = influx.estimate_from_lengths(cycle, [1, 2000])
+    assert np.array_equal(got, 0.5 * cycle + 0.5 * np.linalg.matrix_power(cycle, 2000 % 7))
+    assert products == [] and len(steps) == 1999
 
 
 def test_estimate_from_lengths_zero_length_is_identity():

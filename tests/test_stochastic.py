@@ -371,22 +371,28 @@ def test_estimate_and_exact_is_both_kernels_in_one_pass(case):
     lengths = [k + 1 for k in lengths]  # the length law has no mass at 0
     estimate, exact = estimate_and_exact(d, 1.5, lengths)
     assert np.array_equal(exact, pwp_matrix(d, 1.5))
-    # where the lengths skip a power, estimate_from_lengths reaches the next
-    # one by squaring, so the two round differently
+    # where the shortest length is above 1, estimate_from_lengths forms its
+    # first power by squaring, so the two round differently
     values, counts = np.unique(lengths, return_counts=True)
+    if values[0] == 1:
+        assert np.array_equal(estimate, estimate_from_lengths(d, lengths))
     scale = sum(w * np.linalg.matrix_power(np.abs(d), int(k)) for k, w in zip(values, counts / len(lengths)))
     assert np.all(np.abs(estimate - estimate_from_lengths(d, lengths)) <= 2e-12 * scale)
 
 
-def test_estimate_and_exact_on_consecutive_lengths_is_bit_for_bit(poisson_matrix):
-    # np.matmul steps at n = 6, the sliced-ELL step at n = 400
+@pytest.mark.parametrize("lam, samples, seed", [(2.0, 5000, 3), (4.0, 100_000, 0)],
+                         ids=["consecutive", "with-a-gap"])
+def test_estimate_and_exact_from_length_1_is_bit_for_bit(poisson_matrix, lam, samples, seed):
+    # np.matmul steps at n = 6, the sliced-ELL step at n = 400; both routes
+    # start at d and reach every later power by the step, gaps included
+    lengths = sample_lengths(lam, samples, make_rng(seed))
+    values = np.unique(lengths)
+    assert values[0] == 1 and (np.diff(values) > 1).any() == (lam == 4.0)
     for d in (np.random.default_rng(21).uniform(0, 0.3, (6, 6)), poisson_matrix(400, 21)):
         assert (_sliced_ell(d) is None) == (d.shape[0] == 6)
-        lengths = sample_lengths(2.0, 5000, make_rng(3))
-        assert np.array_equal(np.unique(lengths), np.arange(1, lengths.max() + 1))
-        estimate, exact = estimate_and_exact(d, 2.0, lengths)
+        estimate, exact = estimate_and_exact(d, lam, lengths)
         assert np.array_equal(estimate, estimate_from_lengths(d, lengths))
-        assert np.array_equal(exact, pwp_matrix(d, 2.0))
+        assert np.array_equal(exact, pwp_matrix(d, lam))
 
 
 def test_estimate_and_exact_reaches_lengths_past_the_series():
