@@ -10,8 +10,9 @@ immutable and all operations are pure functions.
 """
 
 import math
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class DirectInfluenceGraph:
         edges = tuple(edges)
         for edge in edges:
             try:
+                if isinstance(edge, (Mapping, Set)):
+                    raise TypeError  # a dict unpacks as its keys, a set in no set order
                 source, target, weight = edge
             except (TypeError, ValueError):
                 raise ValueError(
@@ -105,10 +108,12 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
     """Parse "source,target,weight" lines into a graph.
 
     `text` may be a string or any iterable of lines.  Lines that are blank
-    or start with '#' are skipped.  The vertex count is the largest index
-    seen, or `n`, an integer >= 0, if that is larger.  Duplicate (source,
-    target) pairs are a hard error rather than last-wins, so data bugs
-    surface immediately.
+    or start with '#' are skipped.  Every other line must be ASCII with no
+    '_', or it is a MalformedLine: Python's int and float would read "1_0"
+    as 10 and any Unicode digit as a digit.  The vertex count is the
+    largest index seen, or `n`, an integer >= 0, if that is larger.
+    Duplicate (source, target) pairs are a hard error rather than
+    last-wins, so data bugs surface immediately.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     source, target, weight = [], [], []
@@ -117,6 +122,8 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
         if not line or line.startswith("#"):
             continue
         try:
+            if not raw.isascii() or "_" in line:
+                raise ValueError
             s, t, w = line.split(",")
             source.append(int(s))
             target.append(int(t))

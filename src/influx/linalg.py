@@ -166,7 +166,7 @@ class Operator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """d x, with no warning where an entry leaves the float range; x
-        must have shape (n,)."""
+        must be real, of shape (n,)."""
         x = self._vector(x)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.d is not None:
@@ -182,10 +182,13 @@ class Operator:
             return _bincount(self.cols, self.values * x[self.rows], self.n)
 
     def _vector(self, x) -> np.ndarray:
-        """x as an array, refused unless its shape is (n,)."""
+        """x as an array, refused unless its shape is (n,) and its entries
+        are real: bool, integer or float."""
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of shape ({self.n},), got shape {x.shape}")
+        if x.dtype.kind not in "biuf":
+            raise ValueError(f"expected a real vector, got dtype {x.dtype}")
         return x
 
     def abs_sum(self, axis: int) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSubstochastic
+from .errors import NoConvergence, NotSubstochastic
 from .linalg import (
     Operator,
     SeriesReport,
@@ -138,8 +138,9 @@ def pagerank(
     d is a matrix or an :class:`Operator`, such as
     :func:`influx.graph.web_operator`'s.
 
-    Raises NoConvergence after max_iter iterations, and NotSubstochastic if
-    a column of d sums to neither 0 nor 1.
+    An empty d (n = 0) gives empty vectors after 0 iterations.  Raises
+    NoConvergence after max_iter iterations, and NotSubstochastic if a
+    column of d sums to neither 0 nor 1.
     """
     _damping(p)
     _positive("tol", tol)
@@ -148,7 +149,8 @@ def pagerank(
     empty = _empty_columns(op)
     n = op.n
     if n == 0:
-        raise DimensionMismatch("cannot rank an empty matrix")
+        x = np.zeros(0)
+        return IndirectInfluenceResult(vectors=InfluenceVectors(d=x, f=x), diagnostics=0, stationary=x)
     x = np.full(n, 1.0 / n)
     live = ~empty  # the entries of an all-zero column within 1e-9 count as zeros
     iterations = 0

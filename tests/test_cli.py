@@ -413,13 +413,31 @@ def test_every_influence_error_names_its_exit_code():
     assert {c for c in classes if c.exit_code == 2} == parse
 
 
-def test_pagerank_empty_graph_exit_3(tmp_path, capsys):
-    # DimensionMismatch is also a ValueError; it must keep its own code
+@pytest.mark.parametrize("argv", [["compare"], ["compare", "--csv"], ["compute", "--method", "pwp"],
+                                  ["compute", "--method", "micmac"], ["compute", "--method", "pagerank"],
+                                  ["compute", "--method", "pagerank", "--csv"],
+                                  ["montecarlo", "-N", "10", "--emit-matrix"]], ids=" ".join)
+def test_every_command_answers_an_empty_edge_list(tmp_path, capsys, argv):
     path = tmp_path / "empty.csv"
-    path.write_text("")
-    code, _, err = run(capsys, "compute", "--method", "pagerank", str(path))
-    assert code == 3
-    assert "empty" in err
+    path.write_text("# no edges\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, err) == (0, "")
+    if "--csv" not in argv:
+        report = json.loads(out)
+        assert report["graph"] == {"n": 0, "edges": 0}
+        for block in report.get("methods", [report]):
+            if "d" in block:
+                assert block["d"] == block["f"] == block["ranking_by_dependence"] == []
+
+
+def test_dimension_mismatch_under_main_exits_3(line3, capsys, monkeypatch):
+    # DimensionMismatch is also a ValueError, whose exit code is 2; it keeps its own
+    def mismatch(*args, **kwargs):
+        raise errors.DimensionMismatch("expected a square matrix, got shape (2, 3)")
+
+    monkeypatch.setattr(influx.cli, "pagerank", mismatch)
+    code, out, err = run(capsys, "compute", "--method", "pagerank", line3)
+    assert (code, out, err) == (3, "", "error: expected a square matrix, got shape (2, 3)\n")
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,20 @@ def test_parse_whitespace_tolerated():
     assert g.edges == (Edge(1, 2, 0.25),)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["1,2,0_5", "1_0,2,0.5", "1,2_0,0.5", "\u0661,2,0.5", "\uff12,1,0.5", "1,2,0.\u0665",
+     "1,2,0.5\u00a0", "1,\u20032,0.5"],
+    ids=["weight 0_5", "source 1_0", "target 2_0", "arabic-indic 1", "fullwidth 2",
+         "arabic-indic weight digit", "no-break space", "em space"],
+)
+def test_parse_refuses_underscores_and_non_ascii_on_a_data_line(line):
+    # Python's int and float read "1_0" as 10 and take any Unicode digit
+    with pytest.raises(MalformedLine) as err:
+        parse_edge_list(f"# \u00fcber: comments may hold any text\n1,3,0.5\n\n{line}\n")
+    assert (err.value.line_no, err.value.text) == (4, line)
+
+
 def test_graph_rejects_bad_edges_directly():
     with pytest.raises(IndexOutOfRange):
         DirectInfluenceGraph(2, (Edge(1, 3, 1.0),))
@@ -139,6 +153,15 @@ def test_graph_refuses_an_edge_that_is_not_a_triple(edges, named):
     with pytest.raises(ValueError) as err:
         DirectInfluenceGraph(3, edges)
     assert str(err.value) == f"an edge must be a (source, target, weight) triple, got {named}"
+
+
+@pytest.mark.parametrize("edge", [{1: "a", 2: "b", 3: "c"}, {1, 2, 3}, frozenset({1, 2, 3})],
+                         ids=["dict", "set", "frozenset"])
+def test_graph_refuses_a_dict_or_set_edge(edge):
+    # each unpacks into three items: a dict's keys, a set's in no set order
+    with pytest.raises(ValueError) as err:
+        DirectInfluenceGraph(3, [edge])
+    assert str(err.value) == f"an edge must be a (source, target, weight) triple, got {edge!r}"
 
 
 def test_duplicate_named_by_its_earliest_second_occurrence():

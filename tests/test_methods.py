@@ -205,7 +205,7 @@ def test_pagerank_on_an_operator_checks_and_repairs_like_the_dense_path(d, p):
     op = Operator(d.shape[0], rows, cols, d[rows, cols])
     try:
         dense = pagerank(d, p=p, tol=1e-13)
-    except (NotSubstochastic, DimensionMismatch) as expected:
+    except NotSubstochastic as expected:
         with pytest.raises(type(expected)) as err:
             pagerank(op, p=p, tol=1e-13)
         assert str(err.value) == str(expected)
@@ -279,6 +279,14 @@ def test_pagerank_no_convergence():
     d = web_normalize(parse_edge_list("1,2,1\n2,3,1"))
     with pytest.raises(NoConvergence):
         pagerank(d, p=0.86, tol=1e-12, max_iter=2)
+
+
+@pytest.mark.parametrize("d", [np.zeros((0, 0)), Operator(0, [], [], [])], ids=["matrix", "operator"])
+def test_pagerank_ranks_an_empty_matrix_after_no_iteration(d):
+    result = pagerank(d)
+    assert result.diagnostics == 0
+    for v in (result.vectors.d, result.vectors.f, result.stationary):
+        assert v.dtype == float and v.shape == (0,)
 
 
 def test_pagerank_rejects_bad_p():

@@ -134,6 +134,25 @@ def test_products_refuse_a_vector_of_another_shape(op, x):
         assert str(err.value) == f"expected a vector of shape (2,), got shape {x.shape}"
 
 
+@pytest.mark.parametrize("op", [Operator(2, [0], [1], [1.0]), Operator.dense(np.eye(2))], ids=["columns", "dense"])
+@pytest.mark.parametrize("x", [np.array([1j, 1]), np.array(["1", "1"]), np.array([1.0, None])],
+                         ids=["complex", "str", "object"])
+def test_products_refuse_a_vector_that_is_not_real(op, x):
+    # the columns raised a bare TypeError on a complex x, the dense form
+    # returned the complex product
+    for product in (op.matvec, op.rmatvec):
+        with pytest.raises(ValueError) as err:
+            product(x)
+        assert str(err.value) == f"expected a real vector, got dtype {x.dtype}"
+
+
+@pytest.mark.parametrize("x", [np.array([True, False]), np.array([1, 0]), np.array([1, 0], dtype=np.uint8),
+                               np.array([1.0, 0.0], dtype=np.float32)], ids=["bool", "int", "uint8", "float32"])
+def test_products_take_any_real_vector(x):
+    for op in (Operator(2, [0, 1], [1, 1], [2.0, 3.0]), Operator.dense([[0.0, 2.0], [0.0, 3.0]])):
+        assert np.array_equal(op.matvec(x), [0.0, 0.0]) and np.array_equal(op.rmatvec(x), [0.0, 2.0])
+
+
 def test_an_operator_with_no_entries_is_zero():
     op = Operator(3, [], [], [])
     assert op.matvec(np.ones(3)).dtype == float
@@ -378,7 +397,6 @@ def test_command_line_on_columns_matches_the_dense_path(tmp_path, capsys, monkey
 @pytest.mark.parametrize(
     "case, argv, expected",
     [
-        ("empty", ["compare"], (3, "", "error: cannot rank an empty matrix\n")),
         ("weights of 1e300", ["compute", "--method", "pwp"],
          (3, "", "error: exponential series term 2 overflows the float range\n")),
     ],
