@@ -14,8 +14,11 @@ InfluenceError names its own code in `exit_code`.
 import argparse
 import json
 import math
+import os
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,72 +33,142 @@ from .graph import (
     web_operator,
 )
 from .linalg import _at_least, _checked, _finite, mat_pow, pwp_matrix
-from .methods import _scores, micmac, pagerank, pwp, rank_vertices
+from .methods import _ranking_order, _scores, micmac, pagerank, pwp
 from .stochastic import estimate_and_exact, estimate_and_exact_vectors, make_rng, moments, sample_lengths
 
 def canonical_float(x: float) -> float:
     """Round to 12 significant digits so repr() is short and stable."""
     if not math.isfinite(x):
-        raise ValueError(f"reports cannot contain non-finite value {x!r}")
+        raise _non_finite(x)
     return float(f"{x:.12g}")
 
 
-class _Rounded(list):
-    """A list whose floats have been through canonical_float already, so
-    the writer prints them as they are."""
+def _non_finite(x) -> ValueError:
+    return ValueError(f"reports cannot contain non-finite value {x!r}")
 
 
 def _number(x: float) -> str:
-    return repr(canonical_float(x))
+    """repr(canonical_float(x)), formatting x once where the two agree.
+
+    %.12g writes 1e12 <= |x| < 1e16 with an exponent where repr writes it
+    out, and a subnormal's shortest repr may have fewer digits than its
+    %.12g text, so those take repr of the rounded value."""
+    s = f"{x:.12g}"
+    if "e" in s:
+        exponent = int(s[s.index("e") + 1:])
+        return repr(float(s)) if 12 <= exponent < 16 or exponent <= -308 else s
+    if "." in s:
+        return s
+    if "n" in s:  # nan, inf or -inf
+        raise _non_finite(x)
+    return s + ".0"
 
 
-def _items(seq, inner: str):
-    """The texts of a list's items; flat floats and rankings in one step."""
-    number = repr if type(seq) is _Rounded else _number
-    if all(type(x) is float for x in seq):
-        return map(number, seq)
-    if all(type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is float
-           for p in seq):
-        # a ranking: (vertex, score) pairs
-        pair = inner + "  "
-        return (f"[{pair}{v},{pair}{number(s)}{inner}]" for v, s in seq)
-    return (_write(x, inner) for x in seq)
+class _Vector(list):
+    """The texts of a JSON array's items, written as they are, one a line."""
 
 
-def _write(obj, newline: str) -> str:
-    """obj as json.dumps(..., sort_keys=True, indent=2) writes it after
-    `newline`, with numpy values as Python ones and every float through
-    canonical_float."""
+class _Ranking(NamedTuple):
+    """Vertices by descending published score, each with its score's text."""
+
+    order: np.ndarray  # 0-based vertices
+    texts: _Vector  # the scores' texts, by vertex
+
+
+def _prepare(obj):
+    """obj with every scalar and vector formatted, in insertion order, so
+    the first non-finite value is the one named and no byte is written
+    before it is found.  A 2-D float array is only checked here; the
+    writer formats it a row at a time."""
+    if type(obj) in (_Vector, _Ranking):
+        return obj
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.dtype.kind == "f":
+            bad = ~np.isfinite(obj)
+            if bad.any():
+                raise _non_finite(float(obj[bad][0]))
+            return obj
         obj = obj.tolist()
-    inner = newline + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # values in insertion order, so the first non-finite one is the one named
-        texts = {k: _write(v, inner) for k, v in obj.items()}
-        items = (f"{json.dumps(k)}: {texts[k]}" for k in sorted(texts))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return {k: _prepare(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_items(obj, inner)) + newline + "]"
+        if all(type(x) is float for x in obj):
+            return _Vector(map(_number, obj))
+        items = [_prepare(x) for x in obj]
+        return _Vector(items) if all(type(x) is str for x in items) else items
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return repr(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return repr(canonical_float(float(obj)))
+        return _number(float(obj))
     return json.dumps(obj)
+
+
+def _array(texts: list, newline: str) -> str:
+    """A JSON array of these item texts, one a line, closed after `newline`."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _pieces(node, newline: str):
+    """The text of a prepared node after `newline`, as json.dumps(...,
+    sort_keys=True, indent=2) lays it out: each vector, ranking and matrix
+    row is one piece."""
+    inner = newline + "  "
+    if type(node) is str:
+        yield node
+    elif type(node) is _Vector:
+        yield _array(node, newline)
+    elif type(node) is _Ranking:
+        pair = inner + "  "
+        texts = node.texts
+        yield _array([f"[{pair}{v + 1},{pair}{texts[v]}{inner}]" for v in node.order.tolist()],
+                     newline)
+    elif isinstance(node, np.ndarray):
+        for i, row in enumerate(node):
+            yield ("," if i else "[") + inner + _array(list(map(_number, row.tolist())), inner)
+        yield newline + "]" if len(node) else "[]"
+    elif not node:
+        yield "{}" if type(node) is dict else "[]"
+    else:
+        keyed = type(node) is dict
+        for i, key in enumerate(sorted(node) if keyed else range(len(node))):
+            yield ("," if i else "{" if keyed else "[") + inner + (
+                json.dumps(key) + ": " if keyed else "")
+            yield from _pieces(node[key], inner)
+        yield newline + ("}" if keyed else "]")
+
+
+def _chunks(pieces, size: int = 1 << 16):
+    """The pieces joined into chunks of at least `size` characters, the last
+    excepted, so an unbuffered stream is not written a few bytes at a time."""
+    buffer, length = [], 0
+    for piece in pieces:
+        buffer.append(piece)
+        length += len(piece)
+        if length >= size:
+            yield "".join(buffer)
+            buffer, length = [], 0
+    if buffer:
+        yield "".join(buffer)
+
+
+def _report(report: dict):
+    """The report's text as chunks; every failure is raised before the first."""
+    return _chunks(chain(_pieces(_prepare(report), "\n"), ["\n"]))
 
 
 def dumps_report(report: dict) -> str:
     """Serialize a report deterministically; loads/dumps round-trips bytes.
 
-    One pass writes the text of json.dumps(..., sort_keys=True, indent=2),
-    formatting each float as it goes.  Keys must be strings.
+    The text is that of json.dumps(..., sort_keys=True, indent=2), with
+    numpy values as Python ones and every float as repr(canonical_float(x)).
+    Keys must be strings.
     """
-    return _write(report, "\n") + "\n"
+    return "".join(_report(report))
 
 
 def _tied_pairs(differs: np.ndarray) -> int:
@@ -209,11 +282,19 @@ def _pagerank_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
         "diagnostics": {"iterations": result.diagnostics},
     }
     if emit_matrix:
-        block["T"] = np.tile(result.stationary[:, None], (1, g.n))
+        block["T"] = np.broadcast_to(result.stationary[:, None], (g.n, g.n))
     return block
 
 
 _METHODS = {"pwp": _pwp_block, "micmac": _micmac_block, "pagerank": _pagerank_block}
+
+
+def _published(x: np.ndarray) -> _Vector:
+    """x's entries as the report prints them, each formatted once; their
+    `values` are what the texts read as, canonical_float of each entry."""
+    texts = _Vector(map(_number, x.tolist()))
+    texts.values = np.fromiter(map(float, texts), float, len(texts))
+    return texts
 
 
 def _method_blocks(names, g: DirectInfluenceGraph, args, emit_matrix: bool) -> list[dict]:
@@ -221,12 +302,10 @@ def _method_blocks(names, g: DirectInfluenceGraph, args, emit_matrix: bool) -> l
     blocks = []
     for name in names:
         block = _METHODS[name](g, args, emit_matrix)
-        # rank the scores exactly as the report prints them, so ties are ties;
-        # each is rounded here once, and the writer prints it as it is
-        block["d"] = _Rounded(map(canonical_float, block["d"].tolist()))
-        block["f"] = _Rounded(map(canonical_float, block["f"].tolist()))
-        block["ranking_by_dependence"] = _Rounded(rank_vertices(block["d"]))
-        block["ranking_by_influence"] = _Rounded(rank_vertices(block["f"]))
+        d, f = block["d"], block["f"] = _published(block["d"]), _published(block["f"])
+        # rank the scores exactly as the report prints them, so ties are ties
+        block["ranking_by_dependence"] = _Ranking(_ranking_order(d.values), d)
+        block["ranking_by_influence"] = _Ranking(_ranking_order(f.values), f)
         blocks.append(block)
     return blocks
 
@@ -240,22 +319,26 @@ def _load_graph(path: str) -> DirectInfluenceGraph:
     return parse_edge_list(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, output: str | None):
+    """Write the chunks to stdout, or to the file `output`, which is left
+    only once every chunk is written."""
+    if not output:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    with open(output, "w", encoding="utf-8") as file:
+        try:
+            file.writelines(chunks)
+        except BaseException:
+            os.unlink(output)
+            raise
 
 
-def _csv(header: str, blocks: list[dict], n: int) -> str:
+def _csv(header: str, blocks: list[dict], n: int):
     """One row per vertex: its published d and f from each block in turn."""
-    lines = [header]
-    for v in range(n):
-        cells = [str(v + 1)]
-        for block in blocks:
-            cells += [repr(block["d"][v]), repr(block["f"][v])]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = [block[key] for block in blocks for key in ("d", "f")]
+    rows = zip(map(str, range(1, n + 1)), *columns)
+    return _chunks(chain([header + "\n"], (",".join(row) + "\n" for row in rows)))
 
 
 def cmd_compute(args) -> int:
@@ -265,7 +348,7 @@ def cmd_compute(args) -> int:
     if args.csv:
         _emit(_csv("vertex,d,f", [block], g.n), args.output)
     else:
-        _emit(dumps_report({"graph": _graph_summary(g), **block}), args.output)
+        _emit(_report({"graph": _graph_summary(g), **block}), args.output)
     return 0
 
 
@@ -289,10 +372,10 @@ def cmd_compare(args) -> int:
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             key = f"{names[a]}|{names[b]}"
-            agreement["dependence"][key] = kendall_tau(blocks[a]["d"], blocks[b]["d"])
-            agreement["influence"][key] = kendall_tau(blocks[a]["f"], blocks[b]["f"])
+            agreement["dependence"][key] = kendall_tau(blocks[a]["d"].values, blocks[b]["d"].values)
+            agreement["influence"][key] = kendall_tau(blocks[a]["f"].values, blocks[b]["f"].values)
     report = {"graph": _graph_summary(g), "methods": blocks, "rank_agreement": agreement}
-    _emit(dumps_report(report), args.output)
+    _emit(_report(report), args.output)
     return 0
 
 
@@ -306,7 +389,7 @@ _FAMILIES = {
 
 def cmd_generate(args) -> int:
     g = families.build(_FAMILIES[args.family](args))
-    _emit(format_edge_list(g), args.output)
+    _emit([format_edge_list(g)], args.output)
     return 0
 
 
@@ -343,7 +426,7 @@ def cmd_montecarlo(args) -> int:
     }
     if args.emit_matrix:
         report["estimate"], report["exact"] = estimate_and_exact(d, args.lam, lengths, args.tol)
-    _emit(dumps_report(report), args.output)
+    _emit(_report(report), args.output)
     return 0
 
 

@@ -104,18 +104,60 @@ def _graph(n: int, source, target, weight) -> DirectInfluenceGraph:
     return g
 
 
-def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
-    """Parse "source,target,weight" lines into a graph.
+# The characters the column-at-a-time read takes on a data line: tab, and
+# printable ASCII but "_"; a text with any other goes to the line loop.
+_DATA = bytes([9, *range(32, 95), *range(96, 127)])
 
-    `text` may be a string or any iterable of lines.  Lines that are blank
-    or start with '#' are skipped.  Every other line must be ASCII with no
-    '_', or it is a MalformedLine: Python's int and float would read "1_0"
-    as 10 and any Unicode digit as a digit.  The vertex count is the
-    largest index seen, or `n`, an integer >= 0, if that is larger.
-    Duplicate (source, target) pairs are a hard error rather than
-    last-wins, so data bugs surface immediately.
-    """
-    lines = text.splitlines() if isinstance(text, str) else text
+
+def _only(text: str, allowed: bytes) -> bool:
+    """Whether every character of text is one of `allowed`."""
+    return text.isascii() and not text.encode().translate(None, allowed)
+
+
+def _newlines(text: str) -> str:
+    """text with each "\r\n" and "\r" line end as "\n"."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _skipped(line: str) -> bool:
+    """Whether a line is blank or a comment."""
+    line = line.strip()
+    return not line or line[0] == "#"
+
+
+def _read_columns(text: str):
+    """(largest index, source, target, weight) as arrays, a column at a
+    time, when every line of text is blank, a comment or a data line that
+    parses with a finite weight; None otherwise."""
+    body = text.strip("\n")
+    if "#" in body or "\n\n" in body:
+        body = "\n".join(line for line in body.split("\n") if not _skipped(line))
+    if not _only(body, _DATA + b"\n"):
+        return None
+    edges = body.count("\n") + 1
+    # each weight keeps its line end, so a line of other than three fields
+    # puts a line end into a source or target cell
+    cells = body.replace("\n", "\n,").split(",")
+    if len(cells) != 3 * edges:
+        return None
+    source, target, weight = cells[0::3], cells[1::3], cells[2::3]
+    del cells
+    if "\n" in "".join(source) or "\n" in "".join(target):
+        return None
+    try:
+        source = np.fromiter(map(int, source), np.int64, edges)
+        target = np.fromiter(map(int, target), np.int64, edges)
+        weight = np.fromiter(map(float, weight), float, edges)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(weight).all():
+        return None
+    return int(max(source.max(), target.max())), source, target, weight
+
+
+def _read_lines(lines):
+    """(largest index, source, target, weight) as lists, line by line, so
+    the first bad line raises with its own number."""
     source, target, weight = [], [], []
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -132,10 +174,29 @@ def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
             raise MalformedLine(line_no, raw.rstrip("\n")) from None
         if not math.isfinite(weight[-1]):
             raise NonFiniteWeight(weight[-1], line_no=line_no)
+    return max(max(source, default=0), max(target, default=0)), source, target, weight
+
+
+def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
+    """Parse "source,target,weight" lines into a graph.
+
+    `text` may be a string or any iterable of lines.  Lines that are blank
+    or start with '#' are skipped.  Every other line must be ASCII with no
+    '_', or it is a MalformedLine: Python's int and float would read "1_0"
+    as 10 and any Unicode digit as a digit.  The vertex count is the
+    largest index seen, or `n`, an integer >= 0, if that is larger.
+    Duplicate (source, target) pairs are a hard error rather than
+    last-wins, so data bugs surface immediately.
+
+    A string is read a column at a time; any text that way does not read
+    is read again line by line, so an error names its line.
+    """
+    columns = _read_columns(_newlines(text)) if isinstance(text, str) else None
+    largest, source, target, weight = columns or _read_lines(
+        text.splitlines() if isinstance(text, str) else text)
     if n is not None:
         _at_least("n", n, 0)
-    n = max(max(source, default=0), max(target, default=0), n or 0)
-    return _graph(n, source, target, weight)
+    return _graph(max(largest, n or 0), source, target, weight)
 
 
 def _check_size(n: int) -> None:

@@ -181,10 +181,16 @@ def _scores(v) -> np.ndarray:
     return v
 
 
+def _ranking_order(v: np.ndarray) -> np.ndarray:
+    """The 0-based indices of the scores v by descending score; ties break
+    by ascending index."""
+    return np.lexsort((-v,))  # stable, so tied vertices keep ascending index
+
+
 def rank_vertices(v) -> list[tuple[int, float]]:
     """Vertices ordered by descending score; ties break by ascending index.
     Scores that are not 1-D, or a nan score, are a ValueError; an infinite
     score ranks."""
     v = _scores(v)
-    order = np.lexsort((-v,))  # stable, so tied vertices keep ascending index
+    order = _ranking_order(v)
     return list(zip((order + 1).tolist(), v[order].tolist()))

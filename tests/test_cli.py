@@ -1,8 +1,10 @@
 """Command-line surface: reports, determinism, exit codes, generation."""
 
+import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import influx
@@ -295,12 +297,102 @@ def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
 
 def test_published_values_are_rounded_once(random12, capsys, monkeypatch):
     calls = []
-    real = influx.cli.canonical_float
-    monkeypatch.setattr(influx.cli, "canonical_float", lambda x: calls.append(x) or real(x))
+    real = influx.cli._number
+    monkeypatch.setattr(influx.cli, "_number", lambda x: calls.append(x) or real(x))
     code, out, _ = run(capsys, "compute", "--method", "pwp", random12)
     n = json.loads(out)["graph"]["n"]
     # d and f once each, then lambda, tol and tail_bound; not the rankings
     assert code == 0 and len(calls) == 2 * n + 3
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@example(1e12)
+@example(-1e12)
+@example(999999999999.9)  # rounds up to 1e12
+@example(9.99999999999e15)
+@example(9999999999999999.0)
+@example(5e-324)
+@example(1e-318)
+@example(2.2250738585072014e-308)  # the smallest normal float
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_from_bits).filter(math.isfinite),
+))
+def test_number_is_repr_of_canonical_float(x):
+    assert influx.cli._number(x) == repr(canonical_float(x))
+
+
+def _with_last_entry_nan(real):
+    def patched(*args, **kwargs):
+        t = real(*args, **kwargs).copy()
+        t[-1, -1] = math.nan
+        return t
+    return patched
+
+
+def _with_last_stationary_nan(real):
+    def patched(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, stationary=np.append(result.stationary[:-1], math.nan))
+    return patched
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "-o"])
+@pytest.mark.parametrize("argv, engine, patch", [
+    (["compute", "--method", "pwp", "--emit-matrix"], "pwp_matrix", _with_last_entry_nan),
+    (["compare"], "pagerank", _with_last_stationary_nan),
+    (["compare", "--csv"], "pagerank", _with_last_stationary_nan),
+], ids=["pwp-matrix", "compare", "compare-csv"])
+def test_a_failing_command_writes_nothing(random12, tmp_path, capsys, monkeypatch,
+                                          argv, engine, patch, output):
+    # the nan is the last number of the report, so a writer that formatted
+    # as it wrote would have written all else first
+    monkeypatch.setattr(influx.cli, engine, patch(getattr(influx.cli, engine)))
+    dest = tmp_path / "report.json"
+    code, out, err = run(capsys, *argv, *(["-o", str(dest)] if output else []), random12)
+    assert (code, out) == (2, "")
+    assert err == "error: reports cannot contain non-finite value nan\n"
+    assert not dest.exists()
+
+
+def test_an_output_file_is_removed_when_a_write_fails(tmp_path):
+    def chunks():
+        yield "{"
+        raise OSError("No space left on device")
+
+    dest = tmp_path / "report.json"
+    with pytest.raises(OSError):
+        influx.cli._emit(chunks(), str(dest))
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare"], ["compare", "--csv"], ["compute", "--method", "pwp", "--emit-matrix"],
+    ["compute", "--method", "pagerank", "--emit-matrix"], ["generate", "line", "-n", "3"],
+], ids=" ".join)
+def test_output_file_holds_what_stdout_does(random12, tmp_path, capsys, argv):
+    graph = [] if argv[0] == "generate" else [random12]
+    dest = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, *graph)
+    assert code == 0 and run(capsys, *argv, "-o", str(dest), *graph) == (0, "", "")
+    assert dest.read_bytes() == out.encode()
+
+
+def test_reports_are_written_in_large_chunks(tmp_path, edge_list, monkeypatch):
+    # stdout may be unbuffered, so each write can be a system call: every
+    # write but the last holds at least 64 KiB
+    path = tmp_path / "g.csv"
+    path.write_text(edge_list(200, 3))
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, s: writes.append(s)})())
+    assert main(["compute", "--method", "pwp", "--emit-matrix", str(path)]) == 0
+    text = "".join(writes)
+    report = json.loads(text)
+    assert dumps_report(report) == text
+    assert len(writes) > 1 and all(len(w) >= 1 << 16 for w in writes[:-1])
 
 
 # -- exit codes ----------------------------------------------------------------------
