@@ -3,8 +3,12 @@
 Reports are JSON by default (CSV via --csv) and are byte-for-byte
 reproducible: floats are canonicalized to 12 significant digits and keys
 are emitted sorted, so parsing a report and re-serializing it gives the
-identical text.  The report is written in one pass, each float formatted
-as it is printed, with the layout of json.dumps(..., indent=2).
+identical text, with the layout of json.dumps(..., indent=2).  Each number
+is formatted once, d and f before the rankings that reuse their texts.
+Every number and vector is formatted, and every matrix checked finite,
+before the first byte is written; the text then goes to stdout or the -o
+file in chunks of at least 64 KiB, a matrix a row at a time, so no whole
+report is held.  A failing command writes nothing and leaves no -o file.
 
 Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure
 (no convergence, overflow, bad column sums) or running out of memory; each
@@ -372,8 +376,10 @@ def cmd_compare(args) -> int:
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             key = f"{names[a]}|{names[b]}"
-            agreement["dependence"][key] = kendall_tau(blocks[a]["d"].values, blocks[b]["d"].values)
-            agreement["influence"][key] = kendall_tau(blocks[a]["f"].values, blocks[b]["f"].values)
+            for side, vector in (("dependence", "d"), ("influence", "f")):
+                x, y = blocks[a][vector].values, blocks[b][vector].values
+                # below two vertices there is no pair to agree or disagree on
+                agreement[side][key] = kendall_tau(x, y) if g.n >= 2 else None
     report = {"graph": _graph_summary(g), "methods": blocks, "rank_agreement": agreement}
     _emit(_report(report), args.output)
     return 0

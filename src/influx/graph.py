@@ -104,8 +104,9 @@ def _graph(n: int, source, target, weight) -> DirectInfluenceGraph:
     return g
 
 
-# The characters the column-at-a-time read takes on a data line: tab, and
-# printable ASCII but "_"; a text with any other goes to the line loop.
+# The characters of a data line: tab, and printable ASCII but "_".  int and
+# float would read "1_0" as 10, any Unicode digit as a digit and a form feed
+# as a space.
 _DATA = bytes([9, *range(32, 95), *range(96, 127)])
 
 
@@ -117,6 +118,14 @@ def _only(text: str, allowed: bytes) -> bool:
 def _newlines(text: str) -> str:
     """text with each "\r\n" and "\r" line end as "\n"."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _lines(text) -> list[str]:
+    """A string's lines, broken only at "\n", "\r\n" and "\r", or an
+    iterable's items with one such line end taken off each."""
+    if isinstance(text, str):
+        return _newlines(text).split("\n")
+    return [line.removesuffix("\n").removesuffix("\r") for line in text]
 
 
 def _skipped(line: str) -> bool:
@@ -164,14 +173,14 @@ def _read_lines(lines):
         if not line or line.startswith("#"):
             continue
         try:
-            if not raw.isascii() or "_" in line:
+            if not _only(raw, _DATA):
                 raise ValueError
             s, t, w = line.split(",")
             source.append(int(s))
             target.append(int(t))
             weight.append(float(w))
         except ValueError:
-            raise MalformedLine(line_no, raw.rstrip("\n")) from None
+            raise MalformedLine(line_no, raw) from None
         if not math.isfinite(weight[-1]):
             raise NonFiniteWeight(weight[-1], line_no=line_no)
     return max(max(source, default=0), max(target, default=0)), source, target, weight
@@ -180,20 +189,20 @@ def _read_lines(lines):
 def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
     """Parse "source,target,weight" lines into a graph.
 
-    `text` may be a string or any iterable of lines.  Lines that are blank
-    or start with '#' are skipped.  Every other line must be ASCII with no
+    `text` may be a string, whose lines end at "\n", "\r\n" or "\r" only,
+    or any iterable of lines.  Lines that are blank or start with '#' are
+    skipped.  Every other line must hold only tab and printable ASCII but
     '_', or it is a MalformedLine: Python's int and float would read "1_0"
-    as 10 and any Unicode digit as a digit.  The vertex count is the
-    largest index seen, or `n`, an integer >= 0, if that is larger.
-    Duplicate (source, target) pairs are a hard error rather than
-    last-wins, so data bugs surface immediately.
+    as 10, any Unicode digit as a digit and a form feed as a space.  The
+    vertex count is the largest index seen, or `n`, an integer >= 0, if
+    that is larger.  Duplicate (source, target) pairs are a hard error
+    rather than last-wins, so data bugs surface immediately.
 
     A string is read a column at a time; any text that way does not read
     is read again line by line, so an error names its line.
     """
     columns = _read_columns(_newlines(text)) if isinstance(text, str) else None
-    largest, source, target, weight = columns or _read_lines(
-        text.splitlines() if isinstance(text, str) else text)
+    largest, source, target, weight = columns or _read_lines(_lines(text))
     if n is not None:
         _at_least("n", n, 0)
     return _graph(max(largest, n or 0), source, target, weight)
@@ -282,12 +291,13 @@ def format_matrix_text(d: np.ndarray) -> str:
 
 
 def read_matrix_text(text: str) -> np.ndarray:
-    """Parse the matrix format of :func:`format_matrix_text`; errors name the text's own lines."""
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
-    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+    """Parse the matrix format of :func:`format_matrix_text`.  Lines end and
+    are skipped as in :func:`parse_edge_list`, each other line holds what
+    an edge list's data line may, and errors name the text's own lines."""
+    lines = [(i, line) for i, line in enumerate(_lines(text), 1) if not _skipped(line)]
     line_no, head = lines[0] if lines else (1, "")
     try:
-        n = int(head)
+        n = int(head) if _only(head, _DATA) else -1
     except ValueError:
         n = -1
     if n < 0:
@@ -298,7 +308,7 @@ def read_matrix_text(text: str) -> np.ndarray:
     row = f"a matrix row of {n} comma-separated numbers"
     for i, (line_no, line) in enumerate(lines[1:]):
         parts = line.split(",")
-        if len(parts) != n:
+        if len(parts) != n or not _only(line, _DATA):
             raise MalformedLine(line_no, line, row)
         try:
             d[i] = [float(p) for p in parts]

@@ -15,12 +15,12 @@ reproducible from (seed, sample count) alone and substreams can be split
 off by key without overlap.
 """
 
-# annotations stay unevaluated, so importing this module does not load numpy.random
+# annotations stay unevaluated, so importing this module loads neither
+# numpy.random nor fractions, which only the Bernoulli functions use
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -205,6 +205,8 @@ def bernoulli_numbers(K: int) -> list[Fraction]:
 
     Recurrence: sum_{j=0}^{k} C(k+1, j) B_j = 0 with B_0 = 1.
     """
+    from fractions import Fraction
+
     _at_least("K", K, 0)
     numbers = [Fraction(1)]
     for m in range(1, K + 1):
@@ -220,6 +222,8 @@ def bernoulli_series(lam: float, K: int) -> float:
 
     Converges only for 0 < lam < 2*pi; anything outside is a DomainError.
     """
+    from fractions import Fraction
+
     if not (0.0 < lam < TWO_PI):
         raise DomainError(f"series converges only for 0 < lam < 2*pi, got {lam}")
     numbers = bernoulli_numbers(K)

@@ -267,6 +267,18 @@ def test_import_leaves_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # only the Bernoulli functions use exact rationals, and no command calls them
+    code = ("import sys, numpy, argparse, json; before = set(sys.modules); import influx.cli; "
+            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))")
+    src = str(Path(influx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [["compare"], ["compare", "--csv"], ["montecarlo", "-N", "100"]], ids=" ".join)
 def test_an_edge_list_with_a_byte_order_mark_reads_as_without(random12, tmp_path, capsys, argv):
     # spreadsheets save "CSV UTF-8" with the mark EF BB BF before the first line
@@ -678,6 +690,26 @@ def test_compare_cycle_all_tied(tmp_path, capsys):
     assert all(
         tau == 1.0 for tau in report["rank_agreement"]["dependence"].values()
     )
+
+
+@pytest.mark.parametrize("text", ["", "1,1,0.5\n"], ids=["n = 0", "n = 1"])
+def test_compare_measures_no_agreement_below_two_vertices(tmp_path, capsys, text):
+    # with no pair of vertices, Kendall tau's "both constant" 1.0 would be vacuous
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "compare", str(path))
+    assert (code, err) == (0, "")
+    agreement = json.loads(out)["rank_agreement"]
+    assert [list(side.values()) for side in agreement.values()] == [[None] * 3] * 2
+    assert out.count("null") == 6
+
+
+def test_compare_two_vertices_measure_agreement(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    path.write_text("1,2,0.5\n")
+    code, out, _ = run(capsys, "compare", str(path))
+    agreement = json.loads(out)["rank_agreement"]
+    assert all(type(tau) is float for side in agreement.values() for tau in side.values())
 
 
 def test_compare_star_hub_on_top(tmp_path, capsys):

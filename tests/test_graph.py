@@ -188,6 +188,43 @@ def test_parse_refuses_underscores_and_non_ascii_on_a_data_line(line):
     assert (err.value.line_no, err.value.text) == (4, line)
 
 
+@pytest.mark.parametrize("text, line_no, line", [
+    ("1,2,0.5\x0c\n2,3,0.5\nbad\n", 1, "1,2,0.5\x0c"),
+    ("1,\x1c2,0.5", 1, "1,\x1c2,0.5"),
+    ("1,2,0.5\r\n2,3,0.5\rbad\n", 3, "bad"),
+    ("# a\x0bcomment\n\x0c\n1,2,0.5\x85\n", 3, "1,2,0.5\x85"),
+    ("1,2,0.5\n2,3,0.5\u2028\nbad\n", 2, "2,3,0.5\u2028"),
+    ("1,2,\x000.5\n", 1, "1,2,\x000.5"),
+    ("\t1,\t2,\t0.5\t\n1,3\x1e,0.5\n", 2, "1,3\x1e,0.5"),
+], ids=["form feed", "file separator", "CR and CRLF", "next line", "line separator", "NUL",
+        "record separator after tabs"])
+def test_lines_are_the_file_lines(text, line_no, line):
+    # only "\n", "\r\n" and "\r" end a line; any other control character
+    # but tab makes its data line malformed, at the line's own number
+    with pytest.raises(MalformedLine) as err:
+        parse_edge_list(text)
+    assert (err.value.line_no, err.value.text) == (line_no, line)
+
+
+def test_an_iterable_of_lines_loses_one_line_end_a_line():
+    assert parse_edge_list(["1,2,0.5\r\n", "# c\r", "2,3,0.25\n", "3,1,1"]).edge_count == 3
+    with pytest.raises(MalformedLine) as err:
+        parse_edge_list(["1,2,0.5\n", "2,3\n,0.5\n"])
+    assert (err.value.line_no, err.value.text) == (2, "2,3\n,0.5")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\r\n1,2\r3,4\nx\n", "line 4: expected 2 matrix rows, got '3'"),
+    ("2\n1,\x0c2\n3,4\n", "line 2: expected a matrix row of 2 comma-separated numbers, got '1,\\x0c2'"),
+    ("1\n1_0\n", "line 2: expected a matrix row of 1 comma-separated numbers, got '1_0'"),
+    ("\x0b2\n1,2\n3,4\n", "line 1: expected a matrix row count n >= 0, got '\\x0b2'"),
+], ids=["CR and CRLF", "form feed", "underscore", "vertical tab in n"])
+def test_matrix_text_lines_follow_the_edge_list_rule(text, message):
+    with pytest.raises(MalformedLine) as err:
+        read_matrix_text(text)
+    assert str(err.value) == message
+
+
 def test_graph_rejects_bad_edges_directly():
     with pytest.raises(IndexOutOfRange):
         DirectInfluenceGraph(2, (Edge(1, 3, 1.0),))
