@@ -18,7 +18,6 @@ InfluenceError names its own code in `exit_code`.
 import argparse
 import json
 import math
-import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -334,7 +333,7 @@ def _emit(chunks, output: str | None):
         try:
             file.writelines(chunks)
         except BaseException:
-            os.unlink(output)
+            Path(output).unlink()
             raise
 
 

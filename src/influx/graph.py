@@ -116,12 +116,12 @@ def _only(text: str, allowed: bytes) -> bool:
 
 
 def _newlines(text: str) -> str:
-    """text with each "\r\n" and "\r" line end as "\n"."""
+    r"""text with each "\r\n" and "\r" line end as "\n"."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _lines(text) -> list[str]:
-    """A string's lines, broken only at "\n", "\r\n" and "\r", or an
+    r"""A string's lines, broken only at "\n", "\r\n" and "\r", or an
     iterable's items with one such line end taken off each."""
     if isinstance(text, str):
         return _newlines(text).split("\n")
@@ -169,13 +169,12 @@ def _read_lines(lines):
     the first bad line raises with its own number."""
     source, target, weight = [], [], []
     for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        if _skipped(raw):
             continue
         try:
             if not _only(raw, _DATA):
                 raise ValueError
-            s, t, w = line.split(",")
+            s, t, w = raw.split(",")  # int and float take the spaces and tabs around a field
             source.append(int(s))
             target.append(int(t))
             weight.append(float(w))
@@ -187,7 +186,7 @@ def _read_lines(lines):
 
 
 def parse_edge_list(text, n: int | None = None) -> DirectInfluenceGraph:
-    """Parse "source,target,weight" lines into a graph.
+    r"""Parse "source,target,weight" lines into a graph.
 
     `text` may be a string, whose lines end at "\n", "\r\n" or "\r" only,
     or any iterable of lines.  Lines that are blank or start with '#' are
