@@ -7,8 +7,8 @@ identical text, with the layout of json.dumps(..., indent=2).  Each number
 is formatted once, d and f before the rankings that reuse their texts.
 Every number and vector is formatted, and every matrix checked finite,
 before the first byte is written; the text then goes to stdout or the -o
-file in chunks of at least 64 KiB, a matrix a row at a time, so no whole
-report is held.  A failing command writes nothing and leaves no -o file.
+file in chunks of at least 64 KiB, a matrix a row at a time, so the whole
+text is never held.  A failing command writes nothing and leaves no -o file.
 
 Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure
 (no convergence, overflow, bad column sums) or running out of memory; each
