@@ -37,7 +37,7 @@ from .graph import (
 )
 from .linalg import _at_least, _checked, _finite, mat_pow, pwp_matrix
 from .methods import _ranking_order, _scores, micmac, pagerank, pwp
-from .stochastic import estimate_and_exact, estimate_and_exact_vectors, make_rng, moments, sample_lengths
+from .stochastic import _blocks, _matrices, _sums, _tally, make_rng, moments
 
 def canonical_float(x: float) -> float:
     """Round to 12 significant digits so repr() is short and stable."""
@@ -405,10 +405,11 @@ def cmd_montecarlo(args) -> int:
     # lambda, tol and e^lambda - 1 before sampling, which takes time in -N; past
     # its range lambda is a numeric failure (exit 3), whatever the sampler makes of it
     _checked(args.lam, args.tol, True)
-    lengths = sample_lengths(args.lam, args.samples, make_rng(args.seed))
+    # only the count of each distinct length is kept, never the N lengths
+    tally = _tally(_blocks(args.lam, args.samples, make_rng(args.seed)))
     # the errors of the sampled d and f, and their z-scores where the
     # standard error is above 0; T is formed only when it is printed
-    estimate, exact, sigma = estimate_and_exact_vectors(d, args.lam, lengths, args.tol)
+    estimate, exact, sigma = _sums(d, args.lam, tally, args.tol)
     with np.errstate(over="ignore", invalid="ignore"):
         error = np.abs(estimate - exact)
         z = error[sigma > 0] / sigma[sigma > 0]
@@ -425,12 +426,12 @@ def cmd_montecarlo(args) -> int:
         "seed": args.seed,
         **errors,
         "mean_length": {
-            "empirical": float(lengths.mean()),
+            "empirical": tally.total / tally.size,
             "expected": moments(args.lam).mean,
         },
     }
     if args.emit_matrix:
-        report["estimate"], report["exact"] = estimate_and_exact(d, args.lam, lengths, args.tol)
+        report["estimate"], report["exact"] = _matrices(d, args.lam, tally, args.tol)
     _emit(_report(report), args.output)
     return 0
 

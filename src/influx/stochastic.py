@@ -7,7 +7,10 @@ p(k) = lam^k / (e_plus(lam) * k!) for k >= 1.  Drawing a length K from p and
 averaging D^K over many draws converges to the exponential walk-weighting
 matrix, which is exactly what monte_carlo_pwp does; averaging D^K 1 and
 1 D^K gives its row and column sums, with a standard error for each
-(estimate_and_exact_vectors).
+(estimate_and_exact_vectors).  These averages need only how many of the N
+draws hit each length, so monte_carlo_pwp and the montecarlo command draw
+the lengths in blocks of _BLOCK and keep just those counts and the
+lengths' exact sum: their memory does not grow with N.
 
 Randomness comes from the Philox 4x64 counter-based generator (10 rounds,
 as implemented by numpy) keyed by the caller's seed, so every estimate is
@@ -31,6 +34,10 @@ TWO_PI = 2.0 * math.pi
 
 # numpy's Generator.poisson refuses a mean above this (its POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+# the walk lengths are drawn this many at a time, so a Monte Carlo run
+# holds the counts of the distinct lengths and not the lengths themselves
+_BLOCK = 8192
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -111,14 +118,44 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     Poisson process, given that it lands in (0, lam], is
     -log1p(U (e^-lam - 1)) for U uniform on [0, 1), and the number of
     further arrivals in (T, lam] is Poisson(lam - T), so
-    K = 1 + Poisson(lam - T) is zero-truncated Poisson(lam).  Computed in
-    place, in one float and one integer array of `size`.
+    K = 1 + Poisson(lam - T) is zero-truncated Poisson(lam).  rng supplies
+    the `size` uniforms, then the `size` Poisson draws.  The lengths are
+    drawn in blocks of at most _BLOCK (see :func:`_blocks`) into one integer
+    array of `size`, beside which only a block's arrays are held.
+    """
+    blocks = _blocks(lam, size, rng)
+    lengths = np.empty(size, dtype=np.int64)
+    for start, block in zip(range(0, size, _BLOCK), blocks):
+        lengths[start:start + _BLOCK] = block
+    return lengths
+
+
+def _blocks(lam: float, size: int, rng: np.random.Generator):
+    """sample_lengths' draws, in order, as blocks of at most _BLOCK lengths.
+
+    A copy of rng, made from its state, supplies the `size` uniforms a block
+    at a time; rng first skips them, drawing into the block's buffer, then
+    supplies the Poisson draws.  So each length, and rng's state once the
+    blocks are drawn, is what one draw of all `size` uniforms and then all
+    `size` Poisson draws would give, bit for bit.  lam and size are checked,
+    and the uniforms skipped, before this returns.
     """
     _positive("lam", lam)
     if lam > POISSON_LAM_MAX:
         raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
     _at_least("size", size, 0)
-    rest = rng.random(size)  # then lam - T, in place
+    uniforms = np.random.Generator(type(rng.bit_generator)())
+    uniforms.bit_generator.state = rng.bit_generator.state
+    rest = np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        rng.random(out=rest[:size - start])
+    return (_lengths(lam, uniforms.random(out=rest[:size - start]), rng)
+            for start in range(0, size, _BLOCK))
+
+
+def _lengths(lam: float, rest: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """1 + Poisson(lam - T) for each uniform U in `rest`, which becomes
+    lam - T in place (see :func:`sample_lengths`)."""
     np.add(lam, np.log1p(np.multiply(rest, math.expm1(-lam), out=rest), out=rest), out=rest)
     # rounding may put the first arrival a hair past lam
     lengths = rng.poisson(np.maximum(rest, 0.0, out=rest))
@@ -126,23 +163,40 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     return lengths
 
 
-def _sampled(lengths, least: int = 1) -> list[tuple[int, float]]:
-    """The distinct sampled walk lengths, integers >= least, ascending, each
-    with its share: the (k, v) pairs of a sampled sum over the powers of d."""
-    lengths = np.asarray(lengths)
-    if lengths.size == 0:
+@dataclass(frozen=True)
+class _Tally:
+    """How many of `size` walk lengths hit each value: `sampled` holds the
+    distinct lengths ascending, each with its share, the (k, v) pairs of a
+    sampled sum over the powers of d, and `total` the lengths' exact sum."""
+
+    sampled: list[tuple[int, float]]
+    size: int
+    total: int
+
+
+def _tally(blocks, least: int = 1) -> _Tally:
+    """The tally of the integer lengths >= least in `blocks`, arrays or
+    sequences, in memory bounded by a block and the distinct lengths."""
+    counts = {}
+    for block in blocks:
+        values, hits = np.unique(block, return_counts=True)
+        if values.size and (not np.issubdtype(values.dtype, np.integer) or values[0] < least):
+            raise ValueError(f"sampled lengths must be integers >= {least}, got {values.tolist()[0]!r}")
+        for k, c in zip(values.tolist(), hits.tolist()):
+            counts[k] = counts.get(k, 0) + c
+    if not counts:
         raise ValueError("need at least one sampled length")
-    values, counts = np.unique(lengths, return_counts=True)
-    if not np.issubdtype(values.dtype, np.integer) or values[0] < least:
-        raise ValueError(f"sampled lengths must be integers >= {least}, got {values[0]!r}")
-    return list(zip(values.tolist(), (counts / lengths.size).tolist()))
+    ks = sorted(counts)
+    size = sum(counts.values())
+    shares = (np.array([counts[k] for k in ks]) / size).tolist()
+    return _Tally(list(zip(ks, shares)), size, sum(k * c for k, c in counts.items()))
 
 
 def estimate_from_lengths(d, lengths) -> np.ndarray:
     """Average of d^k over the given integer walk lengths k >= 0: the
     shortest power by repeated squaring, and each later one up to the
     longest from the one before, by the power chain's step."""
-    return _sampled_sum(d, _sampled(lengths, least=0))
+    return _sampled_sum(d, _tally((lengths,), least=0).sampled)
 
 
 def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +209,12 @@ def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.n
     included, except where an entry falls below the normal float range,
     which the chain's running scale may keep in it.
     """
-    exact, estimate, _ = _dense(d, lam, tol, normalised=True, sampled=_sampled(lengths))
+    return _matrices(d, lam, _tally((lengths,)), tol)
+
+
+def _matrices(d, lam: float, tally: _Tally, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimate_and_exact` from a tally of the lengths."""
+    exact, estimate, _ = _dense(d, lam, tol, normalised=True, sampled=tally.sampled)
     return estimate, exact
 
 
@@ -178,26 +237,29 @@ def estimate_and_exact_vectors(
     of up to 1e5.  Raises like :func:`estimate_and_exact`, and NumericOverflow
     where m2 leaves the float range.
     """
-    lengths = np.asarray(lengths)
-    sampled = _sampled(lengths)
-    exact, estimate, second, _ = _vectors(d, lam, tol, normalised=True, sampled=sampled)
+    return _sums(d, lam, _tally((lengths,)), tol)
+
+
+def _sums(d, lam: float, tally: _Tally, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`estimate_and_exact_vectors` from a tally of the lengths."""
+    exact, estimate, second, _ = _vectors(d, lam, tol, normalised=True, sampled=tally.sampled)
     estimate, second = np.array(estimate), np.array(second)
     with np.errstate(over="ignore"):
         variance = second - estimate * estimate  # -inf where m1^2 overflows
-    variance[variance <= 2 * (len(sampled) + 1) * np.finfo(float).eps * second] = 0.0
-    return estimate, np.array(exact), np.sqrt(variance / lengths.size)
+    variance[variance <= 2 * (len(tally.sampled) + 1) * np.finfo(float).eps * second] = 0.0
+    return estimate, np.array(exact), np.sqrt(variance / tally.size)
 
 
 def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:
     """Monte Carlo estimate of the exponential walk-weighting matrix.
 
     Draws `samples` lengths from the length law with a Philox generator
-    keyed by `seed` and averages the corresponding matrix powers.
+    keyed by `seed`, as sample_lengths does, and averages the corresponding
+    matrix powers; only the count of each distinct length is kept.
     Deterministic for a fixed (seed, samples) pair.
     """
     _at_least("samples", samples, 1)
-    lengths = sample_lengths(lam, samples, make_rng(seed))
-    return estimate_from_lengths(d, lengths)
+    return _sampled_sum(d, _tally(_blocks(lam, samples, make_rng(seed))).sampled)
 
 
 def bernoulli_numbers(K: int) -> list[Fraction]:

@@ -917,33 +917,33 @@ def test_montecarlo_z_scores_stay_small_on_signed_graphs(text, lam, seed):
 
 def test_montecarlo_infinite_z_score_exits_3(line3, capsys, monkeypatch):
     # an error of 1 over a subnormal standard error
-    def tiny_error_bars(d, lam, lengths, tol):
+    def tiny_error_bars(d, lam, tally, tol):
         n = d.n
         return np.ones((2, n)), np.zeros((2, n)), np.full((2, n), 5e-324)
 
-    monkeypatch.setattr(influx.cli, "estimate_and_exact_vectors", tiny_error_bars)
+    monkeypatch.setattr(influx.cli, "_sums", tiny_error_bars)
     code, out, err = run(capsys, "montecarlo", line3, "-N", "10")
     assert (code, out) == (3, "")
     assert err == "error: the sampling error of d or f or its z-score overflows the float range\n"
 
 
 def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys, monkeypatch):
-    # cmd_montecarlo draws its own lengths (it reports their mean), so it
-    # must stay the same estimate as the library's monte_carlo_pwp, bit for
-    # bit, also where the sampled lengths skip a power
+    # cmd_montecarlo draws its own tally of the lengths (it reports their
+    # mean), so it must stay the same estimate as the library's
+    # monte_carlo_pwp, bit for bit, also where the sampled lengths skip a power
     text = "1,2,0.5\n2,3,0.7\n3,1,0.9\n3,4,0.4\n4,2,0.3\n4,4,0.2\n"
     path = tmp_path / "g.csv"
     path.write_text(text)
     assert (np.diff(np.unique(influx.sample_lengths(4.0, 100_000, influx.make_rng(0)))) > 1).any()
     estimates = []
-    real = influx.cli.estimate_and_exact
+    real = influx.cli._matrices
 
     def recorded(*args):
         estimate, exact = real(*args)
         estimates.append(estimate)
         return estimate, exact
 
-    monkeypatch.setattr(influx.cli, "estimate_and_exact", recorded)
+    monkeypatch.setattr(influx.cli, "_matrices", recorded)
     code, _, _ = run(capsys, "montecarlo", str(path), "--lambda", "4", "-N", "100000", "--emit-matrix")
     assert code == 0
     d = influx.to_matrix(parse_edge_list(text))
@@ -1097,7 +1097,7 @@ def test_montecarlo_checks_tol_before_sampling(line3, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled before checking --tol")
 
-    monkeypatch.setattr(influx.cli, "sample_lengths", refuse)
+    monkeypatch.setattr(influx.cli, "_blocks", refuse)
     for tol, expected in zip(("0", "nan"), messages):
         assert run(capsys, "montecarlo", "--tol", tol, "-N", "30000000", line3) == expected
         assert expected[0] == 2 and f"tol must be finite and > 0, got {float(tol)!r}" in expected[2]

@@ -46,14 +46,14 @@ def _command(tmp_path, edges: str, *argv):
     return args.func(args)
 
 
-def _tiny_error_bars(d, lam, lengths, tol):
+def _tiny_error_bars(d, lam, tally, tol):
     # an error of 1 over a subnormal standard error
     n = d.n
     return np.ones((2, n)), np.zeros((2, n)), np.full((2, n), 5e-324)
 
 
 def _montecarlo_z_score(tmp_path, monkeypatch):
-    monkeypatch.setattr(influx.cli, "estimate_and_exact_vectors", _tiny_error_bars)
+    monkeypatch.setattr(influx.cli, "_sums", _tiny_error_bars)
     _command(tmp_path, "1,2,1.0\n", "montecarlo", "-N", "10")
 
 

@@ -1,7 +1,9 @@
 """Length law, moments, tail bound, sampling, and the Bernoulli series."""
 
 import decimal
+import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from influx import (
     bernoulli_series,
     build,
     chebyshev_bound,
+    format_edge_list,
     estimate_and_exact,
     estimate_and_exact_vectors,
     estimate_from_lengths,
@@ -31,8 +34,9 @@ from influx import (
     sample_lengths,
     to_matrix,
 )
+from influx.cli import main
 from influx.linalg import _poisson_weight, _sliced_ell
-from influx.stochastic import POISSON_LAM_MAX
+from influx.stochastic import _BLOCK, POISSON_LAM_MAX, _blocks, _tally
 
 
 # -- pmf -------------------------------------------------------------------------
@@ -295,12 +299,57 @@ def _sample_lengths_by_expression(lam, size, rng):
     return 1 + rng.poisson(np.maximum(lam - first, 0.0))
 
 
-@pytest.mark.parametrize("lam", [1e-300, 0.5, 4.0, 700.0, 1e6])
+def _state(rng) -> str:
+    """rng's bit-generator state as text, its arrays as lists, so that two
+    states compare."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 0.5, 4.0, 700.0, 1e6, 1e12])
 def test_sample_lengths_in_place_are_the_expressions_draws(lam):
-    for seed in (0, 1, 7, 2**40 + 3):
-        got = sample_lengths(lam, 5000, make_rng(seed))
-        want = _sample_lengths_by_expression(lam, 5000, make_rng(seed))
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the sizes cross the block boundaries: none, one block short of full,
+    # full, one over, and three and a part
+    for size in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        for seed in (0, 1, 7, 2**40 + 3):
+            oracle = make_rng(seed)
+            want = _sample_lengths_by_expression(lam, size, oracle)
+            rng = make_rng(seed)
+            got = sample_lengths(lam, size, rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert _state(rng) == _state(oracle)
+            if not size:
+                continue
+            rng = make_rng(seed)
+            tally = _tally(_blocks(lam, size, rng))
+            assert _state(rng) == _state(oracle)
+            values, counts = np.unique(want, return_counts=True)
+            assert tally.sampled == list(zip(values.tolist(), (counts / size).tolist()))
+            assert (tally.size, tally.total) == (size, sum(want.tolist()))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples(tmp_path):
+    # the lengths are drawn a block at a time and only their counts kept:
+    # holding 2 000 000 of them would take 16 MB at least
+    path = tmp_path / "line3.csv"
+    path.write_text(format_edge_list(build(Line(3))))
+    d = to_matrix(build(Line(3)))
+    runs = {
+        "cli": lambda n: main(["montecarlo", str(path), "-N", str(n), "-o", str(tmp_path / "r.json")]),
+        "library": lambda n: monte_carlo_pwp(d, 1.0, n, seed=0),
+    }
+    for route, run in runs.items():
+        run(20_000)  # loads what the first run imports, outside the measurement
+        small, large = (_traced_peak(lambda: run(n)) for n in (20_000, 2_000_000))
+        assert large - small <= 2**20, route
 
 
 # -- Monte Carlo estimator ----------------------------------------------------------------
@@ -356,6 +405,18 @@ def test_estimate_from_lengths_empty_matrix():
 def test_estimate_from_lengths_rejects_empty_or_non_integer_lengths(lengths):
     with pytest.raises(ValueError):
         estimate_from_lengths(to_matrix(build(Line(4))), lengths)
+
+
+@pytest.mark.parametrize("lengths, got", [
+    ([0, 1], "0"), ([True], "True"), ([1.0], "1.0"), ([Fraction(3, 2)], "Fraction(3, 2)"),
+])
+def test_sampled_length_errors_print_the_plain_value(lengths, got):
+    # the value as Python prints it, as every other check does, not numpy's
+    # repr np.int64(0), np.True_ or np.float64(1.0)
+    for call in (estimate_and_exact, estimate_and_exact_vectors):
+        with pytest.raises(ValueError) as info:
+            call(np.eye(2), 1.0, lengths)
+        assert str(info.value) == f"sampled lengths must be integers >= 1, got {got}"
 
 
 def test_estimate_from_lengths_overflow_is_typed():
