@@ -23,6 +23,7 @@ off by key without overlap.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     return lengths
 
 
-def _blocks(lam: float, size: int, rng: np.random.Generator):
+def _blocks(lam: float, size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """sample_lengths' draws, in order, as blocks of at most _BLOCK lengths.
 
     A copy of rng, made from its state, supplies the `size` uniforms a block

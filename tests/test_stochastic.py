@@ -19,10 +19,10 @@ from influx import (
     bernoulli_series,
     build,
     chebyshev_bound,
-    format_edge_list,
     estimate_and_exact,
     estimate_and_exact_vectors,
     estimate_from_lengths,
+    format_edge_list,
     Line,
     make_rng,
     moments,
