@@ -5,17 +5,18 @@ e_plus(x) = e^x - 1 = sum_{k>=1} x^k / k!  is summed directly term by term
 rather than as expm(x) - I, which would cancel catastrophically for small
 arguments; the walk-weighting matrix e_plus(lam d) / e_plus(lam) is summed
 as sum_k pmf(lam, k) d^k, with the walk-length law's probabilities as
-weights.  One power chain serves both, and truncation is controlled by a
-rigorous geometric tail bound.
+weights.  One loop over the powers, the chain, serves both, and the Monte
+Carlo sums over sampled powers too, with a series or without one; a
+series' truncation is controlled by a rigorous geometric tail bound.
 The chain over the powers of a matrix d takes one of two steps: the dense
 product P d by np.matmul, or, when d has few nonzeros a row (see
 SPARSE_CUTOFF), the sparse product d P with d in sliced ELLPACK form, its
 rows sorted and grouped by nonzero count (SELL-C-sigma: Kreutzer et al.,
 SIAM J. Sci. Comput. 36(5), 2014), with the powers' rows held in that row
 order; each group's product is one gather and one batched BLAS product.
-A chain holds four n x n arrays, the two powers, the sum and the sampled
-sum, and d itself on the np.matmul step only: the sliced-ELL chain starts
-from a row-ordered copy of d and lets d go.
+A chain holds at most four n x n arrays, the two powers, the series sum
+and the sampled sum, and d itself on the np.matmul step only: the
+sliced-ELL chain starts from a row-ordered copy of d and lets d go.
 The row and column sums of e_plus(x), which are all the rankings need,
 come from matrix-vector products without forming the matrix (the action
 of the matrix function, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
@@ -355,31 +356,6 @@ def mat_pow(d, k: int) -> np.ndarray:
     return np.eye(d.shape[0]) if result is None else result
 
 
-def _sampled_sum(d, sampled) -> np.ndarray:
-    """sum_k v d^k over the (k, v) pairs in `sampled`: one or more, with
-    distinct integer powers k >= 0 in ascending order.
-
-    One pass over the powers: the first comes from the power chain's start
-    (see :func:`_stepper`), by squaring, and every later one from the one
-    before by the chain's step, in its row order, so where the first is
-    d^1 they are the chain's powers bit for bit.  Contributions are added
-    in ascending power.  Raises NumericOverflow at the first product, or a
-    sum, that leaves the float range.
-    """
-    start, step, leave = _stepper(Operator.dense(d))
-    (at, share), *later = sampled
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = start(at)
-        spare, total = np.empty_like(power), share * power
-        for k, share in later:
-            while at < k:
-                step(power, spare)
-                at += 1
-                power, spare = _finite(f"matrix power {at}", spare), power
-            total += share * power
-    return leave(_finite("weighted sum of matrix powers", total))
-
-
 def _stirlerr(x: float) -> float:
     """log(x!) - log(sqrt(2 pi x) (x/e)^x) for an integer x >= 1: by lgamma
     up to 15, else the first five terms of its Stirling series."""
@@ -462,14 +438,16 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
-def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, sampled=(),
+def _chain(first, step, norm: float, lam: float | None, tol: float, normalised: bool, sampled=(),
            squares: bool = False):
-    """The package's one power series: sum_{k>=1} w_k P_k with P_1 = first,
-    P_{k+1} = step(P_k) and w_k = lam^k / k! (divided by e^lam - 1 when
-    normalised), and along the same pass sum_k v P_k over the ascending
-    (k >= 1, v) pairs in `sampled`, and with `squares` sum_k v P_k^2, entry
-    by entry, too.  Returns (series sum, sampled sum or None, sampled sum
-    of squares or None, report).
+    """The package's one loop over the powers, with or without a series:
+    sum_{k>=1} w_k P_k with P_1 = first, P_{k+1} = step(P_k) and
+    w_k = lam^k / k! (divided by e^lam - 1 when normalised), and along the
+    same pass sum_k v P_k over the ascending (k, v) pairs in `sampled`, and
+    with `squares` sum_k v P_k^2, entry by entry, too.  With lam None there
+    is no series: `first` is P_k for the shortest sampled k >= 0, and the
+    pass adds only the sampled terms.  Returns (series sum or None, sampled
+    sum or None, sampled sum of squares or None, report).
 
     `norm` must bound each step in the max-absolute-entry norm:
     |step(P)| <= norm * |P|.  After adding term K, with u_K the max norm of
@@ -488,26 +466,30 @@ def _chain(first, step, norm: float, lam: float, tol: float, normalised: bool, s
     magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, section 4.2), so by K eps |T| for a nonnegative d, but by up to
     eps e^{lam ||d||} where terms cancel.  The pass works in `first`, which
-    it overwrites and lets go of before it returns, and in two arrays
-    allocated before it starts (three with `sampled`, four with `squares`
-    too): step(q, out) writes the next power into out, which also holds
-    each term on its way into the sums until then.
+    it overwrites and lets go of before it returns, and in one array
+    allocated before it starts, and one more for each sum it returns:
+    step(q, out) writes the next power into out, which also holds each term
+    on its way into the sums until then.
 
     Raises NoConvergenceWithinBudget if the bound is still above tol after
     MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
-    term or sum that overflows.
+    term, power or sum that overflows: a power is named as a series term
+    where there is a series, else as a matrix power.
     """
     sampled = list(sampled)
-    q = first  # P_1 = 2^s q
+    series = lam is not None
+    q = first  # P_k = 2^s q
     q += 0.0  # turns -0.0 into +0.0 as mat_pow does
-    spare, total = np.empty_like(q), np.zeros_like(q)
+    spare, total = np.empty_like(q), np.zeros_like(q) if series else None
     estimate = np.zeros_like(q) if sampled else None
     second = np.zeros_like(q) if sampled and squares else None
-    s, k, at, report = 0, 1, 0, None
+    what, k = ("exponential series term", 1) if series else ("matrix power", sampled[0][0])
+    # with no series to sum, its report is complete from the start
+    s, at, report = 0, 0, None if series else SeriesReport(terms_used=0, tail_bound=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             qmax = max(float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
-            _finite(f"exponential series term {k}", qmax, terms=k - 1, tol=tol)
+            _finite(f"{what} {k}", qmax, terms=k - 1 if series else 0, tol=tol)
             if qmax and not 1.0 <= qmax <= 2.0**64:
                 shift = math.frexp(qmax)[1] - 1  # to [1, 2)
                 np.ldexp(q, -shift, out=q)
@@ -563,14 +545,16 @@ def _checked(lam: float, tol: float, normalised: bool) -> None:
         _expm1(lam)
 
 
-def _dense(d, lam: float, tol: float, normalised: bool, sampled=()):
-    """The series over the powers of d, a matrix or an Operator; see :func:`_chain`."""
-    _checked(lam, tol, normalised)
+def _dense(d, lam: float | None = None, tol: float = math.nan, normalised: bool = True, sampled=()):
+    """The series over the powers of d, a matrix or an Operator, and the
+    sampled sum, or with lam None that sum alone; see :func:`_chain`."""
+    if lam is not None:
+        _checked(lam, tol, normalised)
     op = _operator(d)
     start, step, leave = _stepper(op)
     norm = op.abs_sum(1)  # bounds d P_k, and P_k d = d P_k as powers of d commute
-    total, estimate, _, report = _chain(start(1), step, norm, lam, tol, normalised, sampled)
-    return leave(total), None if estimate is None else leave(estimate), report
+    sums = _chain(start(1 if lam is not None else sampled[0][0]), step, norm, lam, tol, normalised, sampled)
+    return *(None if a is None else leave(a) for a in sums[:2]), sums[3]
 
 
 def _vectors(d, lam: float, tol: float, normalised: bool, sampled=()):

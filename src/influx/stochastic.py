@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _at_least, _dense, _finite, _positive, _poisson_weight, _sampled_sum, _vectors
+from .linalg import _at_least, _dense, _finite, _positive, _poisson_weight, _vectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -196,8 +196,9 @@ def _tally(blocks, least: int = 1) -> _Tally:
 def estimate_from_lengths(d, lengths) -> np.ndarray:
     """Average of d^k over the given integer walk lengths k >= 0: the
     shortest power by repeated squaring, and each later one up to the
-    longest from the one before, by the power chain's step."""
-    return _sampled_sum(d, _tally((lengths,), least=0).sampled)
+    longest from the one before, by the power chain's step (see
+    :func:`influx.linalg._chain`)."""
+    return _dense(d, sampled=_tally((lengths,), least=0).sampled)[1]
 
 
 def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +208,7 @@ def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.n
     sampled frequency.  The pass runs to the longer of the series and the
     longest sampled length.  The estimate equals estimate_from_lengths' bit
     for bit whenever the shortest length is 1, gaps between the lengths
-    included, except where an entry falls below the normal float range,
-    which the chain's running scale may keep in it.
+    included.
     """
     return _matrices(d, lam, _tally((lengths,)), tol)
 
@@ -260,7 +260,7 @@ def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:
     Deterministic for a fixed (seed, samples) pair.
     """
     _at_least("samples", samples, 1)
-    return _sampled_sum(d, _tally(_blocks(lam, samples, make_rng(seed))).sampled)
+    return _dense(d, sampled=_tally(_blocks(lam, samples, make_rng(seed))).sampled)[1]
 
 
 def bernoulli_numbers(K: int) -> list[Fraction]:

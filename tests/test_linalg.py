@@ -39,7 +39,7 @@ from influx import (
     to_matrix,
     to_operator,
 )
-from influx.linalg import SPARSE_CUTOFF, _SlicedEll, _sampled_sum, _sliced_ell
+from influx.linalg import SPARSE_CUTOFF, _dense, _SlicedEll, _sliced_ell
 
 L2 = to_matrix(parse_edge_list("1,2,1"))
 L3 = to_matrix(parse_edge_list("1,2,1\n2,3,1"))
@@ -172,14 +172,15 @@ def test_estimate_from_lengths_zero_length_is_identity():
 
 @pytest.mark.parametrize("d", [np.array([[1e200]]), np.full((4, 4), 1e200)], ids=["sliced-ELL", "np.matmul"])
 def test_sampled_power_overflow_is_typed(d):
+    # the chain's running scale keeps d^2 in range; the sampled sum is not
     assert (_sliced_ell(d) is None) == (d.shape[0] == 4)
-    with pytest.raises(NumericOverflow, match="matrix power 2"):
+    with pytest.raises(NumericOverflow, match="weighted sum of matrix powers"):
         influx.estimate_from_lengths(d, [1, 2])
 
 
 def test_weighted_sum_overflow_is_typed():
     with pytest.raises(NumericOverflow, match="weighted sum"):
-        _sampled_sum(np.array([[1.7e308]]), [(1, 2.0)])
+        _dense(np.array([[1.7e308]]), sampled=[(1, 2.0)])
     # every power of this d is d, and the shares 1/5, 2/5, 2/5 add up to more
     # than 1 in floating point, so the sum passes the largest float
     d = np.array([[1.0, np.finfo(float).max], [0.0, 0.0]])
@@ -749,7 +750,7 @@ def test_sliced_ell_chain_overflow_is_typed(poisson_matrix):
     assert _sliced_ell(d) is not None
     with pytest.raises(NumericOverflow, match="term"):
         pwp_matrix(d, 1.0)
-    with pytest.raises(NumericOverflow, match="matrix power 2"):
+    with pytest.raises(NumericOverflow, match="weighted sum of matrix powers"):
         influx.estimate_from_lengths(d, [1, 2])
 
 

@@ -67,7 +67,12 @@ def _sliced_power_step():
 # terms, tol); the tol of a series is its default 1e-12, and nan elsewhere
 SITES = {
     "mat_pow product": (lambda tmp, mp: mat_pow(BIG, 4), "matrix power 4", 0, math.nan),
-    "sampled sum step": (lambda tmp, mp: _sliced_power_step(), "matrix power 2", 0, math.nan),
+    # the chain's running scale keeps d^2 = 1e400 in range, its share of the sum not
+    "sampled sum step": (lambda tmp, mp: _sliced_power_step(), "weighted sum of matrix powers", 0, math.nan),
+    # rescaled to 1.9, d's entries times four of d's pass the largest float
+    "sampled pass power": (
+        lambda tmp, mp: estimate_from_lengths(np.full((4, 4), 1.7e308), [1, 2]), "matrix power 2", 0, math.nan,
+    ),
     # every power of this d is d, and the shares add up past the largest float
     "sampled sum total": (
         lambda tmp, mp: estimate_from_lengths(np.array([[1.0, np.finfo(float).max], [0.0, 0.0]]), [1, 2, 2, 3, 3]),
