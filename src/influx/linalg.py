@@ -97,20 +97,22 @@ def _at_least(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _integers(name: str, values) -> np.ndarray:
+def _integers(name: str, values, rule: str = "integers") -> np.ndarray:
     """values as an int64 array by the rule of :func:`_at_least`, entry by
-    entry, where an empty list passes too; an int past int64 raises
-    OverflowError."""
-    a = np.asarray(values)
-    if a.dtype.kind == "u" and a.size and a.max() > np.iinfo(np.int64).max:
-        raise OverflowError(f"{name} past int64")
-    if a.dtype.kind in "iu" or not a.size:
-        return a.astype(np.int64, copy=False)
-    a = np.asarray(values, dtype=object)  # the entries as given, not numpy's common type
-    for v in a.flat:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} must be integers, got {v!r}")
-    return np.array([int(v) for v in a.flat], dtype=np.int64).reshape(a.shape)
+    entry, where an empty list passes too; ValueError "{name} must be
+    {rule}, got v" names the first entry v that breaks it, and an int past
+    int64 raises OverflowError.  Only an integer array skips the entries:
+    numpy's common type of a list would hide a bool among integers."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.dtype.kind == "u" and values.size and values.max() > np.iinfo(np.int64).max:
+            raise OverflowError(f"{name} past int64")
+        return values.astype(np.int64, copy=False)
+    a = np.asarray(values, dtype=object)  # the entries as given
+    bad = {t for t in set(map(type, a.flat)) if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        v = next(v for v in a.flat if type(v) in bad)
+        raise ValueError(f"{name} must be {rule}, got {v.item() if isinstance(v, np.generic) else v!r}")
+    return a.astype(np.int64)
 
 
 def _finite(what: str, *values, terms: int = 0, tol: float = math.nan):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _at_least, _dense, _finite, _positive, _poisson_weight, _vectors
+from .linalg import _at_least, _dense, _finite, _integers, _operator, _positive, _poisson_weight, _vectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,11 +178,14 @@ class _Tally:
 def _tally(blocks, least: int = 1) -> _Tally:
     """The tally of the integer lengths >= least in `blocks`, arrays or
     sequences, in memory bounded by a block and the distinct lengths."""
-    counts = {}
+    counts, rule = {}, f"integers >= {least}"
     for block in blocks:
-        values, hits = np.unique(block, return_counts=True)
-        if values.size and (not np.issubdtype(values.dtype, np.integer) or values[0] < least):
-            raise ValueError(f"sampled lengths must be integers >= {least}, got {values.tolist()[0]!r}")
+        try:
+            values, hits = np.unique(_integers("sampled lengths", block, rule), return_counts=True)
+        except OverflowError:
+            raise ValueError(f"sampled lengths must be {rule}, got one past int64") from None
+        if values.size and values[0] < least:
+            raise ValueError(f"sampled lengths must be {rule}, got {values.tolist()[0]!r}")
         for k, c in zip(values.tolist(), hits.tolist()):
             counts[k] = counts.get(k, 0) + c
     if not counts:
@@ -194,10 +197,10 @@ def _tally(blocks, least: int = 1) -> _Tally:
 
 
 def estimate_from_lengths(d, lengths) -> np.ndarray:
-    """Average of d^k over the given integer walk lengths k >= 0: the
-    shortest power by repeated squaring, and each later one up to the
-    longest from the one before, by the power chain's step (see
-    :func:`influx.linalg._chain`)."""
+    """Average of d^k over the given integer walk lengths k >= 0; d is a
+    matrix or an :class:`influx.linalg.Operator`.  The shortest power comes
+    by repeated squaring, and each later one up to the longest from the one
+    before, by the power chain's step (see :func:`influx.linalg._chain`)."""
     return _dense(d, sampled=_tally((lengths,), least=0).sampled)[1]
 
 
@@ -252,7 +255,8 @@ def _sums(d, lam: float, tally: _Tally, tol: float) -> tuple[np.ndarray, np.ndar
 
 
 def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:
-    """Monte Carlo estimate of the exponential walk-weighting matrix.
+    """Monte Carlo estimate of the exponential walk-weighting matrix; d is a
+    matrix or an :class:`influx.linalg.Operator`, checked before any draw.
 
     Draws `samples` lengths from the length law with a Philox generator
     keyed by `seed`, as sample_lengths does, and averages the corresponding
@@ -260,7 +264,7 @@ def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:
     Deterministic for a fixed (seed, samples) pair.
     """
     _at_least("samples", samples, 1)
-    return _dense(d, sampled=_tally(_blocks(lam, samples, make_rng(seed))).sampled)[1]
+    return _dense(_operator(d), sampled=_tally(_blocks(lam, samples, make_rng(seed))).sampled)[1]
 
 
 def bernoulli_numbers(K: int) -> list[Fraction]:

@@ -643,6 +643,8 @@ def test_edge_list_errors_keep_their_message():
     [
         ([(2.9, 1, 1.0)], "source must be integers"),
         ([(True, 2, 1.0)], "source must be integers"),
+        ([(True, 1, 1.0), (2, 3, 1.0)], "source must be integers, got True"),  # numpy's common type is int64
+        ([(1, 2, 1.0), (2, np.False_, 1.0)], "target must be integers, got False"),
         (np.array([[1.0, 2.0, 1.0]]), "source must be integers"),
         ([(1, 2.0, 1.0)], "target must be integers"),
         ([(1, "2", 1.0)], "target must be integers"),

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from influx import (
+    DimensionMismatch,
     DomainError,
     NumericOverflow,
     Operator,
@@ -27,15 +28,18 @@ from influx import (
     make_rng,
     moments,
     monte_carlo_pwp,
+    parse_edge_list,
     pmf,
     mat_pow,
     pwp,
     pwp_matrix,
     sample_lengths,
     to_matrix,
+    to_operator,
 )
 from influx.cli import main
 from influx.linalg import _poisson_weight, _sliced_ell
+import influx.stochastic
 from influx.stochastic import _BLOCK, POISSON_LAM_MAX, _blocks, _tally
 
 
@@ -378,6 +382,32 @@ def test_monte_carlo_rejects_zero_samples():
         monte_carlo_pwp(np.eye(2), 1.0, 0, seed=0)
 
 
+def test_monte_carlo_checks_d_before_sampling(monkeypatch):
+    # a bad matrix is refused at once however many lengths were asked for,
+    # as test_montecarlo_checks_tol_before_sampling pins for the command
+    def refuse(*args):
+        raise AssertionError("sampled before checking d")
+
+    monkeypatch.setattr(influx.stochastic, "_blocks", refuse)
+    with pytest.raises(DimensionMismatch):
+        monte_carlo_pwp(np.ones((2, 3)), 1.0, 10**7, 0)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        monte_carlo_pwp(np.array([[np.nan]]), 1.0, 10**7, 0)
+
+
+@pytest.mark.parametrize("edges", [
+    "1,2,0.5\n2,3,0.25\n3,1,1.5\n",  # few nonzeros a row: the sliced-ELL step
+    "".join(f"{i},{j},{0.1 * i + 0.01 * j}\n" for i in range(1, 5) for j in range(1, 5)),  # np.matmul
+], ids=["sliced-ELL", "np.matmul"])
+def test_monte_carlo_estimators_take_an_operator(edges):
+    g = parse_edge_list(edges)
+    matrix, operator = to_matrix(g), to_operator(g)
+    assert (_sliced_ell(matrix) is None) == (g.n == 4)
+    for lengths in ([1, 2, 2, 5], [0, 3, 3, 9]):
+        assert np.array_equal(estimate_from_lengths(operator, lengths), estimate_from_lengths(matrix, lengths))
+    assert np.array_equal(monte_carlo_pwp(operator, 4.0, 5000, 3), monte_carlo_pwp(matrix, 4.0, 5000, 3))
+
+
 @st.composite
 def _matrix_and_lengths(draw):
     n = draw(st.integers(1, 5))
@@ -386,22 +416,35 @@ def _matrix_and_lengths(draw):
     return np.array(entries).reshape(n, n) / n, lengths
 
 
+_SPARSE = np.array([[0.0, 0.5, 0.0], [0.0, 0.0, -0.75], [0.25, 0.0, 0.0]])  # the sliced-ELL step
+_FULL = np.random.default_rng(5).uniform(-0.25, 0.25, (5, 5))  # the np.matmul step
+
+
 @given(_matrix_and_lengths())
+@example((_SPARSE, [3, 5, 5]))  # the shortest length above 1
+@example((_FULL, [4, 4, 6]))
+@example((_SPARSE, [0, 2, 2]))  # a length of 0
+@example((_FULL, [0, 1]))
+@example((_SPARSE, [1, 7, 20, 20]))  # gaps between the lengths
+@example((_FULL, [2, 9, 17]))
 def test_estimate_from_lengths_matches_matrix_power_average(case):
+    # the oracle shares no code with the power chain
     d, lengths = case
     values, counts = np.unique(lengths, return_counts=True)
     weights = counts / len(lengths)
     want = sum(w * np.linalg.matrix_power(d, int(k)) for k, w in zip(values, weights))
     # rounding in a product of k factors is at most ~k n eps times |d|^k
     scale = sum(w * np.linalg.matrix_power(np.abs(d), int(k)) for k, w in zip(values, weights))
-    assert np.all(np.abs(estimate_from_lengths(d, lengths) - want) <= 1e-12 * scale)
+    rows, cols = np.nonzero(d)
+    for form in (d, Operator(d.shape[0], rows, cols, d[rows, cols])):
+        assert np.all(np.abs(estimate_from_lengths(form, lengths) - want) <= 1e-12 * scale)
 
 
 def test_estimate_from_lengths_empty_matrix():
     assert estimate_from_lengths(np.zeros((0, 0)), [1, 3, 3]).shape == (0, 0)
 
 
-@pytest.mark.parametrize("lengths", [[], [1.5], [1.7, 1.2], [True], [-1, 2]])
+@pytest.mark.parametrize("lengths", [[], [1.5], [1.7, 1.2], [True], [True, 2], [2, False], [-1, 2]])
 def test_estimate_from_lengths_rejects_empty_or_non_integer_lengths(lengths):
     with pytest.raises(ValueError):
         estimate_from_lengths(to_matrix(build(Line(4))), lengths)
@@ -409,6 +452,7 @@ def test_estimate_from_lengths_rejects_empty_or_non_integer_lengths(lengths):
 
 @pytest.mark.parametrize("lengths, got", [
     ([0, 1], "0"), ([True], "True"), ([1.0], "1.0"), ([Fraction(3, 2)], "Fraction(3, 2)"),
+    ([True, 2], "True"), ([2, np.True_], "True"),  # numpy's common type of these is int64
 ])
 def test_sampled_length_errors_print_the_plain_value(lengths, got):
     # the value as Python prints it, as every other check does, not numpy's
@@ -463,7 +507,7 @@ def test_estimate_and_exact_reaches_lengths_past_the_series():
     assert np.allclose(estimate, want, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("lengths", [[], [0, 1], [1.5]])
+@pytest.mark.parametrize("lengths", [[], [0, 1], [1.5], [True, 2]])
 def test_estimate_and_exact_rejects_lengths_outside_the_law(lengths):
     with pytest.raises(ValueError):
         estimate_and_exact(np.eye(2), 1.0, lengths)
