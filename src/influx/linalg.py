@@ -120,7 +120,9 @@ def _finite(what: str, *values, terms: int = 0, tol: float = math.nan):
     where an entry of a value, a number or an array, is nan or infinite;
     else the last value.  A value of None passes."""
     for value in values:
-        if value is not None and not np.isfinite(value).all():
+        # a float by math.isfinite: the chain checks one each step
+        if value is not None and not (math.isfinite(value) if isinstance(value, float)
+                                      else np.isfinite(value).all()):
             raise NumericOverflow(what, terms, tol)
     return values[-1]
 
