@@ -643,13 +643,13 @@ def test_edge_list_errors_keep_their_message():
     [
         ([(2.9, 1, 1.0)], "source must be integers"),
         ([(True, 2, 1.0)], "source must be integers"),
-        ([(True, 1, 1.0), (2, 3, 1.0)], "source must be integers, got True"),  # numpy's common type is int64
-        ([(1, 2, 1.0), (2, np.False_, 1.0)], "target must be integers, got False"),
         (np.array([[1.0, 2.0, 1.0]]), "source must be integers"),
         ([(1, 2.0, 1.0)], "target must be integers"),
         ([(1, "2", 1.0)], "target must be integers"),
         ([(Fraction(5, 2), 1, 1.0)], "source must be integers"),
         ([(None, 1, 1.0)], "source must be integers"),
+        ([(True, 1, 1.0), (2, 3, 1.0)], "source must be integers, got True"),  # numpy's common type is int64
+        ([(1, 2, 1.0), (2, np.False_, 1.0)], "target must be integers, got False"),
     ],
 )
 def test_vertex_indices_must_be_integers(edges, match):

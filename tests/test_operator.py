@@ -186,12 +186,12 @@ def test_operator_checks_its_columns(args, error):
         ((2, [1.9], [0], [1.0]), "rows must be integers"),
         ((2, ["1"], [0], [1.0]), "rows must be integers"),
         ((2, [True], [0], [1.0]), "rows must be integers"),
-        ((2, [True, 0], [0, 1], [1.0, 1.0]), "rows must be integers, got True"),  # numpy's common type is int64
-        ((2, [0, 1], [1, np.True_], [1.0, 1.0]), "cols must be integers, got True"),
         ((2, np.array([1.9], dtype=object), [0], [1.0]), "rows must be integers"),
         ((2, [None], [0], [1.0]), "rows must be integers"),
         ((2, [0], [1.0], [1.0]), "cols must be integers"),
         ((2, [0], np.array([False]), [1.0]), "cols must be integers"),
+        ((2, [True, 0], [0, 1], [1.0, 1.0]), "rows must be integers, got True"),  # numpy's common type is int64
+        ((2, [0, 1], [1, np.True_], [1.0, 1.0]), "cols must be integers, got True"),
     ],
 )
 def test_operator_indices_must_be_integers(args, match):

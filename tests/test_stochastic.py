@@ -444,7 +444,7 @@ def test_estimate_from_lengths_empty_matrix():
     assert estimate_from_lengths(np.zeros((0, 0)), [1, 3, 3]).shape == (0, 0)
 
 
-@pytest.mark.parametrize("lengths", [[], [1.5], [1.7, 1.2], [True], [True, 2], [2, False], [-1, 2],
+@pytest.mark.parametrize("lengths", [[], [1.5], [1.7, 1.2], [True], [-1, 2], [True, 2], [2, False],
                                      [2**63], [1, 2**64], np.array([2**63], dtype=np.uint64)])
 def test_estimate_from_lengths_rejects_empty_or_non_integer_lengths(lengths):
     with pytest.raises(ValueError):
