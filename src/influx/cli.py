@@ -31,11 +31,10 @@ from .graph import (
     DirectInfluenceGraph,
     format_edge_list,
     parse_edge_list,
-    to_matrix,
     to_operator,
     web_operator,
 )
-from .linalg import _at_least, _checked, _finite, mat_pow, pwp_matrix
+from .linalg import _at_least, _checked, _dense, _finite, pwp_matrix
 from .methods import _ranking_order, _scores, micmac, pagerank, pwp
 from .stochastic import _blocks, _matrices, _sums, _tally, make_rng, moments
 
@@ -258,7 +257,8 @@ def _pwp_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
 
 
 def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
-    result = micmac(to_operator(g), k=args.k)
+    op = to_operator(g)
+    result = micmac(op, k=args.k)
     block = {
         "method": {"name": "micmac", "k": args.k},
         "paper_scale": False,
@@ -267,7 +267,7 @@ def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
         "diagnostics": {},
     }
     if emit_matrix:
-        block["T"] = mat_pow(to_matrix(g), args.k)
+        block["T"] = _dense(op, sampled=[(args.k, 1.0)])[1]
     return block
 
 

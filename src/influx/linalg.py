@@ -22,9 +22,8 @@ come from matrix-vector products without forming the matrix (the action
 of the matrix function, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
 2011), by an Operator: a dense d, or the columns of its nonzeros, whose
 products take O(nnz).  The same vector chains carry a sampled sum over
-given powers and its sum of squares, which give the Monte Carlo
-estimates of those sums their standard errors.  The row and column sums
-of integer powers come from :func:`influx.methods.micmac`.
+given powers, micmac's d^k as the one power k of weight 1, and the Monte
+Carlo sums with their sums of squares, which give their standard errors.
 """
 
 import math
@@ -442,16 +441,16 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
-def _chain(first, step, norm: float, lam: float | None, tol: float, normalised: bool, sampled=(),
+def _chain(first, k: int, step, norm: float, lam: float | None, tol: float, normalised: bool, sampled=(),
            squares: bool = False):
     """The package's one loop over the powers, with or without a series:
-    sum_{k>=1} w_k P_k with P_1 = first, P_{k+1} = step(P_k) and
+    sum_{k>=1} w_k P_k with P_k = first, P_{k+1} = step(P_k) and
     w_k = lam^k / k! (divided by e^lam - 1 when normalised), and along the
     same pass sum_k v P_k over the ascending (k, v) pairs in `sampled`, and
-    with `squares` sum_k v P_k^2, entry by entry, too.  With lam None there
-    is no series: `first` is P_k for the shortest sampled k >= 0, and the
-    pass adds only the sampled terms.  Returns (series sum or None, sampled
-    sum or None, sampled sum of squares or None, report).
+    with `squares` sum_k v P_k^2, entry by entry, too.  `first` is P_k: k is
+    1 with a series; with lam None there is none, and the pass adds only
+    the sampled terms, micmac's d^k as the one pair (k, 1.0).  Returns
+    (series sum or None, sampled sum or None, squares sum or None, report).
 
     `norm` must bound each step in the max-absolute-entry norm:
     |step(P)| <= norm * |P|.  After adding term K, with u_K the max norm of
@@ -487,7 +486,7 @@ def _chain(first, step, norm: float, lam: float | None, tol: float, normalised: 
     spare, total = np.empty_like(q), np.zeros_like(q) if series else None
     estimate = np.zeros_like(q) if sampled else None
     second = np.zeros_like(q) if sampled and squares else None
-    what, k = ("exponential series term", 1) if series else ("matrix power", sampled[0][0])
+    what = "exponential series term" if series else "matrix power"
     # with no series to sum, its report is complete from the start
     s, at, report = 0, 0, None if series else SeriesReport(terms_used=0, tail_bound=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -557,22 +556,23 @@ def _dense(d, lam: float | None = None, tol: float = math.nan, normalised: bool 
     op = _operator(d)
     start, step, leave = _stepper(op)
     norm = op.abs_sum(1)  # bounds d P_k, and P_k d = d P_k as powers of d commute
-    sums = _chain(start(1 if lam is not None else sampled[0][0]), step, norm, lam, tol, normalised, sampled)
+    k = 1 if lam is not None else sampled[0][0]
+    sums = _chain(start(k), k, step, norm, lam, tol, normalised, sampled)
     return *(None if a is None else leave(a) for a in sums[:2]), sums[3]
 
 
-def _vectors(d, lam: float, tol: float, normalised: bool, sampled=()):
-    """The series over d^k 1 and 1 d^k (see :func:`exp_plus_vectors`), and
-    with `sampled` their sampled sums and sampled sums of squares (see
-    :func:`_chain`), as (series sums, sampled sums, sampled sums of squares,
-    report), each a (row sums, column sums) pair, of Nones for what was
-    not sampled."""
-    _checked(lam, tol, normalised)
+def _vectors(d, lam: float | None = None, tol: float = math.nan, normalised: bool = True, sampled=()):
+    """The series over d^k 1 and 1 d^k (see :func:`exp_plus_vectors`), none
+    with lam None, and their sums over `sampled`, with a series their sums
+    of squares too (see :func:`_chain`), as (series sums, sampled sums,
+    sums of squares, report), each a (row sums, column sums) pair or Nones."""
+    if lam is not None:
+        _checked(lam, tol, normalised)
     op = _operator(d)
     ones = np.ones(op.n)
     sides = [
-        _chain(product(ones), lambda v, out, product=product: np.copyto(out, product(v)),
-               op.abs_sum(axis), lam, tol, normalised, sampled, squares=True)
+        _chain(product(ones), 1, lambda v, out, product=product: np.copyto(out, product(v)),
+               op.abs_sum(axis), lam, tol, normalised, sampled, squares=lam is not None)
         for product, axis in ((op.matvec, 1), (op.rmatvec, 0))
     ]
     totals, estimates, seconds, (by_row, by_col) = zip(*sides)

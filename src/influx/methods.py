@@ -7,7 +7,7 @@ are ranked by those scores.  Each engine takes a dense matrix or an
 Operator, and takes d and f from matrix-vector products on either, without
 forming T, so a matrix and Operator.dense of it give the same result bit
 for bit.  T itself comes from the matrix kernels: pwp_matrix_report for
-pwp, mat_pow for micmac.
+pwp, and for micmac mat_pow, or linalg._dense's one power k in the CLI.
 """
 
 from dataclasses import dataclass, field
@@ -68,17 +68,14 @@ def influence_dependence(t) -> InfluenceVectors:
 def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     """Fixed-power method: T = d^k for a small natural number k.
 
-    d is a matrix or an :class:`Operator`; d and f come from k
-    matrix-vector products each, so the cost is linear in k.
+    d is a matrix or an :class:`Operator`; d and f are the vector chains'
+    one sampled power k (see :func:`influx.linalg._chain`), k products
+    each, so the cost is linear in k.  An overflow is found where d 1,
+    1 d or the result overflows, not where an intermediate power does.
     """
     _at_least("k", k, 1)
-    op = _operator(d)
-    rows = cols = np.ones(op.n)
-    for _ in range(k):
-        # at each step: the edge columns' next product drops an inf that no stored entry reads
-        rows, cols = op.matvec(rows), op.rmatvec(cols)
-        _finite(f"a row or column sum of matrix power {k}", rows, cols)
-    return IndirectInfluenceResult(vectors=InfluenceVectors(rows, cols))
+    _, sums, _, _ = _vectors(d, sampled=[(k, 1.0)])
+    return IndirectInfluenceResult(vectors=InfluenceVectors(*sums))
 
 
 def pwp(d, lam: float = 1.0, tol: float = 1e-12) -> IndirectInfluenceResult:

@@ -109,7 +109,7 @@ def test_compute_csv_forms_no_matrix(line3, capsys, monkeypatch, method):
         raise AssertionError("T formed for a CSV")
 
     monkeypatch.setattr(influx.cli, "pwp_matrix", refuse)
-    monkeypatch.setattr(influx.cli, "mat_pow", refuse)
+    monkeypatch.setattr(influx.cli, "_dense", refuse)
     assert run(capsys, "compute", "--method", method, "--csv", "--emit-matrix", line3) == csv
 
 
@@ -291,12 +291,12 @@ def test_an_edge_list_with_a_byte_order_mark_reads_as_without(random12, tmp_path
 
 @pytest.mark.parametrize("methods", ["pwp,micmac,pagerank", "pagerank"])
 def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
-    # every engine runs on the graph's edge columns and to_matrix is called
-    # only for micmac's --emit-matrix; pwp's --emit-matrix chain still forms
-    # a dense D from the columns as its first power
+    # every engine runs on the graph's edge columns, and so does each
+    # --emit-matrix: its chain forms a dense D from the columns as its
+    # first power, so the CLI has no dense-matrix builder or power to call
+    assert not hasattr(influx.cli, "to_matrix") and not hasattr(influx.cli, "mat_pow")
     calls = []
-    for module, name in [(influx.cli, "to_matrix"), (influx.graph, "web_normalize"),
-                         (influx.methods, "pagerank_repair")]:
+    for module, name in [(influx.graph, "web_normalize"), (influx.methods, "pagerank_repair")]:
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(real) or real(*a))
     code, _, _ = run(capsys, "compare", "--methods", methods, random12)
@@ -304,7 +304,7 @@ def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
     code, _, _ = run(capsys, "compute", "--method", "pwp", "--emit-matrix", random12)
     assert code == 0 and calls == []
     code, _, _ = run(capsys, "compute", "--method", "micmac", "--emit-matrix", random12)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == []
 
 
 def test_published_values_are_rounded_once(random12, capsys, monkeypatch):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from influx import (
@@ -76,6 +76,30 @@ def test_micmac_cycle_unit_vectors(n, k):
     result = micmac(_cycle(n), k)
     assert np.all(result.vectors.d == 1.0)
     assert np.all(result.vectors.f == 1.0)
+
+
+COLUMNS_AND_DENSE = pytest.mark.parametrize(
+    "wrap", [Operator.dense, lambda m: to_operator(from_matrix(m))], ids=["dense", "columns"])
+
+
+@COLUMNS_AND_DENSE
+def test_micmac_passes_an_overflowing_intermediate_power(wrap):
+    # d^k has row sums r^k + k r^(k-1) c and r^k, and column sums the same
+    # both ways round; d^j 1 leaves the float range near j = 100, d^5000 1
+    # does not
+    r, c, k = 0.99, 1e307, 5000
+    big, small = r**k + k * r ** (k - 1) * c, r**k
+    result = micmac(wrap(np.array([[r, c], [0.0, r]])), k)
+    assert result.vectors.d == pytest.approx([big, small], rel=1e-12, abs=0)
+    assert result.vectors.f == pytest.approx([small, big], rel=1e-12, abs=0)
+
+
+@COLUMNS_AND_DENSE
+def test_micmac_takes_no_sum_of_squares(wrap):
+    # micmac's d^2 1 is 1e200, whose square the Monte Carlo sums would take
+    # and overflow
+    result = micmac(wrap(np.array([[1e100]])), 2)
+    assert result.vectors.d.tolist() == result.vectors.f.tolist() == [1e100 * 1e100]
 
 
 @pytest.mark.parametrize("a", [0.5, 2.0, -0.3])
@@ -505,10 +529,50 @@ def test_pwp_vectors_agree_with_dense_t(d, lam):
     _assert_identical(result, pwp(Operator.dense(d), lam=lam))
 
 
-@given(_sparse_matrices(), st.integers(1, 6))
+def _micmac_by_steps(op: Operator, k: int):
+    """d^k 1 and 1 d^k by k plain op.matvec and op.rmatvec products from the
+    ones, with no scaling and no shared code with the chain, and every
+    vector those products read or write."""
+    rows = cols = np.ones(op.n)
+    seen = [rows]
+    for _ in range(k):
+        rows, cols = op.matvec(rows), op.rmatvec(cols)
+        seen += [rows, cols]
+    return rows, cols, seen
+
+
+def _scale_free(op: Operator, seen) -> bool:
+    """Whether scaling the vectors in `seen` by any power of two that keeps
+    their largest entry at least 1 moves no bit of their products by op:
+    no entry is infinite, and no nonzero entry, nor its product by a
+    nonzero entry of op, lies below the least normal float times
+    max(1, the vector's largest |entry|).  A sum of two floats in the
+    subnormal range is exact, so only a product or an entry there rounds."""
+    tiny = np.finfo(float).tiny
+    a = np.abs(op._array())
+    for x in seen:
+        big = max(1.0, float(np.abs(x).max(initial=0.0)))
+        x = np.abs(x)
+        with np.errstate(under="ignore", over="ignore"):
+            parts = np.concatenate([x, (a * x).ravel(), (a * x[:, None]).ravel()])
+        if not np.isfinite(parts).all() or ((parts > 0) & (parts < tiny * big)).any():
+            return False
+    return True
+
+
+@given(_sparse_matrices(), st.integers(1, 300))
 def test_micmac_vectors_agree_with_dense_t(d, k):
-    result = micmac(d, k)
-    want = influence_dependence(mat_pow(d, k))
-    assert np.allclose(result.vectors.d, want.d, rtol=1e-12, atol=1e-12)
-    assert np.allclose(result.vectors.f, want.f, rtol=1e-12, atol=1e-12)
-    _assert_identical(result, micmac(Operator.dense(d), k))
+    # the chain holds each power as 2^s q, an exact scale while no entry or
+    # product leaves the normal float range, so micmac equals the plain
+    # loop bit for bit on the draws that _scale_free admits
+    for op in (Operator.dense(d), to_operator(from_matrix(d))):
+        rows, cols, seen = _micmac_by_steps(op, k)
+        assume(_scale_free(op, seen))
+        result = micmac(op, k)
+        assert result.vectors.d.tobytes() == rows.tobytes()
+        assert result.vectors.f.tobytes() == cols.tobytes()
+    if k <= 6:
+        want = influence_dependence(mat_pow(d, k))
+        assert np.allclose(result.vectors.d, want.d, rtol=1e-12, atol=1e-12)
+        assert np.allclose(result.vectors.f, want.f, rtol=1e-12, atol=1e-12)
+    _assert_identical(micmac(d, k), micmac(Operator.dense(d), k))

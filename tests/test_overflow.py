@@ -105,7 +105,7 @@ SITES = {
         lambda tmp, mp: influence_dependence(np.full((2, 2), 1.7e308)), "a row or column sum", 0, math.nan,
     ),
     "micmac operator": (
-        lambda tmp, mp: micmac(Operator.dense(BIG), 4), "a row or column sum of matrix power 4", 0, math.nan,
+        lambda tmp, mp: micmac(Operator.dense(BIG), 4), "weighted sum of matrix powers", 0, math.nan,
     ),
     "paper scale": (
         lambda tmp, mp: _command(tmp, "1,1,1.01\n", "compute", "--method", "pwp", "--lambda", "709",
