@@ -603,6 +603,8 @@ def test_line_ratio_between_consecutive_offsets():
 
 def test_bernoulli_first_values():
     b = bernoulli_numbers(6)
+    assert len(b) == 7  # B_0 .. B_6
+    assert bernoulli_numbers(0) == [1]
     assert b[0] == 1
     assert b[1] == Fraction(-1, 2)
     assert b[2] == Fraction(1, 6)
