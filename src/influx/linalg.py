@@ -21,9 +21,9 @@ The row and column sums of e_plus(x), which are all the rankings need,
 come from matrix-vector products without forming the matrix (the action
 of the matrix function, Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
 2011), by an Operator: a dense d, or the columns of its nonzeros, whose
-products take O(nnz).  The same vector chains carry a sampled sum over
-given powers, micmac's d^k as the one power k of weight 1, and the Monte
-Carlo sums with their sums of squares, which give their standard errors.
+products take O(nnz).  The same vector chains carry sums over given
+powers: micmac's d^k 1 as the one power k of weight 1, and the Monte
+Carlo sums, with the sums of squares that give their standard errors.
 """
 
 import math

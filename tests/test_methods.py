@@ -551,8 +551,8 @@ def _scale_free(op: Operator, seen) -> bool:
     tiny = np.finfo(float).tiny
     a = np.abs(op._array())
     for x in seen:
-        big = max(1.0, float(np.abs(x).max(initial=0.0)))
         x = np.abs(x)
+        big = max(1.0, float(x.max(initial=0.0)))
         with np.errstate(under="ignore", over="ignore"):
             parts = np.concatenate([x, (a * x).ravel(), (a * x[:, None]).ravel()])
         if not np.isfinite(parts).all() or ((parts > 0) & (parts < tiny * big)).any():
