@@ -301,8 +301,8 @@ class _SlicedEll:
         """A copy of a row-ordered a with its rows back in d's order."""
         return a[self.rank]
 
-    def __call__(self, q: np.ndarray, out: np.ndarray) -> None:
-        """out = d q in the blocks' row order.
+    def __call__(self, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = d q in the blocks' row order; returns out.
 
         Per chunk, one gather of the rows of q its nonzeros name into
         scratch (mode="clip" gathers straight into it, where the default
@@ -314,6 +314,7 @@ class _SlicedEll:
             np.take(q, columns, axis=0, mode="clip", out=rows)
             np.matmul(values, rows.reshape(b - a, -1, q.shape[1]), out=out[a:b, None])
         out[self.filled:] = 0.0
+        return out
 
 
 def _sliced_ell(d) -> _SlicedEll | None:
@@ -326,10 +327,10 @@ def _sliced_ell(d) -> _SlicedEll | None:
 
 def _stepper(op: Operator):
     """A chain over the powers of op's matrix d as (start, step, leave):
-    start(k) is a new d^k in the chain's row order, step(q, out) writes the
-    power after q into out, and leave(a) is a copy of such an a, or a
-    itself, in d's basis.  d is formed from op once a start(k), and once in
-    all on the np.matmul step, which holds it."""
+    start(k) is a new d^k in the chain's row order, step(q, out) returns the
+    power after q, written into out, and leave(a) is a copy of such an a,
+    or a itself, in d's basis.  d is formed from op once a start(k), and
+    once in all on the np.matmul step, which holds it."""
     sliced = _sliced_ell(op)
     if sliced is not None:
         return (lambda k: sliced.enter(op._array() if k == 1 else mat_pow(op._array(), k)),
@@ -459,20 +460,23 @@ def _chain(first, k: int, step, norm: float, lam: float | None, tol: float, norm
     geometric series u_K * r / (1 - r).  The pass goes on, adding no more
     series terms, until it has reached the last sampled power.
 
-    Each power is held as 2^s * q, and q is rescaled by a power of two
-    into [1, 2) whenever its largest entry leaves [1, 2^64].  A term
+    Each power is held as 2^s * q.  With a series, q is rescaled by a power
+    of two into [1, 2) whenever its largest entry leaves [1, 2^64].  A term
     w_k 2^s q is then at least its coefficient w_k 2^s, so neither a power
     nor a coefficient leaves the float range where the term does not; the
     rescaling is exact, so in range the terms are those of w_k P_k bit for
-    bit.  Terms are added in plain floating point: each entry of the sum
-    of K terms is off by at most about K eps times the sum of its terms'
-    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, section 4.2), so by K eps |T| for a nonnegative d, but by up to
-    eps e^{lam ||d||} where terms cancel.  The pass works in `first`, which
-    it overwrites and lets go of before it returns, and in one array
-    allocated before it starts, and one more for each sum it returns:
-    step(q, out) writes the next power into out, which also holds each term
-    on its way into the sums until then.
+    bit.  With no series, q is P_k, and the sums are the plain products'
+    bit for bit, until a step overflows: that step is taken again from q
+    scaled into [1, 2), and q is scaled back toward s = 0 while its largest
+    entry is below 1.  Terms are added in plain floating point: each entry
+    of the sum of K terms is off by at most about K eps times the sum of
+    its terms' magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2), so by K eps |T| for a nonnegative d,
+    but by up to eps e^{lam ||d||} where terms cancel.  The pass works in
+    `first`, which it overwrites and lets go of before it returns, and in
+    one array allocated before it starts, and one more for each sum it
+    returns: step(q, out) returns the next power, in out for a matrix, and
+    out also holds each term on its way into the sums.
 
     Raises NoConvergenceWithinBudget if the bound is still above tol after
     MAX_SERIES_TERMS terms, and its subclass NumericOverflow at the first
@@ -482,19 +486,27 @@ def _chain(first, k: int, step, norm: float, lam: float | None, tol: float, norm
     sampled = list(sampled)
     series = lam is not None
     q = first  # P_k = 2^s q
-    q += 0.0  # turns -0.0 into +0.0 as mat_pow does
     spare, total = np.empty_like(q), np.zeros_like(q) if series else None
-    estimate = np.zeros_like(q) if sampled else None
+    # with no series from -0.0, the identity of +: one term sums to itself
+    estimate = np.full_like(q, 0.0 if series else -0.0) if sampled else None
     second = np.zeros_like(q) if sampled and squares else None
     what = "exponential series term" if series else "matrix power"
     # with no series to sum, its report is complete from the start
     s, at, report = 0, 0, None if series else SeriesReport(terms_used=0, tail_bound=0.0)
+    last = 0.0  # the largest |entry| of the q that step took to this one
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             qmax = max(float(q.max(initial=0.0)), -float(q.min(initial=0.0)))
+            if not (series or math.isfinite(qmax)) and last >= 2.0:
+                # the step overflowed: take it again from the power before, in [1, 2)
+                shift = math.frexp(last)[1] - 1
+                last, s = math.ldexp(last, -shift), s + shift
+                q = step(np.ldexp(spare, -shift, out=spare), q)
+                continue
             _finite(f"{what} {k}", qmax, terms=k - 1 if series else 0, tol=tol)
-            if qmax and not 1.0 <= qmax <= 2.0**64:
-                shift = math.frexp(qmax)[1] - 1  # to [1, 2)
+            if qmax and (not 1.0 <= qmax <= 2.0**64 if series else s > 0 and qmax < 1.0):
+                # to [1, 2), with no series no further than s = 0
+                shift = max(math.frexp(qmax)[1] - 1, -math.inf if series else -s)
                 np.ldexp(q, -shift, out=q)
                 qmax = math.ldexp(qmax, -shift)
                 s += shift
@@ -521,9 +533,7 @@ def _chain(first, k: int, step, norm: float, lam: float | None, tol: float, norm
                 at += 1
             if report is not None and at == len(sampled):
                 break
-            step(q, spare)
-            q, spare = spare, q
-            k += 1
+            q, spare, last, k = step(q, spare), q, qmax, k + 1
     del first, q, spare  # so the sums' checks and copies take the powers' place
     _finite("exponential series sum", total, terms=report.terms_used, tol=tol)
     _finite("weighted sum of matrix powers", estimate)
@@ -571,8 +581,8 @@ def _vectors(d, lam: float | None = None, tol: float = math.nan, normalised: boo
     op = _operator(d)
     ones = np.ones(op.n)
     sides = [
-        _chain(product(ones), 1, lambda v, out, product=product: np.copyto(out, product(v)),
-               op.abs_sum(axis), lam, tol, normalised, sampled, squares=lam is not None)
+        _chain(product(ones), 1, lambda v, out, product=product: product(v), op.abs_sum(axis),
+               lam, tol, normalised, sampled, squares=lam is not None)
         for product, axis in ((op.matvec, 1), (op.rmatvec, 0))
     ]
     totals, estimates, seconds, (by_row, by_col) = zip(*sides)

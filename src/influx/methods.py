@@ -7,7 +7,7 @@ are ranked by those scores.  Each engine takes a dense matrix or an
 Operator, and takes d and f from matrix-vector products on either, without
 forming T, so a matrix and Operator.dense of it give the same result bit
 for bit.  T itself comes from the matrix kernels: pwp_matrix_report for
-pwp, and for micmac mat_pow, or linalg._dense's one power k in the CLI.
+pwp, mat_pow for micmac.
 """
 
 from dataclasses import dataclass, field
@@ -69,9 +69,9 @@ def micmac(d, k: int = 4) -> IndirectInfluenceResult:
     """Fixed-power method: T = d^k for a small natural number k.
 
     d is a matrix or an :class:`Operator`; d and f are the vector chains'
-    one sampled power k (see :func:`influx.linalg._chain`), k products
-    each, so the cost is linear in k.  An overflow is found where d 1,
-    1 d or the result overflows, not where an intermediate power does.
+    one sampled power k (see :func:`influx.linalg._chain`): k products a
+    side, so the cost is linear in k, equal to the plain products bit for
+    bit where none overflows, and finite where only one between does.
     """
     _at_least("k", k, 1)
     _, sums, _, _ = _vectors(d, sampled=[(k, 1.0)])
