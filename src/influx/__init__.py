@@ -3,9 +3,8 @@
 Three engines over the same direct-influence matrix D (entry (i, j) holds
 the weight of edge j -> i), each taking T's row and column sums from
 matrix-vector products on a dense D or an Operator such as a graph's edge
-columns (to_operator, web_operator), on one loop over the powers of D for
-pwp, micmac and the Monte Carlo sums; T comes from the matrix kernels
-(mat_pow, pwp_matrix):
+columns (to_operator, web_operator), pwp's and micmac's on one loop over
+the powers of D; T itself comes from the matrix kernels (mat_pow, pwp_matrix):
 
 * micmac    -- T = D^k for a small fixed k
 * pagerank  -- T = limit of powers of the damped, repaired column-stochastic

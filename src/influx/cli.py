@@ -34,7 +34,7 @@ from .graph import (
     to_operator,
     web_operator,
 )
-from .linalg import _at_least, _checked, _dense, _finite, pwp_matrix
+from .linalg import _at_least, _checked, _finite, mat_pow, pwp_matrix
 from .methods import _ranking_order, _scores, micmac, pagerank, pwp
 from .stochastic import _blocks, _matrices, _sums, _tally, make_rng, moments
 
@@ -267,7 +267,7 @@ def _micmac_block(g: DirectInfluenceGraph, args, emit_matrix: bool) -> dict:
         "diagnostics": {},
     }
     if emit_matrix:
-        block["T"] = _dense(op, sampled=[(args.k, 1.0)])[1]
+        block["T"] = mat_pow(op._array(), args.k)
     return block
 
 

@@ -109,7 +109,7 @@ def test_compute_csv_forms_no_matrix(line3, capsys, monkeypatch, method):
         raise AssertionError("T formed for a CSV")
 
     monkeypatch.setattr(influx.cli, "pwp_matrix", refuse)
-    monkeypatch.setattr(influx.cli, "_dense", refuse)
+    monkeypatch.setattr(influx.cli, "mat_pow", refuse)
     assert run(capsys, "compute", "--method", method, "--csv", "--emit-matrix", line3) == csv
 
 
@@ -292,9 +292,9 @@ def test_an_edge_list_with_a_byte_order_mark_reads_as_without(random12, tmp_path
 @pytest.mark.parametrize("methods", ["pwp,micmac,pagerank", "pagerank"])
 def test_compare_forms_no_dense_matrix(random12, capsys, monkeypatch, methods):
     # every engine runs on the graph's edge columns, and so does each
-    # --emit-matrix: its chain forms a dense D from the columns as its
-    # first power, so the CLI has no dense-matrix builder or power to call
-    assert not hasattr(influx.cli, "to_matrix") and not hasattr(influx.cli, "mat_pow")
+    # --emit-matrix: pwp's chain and micmac's mat_pow form a dense D from
+    # the columns, so the CLI has no dense-matrix builder to call
+    assert not hasattr(influx.cli, "to_matrix")
     calls = []
     for module, name in [(influx.graph, "web_normalize"), (influx.methods, "pagerank_repair")]:
         real = getattr(module, name)
