@@ -10,14 +10,18 @@ before the first byte is written; the text then goes to stdout or the -o
 file in chunks of at least 64 KiB, a matrix a row at a time, so the whole
 text is never held.  A failing command writes nothing and leaves no -o file.
 
-Exit codes: 0 success, 2 usage or parse failure, 3 numeric failure
-(no convergence, overflow, bad column sums) or running out of memory; each
-InfluenceError names its own code in `exit_code`.
+Exit codes: 0 success, 2 usage or parse failure or a failed write, 3 numeric
+failure (no convergence, overflow, bad column sums) or running out of
+memory; each InfluenceError names its own code in `exit_code`.  The
+`influx` command is `run`, which ends the process once `main` has flushed
+the report, without the interpreter's teardown.
 """
 
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from itertools import chain
 from pathlib import Path
@@ -323,17 +327,24 @@ def _load_graph(path: str) -> DirectInfluenceGraph:
 
 
 def _emit(chunks, output: str | None):
-    """Write the chunks to stdout, or to the file `output`, which is left
-    only once every chunk is written."""
+    """Write the chunks to stdout, or to the file `output`, and flush them,
+    so a failed write is raised here.  A regular file is left only once
+    every chunk is written; a symlink or a device that `output` names is
+    never removed."""
     if not output:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         for chunk in chunks:
             sys.stdout.write(chunk)
+        sys.stdout.flush()
         return
     with open(output, "w", encoding="utf-8") as file:
         try:
             file.writelines(chunks)
+            file.flush()
         except BaseException:
-            Path(output).unlink()
+            if stat.S_ISREG(os.lstat(output).st_mode):
+                os.unlink(output)
             raise
 
 
@@ -535,5 +546,15 @@ def main(argv=None) -> int:
         return 3
 
 
+def run():
+    """The `influx` command: main() on sys.argv, then the process ends
+    without tearing down the interpreter, which takes longer than most
+    commands.  main has flushed the report; only stderr is left."""
+    code = main()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

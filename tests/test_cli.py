@@ -1,6 +1,7 @@
 """Command-line surface: reports, determinism, exit codes, generation."""
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -381,6 +382,69 @@ def test_an_output_file_is_removed_when_a_write_fails(tmp_path):
     assert not dest.exists()
 
 
+def test_an_output_file_is_removed_when_its_flush_fails(tmp_path, monkeypatch):
+    # a buffered tail fails only as it is flushed, before the file closes
+    class FullDisk(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    def full_open(path, mode, encoding):
+        Path(path).touch()
+        return FullDisk()
+
+    monkeypatch.setattr(influx.cli, "open", full_open, raising=False)
+    dest = tmp_path / "report.json"
+    with pytest.raises(OSError, match="No space"):
+        influx.cli._emit(iter(["{}\n"]), str(dest))
+    assert not dest.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("emit_matrix", [False, True], ids=["flush", "write"])
+def test_a_failed_output_write_keeps_a_symlink(tmp_path, edge_list, capsys, emit_matrix):
+    # only a regular file is removed; the link, and what it names, stay.  A
+    # small report fails as it is flushed, a matrix's 64 KiB chunks as written
+    path = tmp_path / "g.csv"
+    path.write_text(edge_list(200, 3) if emit_matrix else LINE3)
+    link = tmp_path / "link"
+    link.symlink_to("/dev/full")
+    argv = ["compute", "--method", "pwp", *(["--emit-matrix"] if emit_matrix else [])]
+    code, out, err = run(capsys, *argv, str(path), "-o", str(link))
+    assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
+    assert link.is_symlink() and os.readlink(link) == "/dev/full"
+
+
+def test_a_closed_stdout_exits_2(line3, capsys, monkeypatch):
+    # Python makes sys.stdout None when the process starts with fd 1 closed
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(capsys, "compare", line3) == (2, "", "error: stdout is closed\n")
+
+
+def _real_process(argv, **kwargs):
+    """python -m influx.cli argv, in a process of its own, with buffered
+    stdout and influx from this source tree."""
+    src = str(Path(influx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "influx.cli", *argv], stderr=subprocess.PIPE,
+                          text=True, env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_stdout_exits_2_in_a_real_process(line3):
+    # the small report sits in stdout's buffer until main flushes it; a
+    # flush at interpreter exit would print "Exception ignored" and exit 120
+    with open("/dev/full", "w") as full:
+        proc = _real_process(["compute", "--method", "pwp", line3], stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_a_closed_stdout_exits_2_in_a_real_process(line3):
+    proc = _real_process(["compare", line3], preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["compare"], ["compare", "--csv"], ["compute", "--method", "pwp", "--emit-matrix"],
     ["compute", "--method", "pagerank", "--emit-matrix"], ["generate", "line", "-n", "3"],
@@ -395,12 +459,16 @@ def test_output_file_holds_what_stdout_does(random12, tmp_path, capsys, argv):
 
 def test_reports_are_written_in_large_chunks(tmp_path, edge_list, monkeypatch):
     # stdout may be unbuffered, so each write can be a system call: every
-    # write but the last holds at least 64 KiB
+    # write but the last holds at least 64 KiB; one flush follows the last,
+    # so a failed write is raised inside main
     path = tmp_path / "g.csv"
     path.write_text(edge_list(200, 3))
     writes = []
-    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, s: writes.append(s)})())
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {
+        "write": lambda self, s: writes.append(s), "flush": lambda self: writes.append(None),
+    })())
     assert main(["compute", "--method", "pwp", "--emit-matrix", str(path)]) == 0
+    assert writes.count(None) == 1 and writes.pop() is None
     text = "".join(writes)
     report = json.loads(text)
     assert dumps_report(report) == text

@@ -13,10 +13,15 @@ products, so another CPU or BLAS may round them differently.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import influx
 from influx.cli import main
 
 N = 600
@@ -108,3 +113,19 @@ def test_report_is_the_pinned_one(graphs, tmp_path, seed, command):
     assert main([*COMMANDS[command], str(graphs[seed]), "-o", str(out)]) == 0
     got = _digest(out.read_bytes())
     assert got == REPORTS[seed, command], f"report {command} on seed {seed} is now {got}"
+
+
+@pytest.mark.parametrize("command", ["micmac-matrix", "montecarlo"])
+def test_a_real_process_writes_every_byte(graphs, command):
+    # the command ends the process without the interpreter's teardown, so
+    # nothing flushes stdout after main: a tail left in its buffer, or the
+    # whole of a 281-byte report, would be lost
+    src = str(Path(influx.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "influx.cli", *COMMANDS[command], str(graphs[1])],
+        capture_output=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert _digest(proc.stdout) == REPORTS[1, command]
