@@ -547,9 +547,8 @@ def main(argv=None) -> int:
 
 
 def run():
-    """The `influx` command: main() on sys.argv, then the process ends
-    without tearing down the interpreter, which takes longer than most
-    commands.  main has flushed the report; only stderr is left."""
+    """The `influx` command: main() on sys.argv, then os._exit, which skips
+    the interpreter's teardown (about 20 ms); main has flushed the report."""
     code = main()
     if sys.stderr is not None:
         sys.stderr.flush()

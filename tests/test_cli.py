@@ -440,9 +440,13 @@ def test_a_failed_write_to_stdout_exits_2_in_a_real_process(line3):
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
 
-def test_a_closed_stdout_exits_2_in_a_real_process(line3):
-    proc = _real_process(["compare", line3], preexec_fn=lambda: os.close(1))
-    assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
+@pytest.mark.parametrize("fds, err", [((1,), "error: stdout is closed\n"), ((1, 2), "")],
+                         ids=["stdout", "stdout and stderr"])
+def test_a_closed_stdout_exits_2_in_a_real_process(line3, fds, err):
+    # Python makes sys.stdout None when fd 1 is closed, and sys.stderr too
+    # when fd 2 is, so run must not flush it
+    proc = _real_process(["compare", line3], preexec_fn=lambda: [os.close(fd) for fd in fds])
+    assert (proc.returncode, proc.stderr) == (2, err)
 
 
 @pytest.mark.parametrize("argv", [
