@@ -23,6 +23,7 @@ import math
 import os
 import stat
 import sys
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from .graph import (
 )
 from .linalg import _at_least, _checked, _finite, mat_pow, pwp_matrix
 from .methods import _ranking_order, _scores, micmac, pagerank, pwp
-from .stochastic import _blocks, _matrices, _sums, _tally, make_rng, moments
+from .stochastic import _MOST_SAMPLES, _draw_tally, _matrices, _sums, make_rng, moments
 
 def canonical_float(x: float) -> float:
     """Round to 12 significant digits so repr() is short and stable."""
@@ -410,14 +411,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    _at_least("-N", args.samples, 1)
+    _at_least("-N", args.samples, 1, _MOST_SAMPLES)
     g = _load_graph(args.graph)
     d = to_operator(g)
-    # lambda, tol and e^lambda - 1 before sampling, which takes time in -N; past
-    # its range lambda is a numeric failure (exit 3), whatever the sampler makes of it
+    # lambda, tol and e^lambda - 1 before sampling; past its range lambda is
+    # a numeric failure (exit 3), whatever the sampler makes of it
     _checked(args.lam, args.tol, True)
-    # only the count of each distinct length is kept, never the N lengths
-    tally = _tally(_blocks(args.lam, args.samples, make_rng(args.seed)))
+    # how many of the N lengths take each value, drawn as counts
+    tally = _draw_tally(args.lam, args.samples, make_rng(args.seed))
     # the errors of the sampled d and f, and their z-scores where the
     # standard error is above 0; T is formed only when it is printed
     estimate, exact, sigma = _sums(d, args.lam, tally, args.tol)
@@ -538,12 +539,21 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InfluenceError, ValueError, OSError) as exc:
         # an InfluenceError carries its own code; bad values and files are usage errors
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return getattr(exc, "exit_code", 2)
     except MemoryError as exc:
         # numpy names the allocation that failed, such as a dense D for a vast n
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _complain(f"error: {str(exc) or 'out of memory'}")
         return 3
+
+
+def _complain(line: str) -> None:
+    """Write the line to stderr; where stderr is closed (None, which print
+    would take for stdout) or refuses the write, the exit code alone tells
+    what failed."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(line, file=sys.stderr, flush=True)
 
 
 def run():
@@ -551,7 +561,8 @@ def run():
     the interpreter's teardown (about 20 ms); main has flushed the report."""
     code = main()
     if sys.stderr is not None:
-        sys.stderr.flush()
+        with suppress(OSError):  # an error line stderr refused is still buffered
+            sys.stderr.flush()
     os._exit(code)
 
 

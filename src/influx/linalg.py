@@ -87,13 +87,15 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _at_least(name: str, value, least: int) -> None:
+def _at_least(name: str, value, least: int, most: float = math.inf) -> None:
     """The package's one integer parameter check: an integer (numpy's too,
-    but not a bool) that is >= least."""
+    but not a bool) that is >= least and <= most."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
 
 
 def _integers(name: str, values, rule: str = "integers") -> np.ndarray:

@@ -8,9 +8,10 @@ averaging D^K over many draws converges to the exponential walk-weighting
 matrix, which is exactly what monte_carlo_pwp does; averaging D^K 1 and
 1 D^K gives its row and column sums, with a standard error for each
 (estimate_and_exact_vectors).  These averages need only how many of the N
-draws hit each length, so monte_carlo_pwp and the montecarlo command draw
-the lengths in blocks of _BLOCK and keep just those counts and the
-lengths' exact sum: their memory does not grow with N.
+draws hit each length, a multinomial(N, p) vector, so monte_carlo_pwp and
+the montecarlo command draw those counts directly, one binomial a length
+(_draw_tally): neither their time nor their memory grows with N.
+sample_lengths draws the N lengths one by one, in blocks of _BLOCK.
 
 Randomness comes from the Philox 4x64 counter-based generator (10 rounds,
 as implemented by numpy) keyed by the caller's seed, so every estimate is
@@ -22,6 +23,7 @@ off by key without overlap.
 # numpy.random nor fractions, which only the Bernoulli functions use
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -36,9 +38,14 @@ TWO_PI = 2.0 * math.pi
 # numpy's Generator.poisson refuses a mean above this (its POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
-# the walk lengths are drawn this many at a time, so a Monte Carlo run
-# holds the counts of the distinct lengths and not the lengths themselves
+# sample_lengths draws the walk lengths this many at a time
 _BLOCK = 8192
+
+# a tally's table of the length law holds this many lengths at a time
+_SPAN = 4096
+
+# the most walks a Monte Carlo run takes: numpy's binomial counts are int64
+_MOST_SAMPLES = 2**63 - 1
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -196,6 +203,105 @@ def _tally(blocks, least: int = 1) -> _Tally:
     return _Tally(list(zip(ks, shares)), size, sum(k * c for k, c in counts.items()))
 
 
+def _draw_tally(lam: float, size: int, rng: np.random.Generator) -> _Tally:
+    """The tally of `size` draws from the length law, drawn as counts.
+
+    From the first length whose pmf is a nonzero float, each length k
+    takes c_k ~ Binomial(rest, p(k) / P(K >= k)) of the `rest` walks not yet
+    placed, until none is left: the conditional binomials of a
+    multinomial(size, p) vector (C. S. Davis, "The computer generation of
+    multinomial random variates", Comput. Stat. Data Anal. 16(2), 1993).
+    Where that probability is above 1/2, rest - Binomial(rest, P(K > k) /
+    P(K >= k)) is drawn instead, as numpy would from 1 minus it, but with
+    the tail's own precision.  p(k) is pwp's series weight, and the tails
+    are summed from the upper end of a table of them (:func:`_law`), never
+    as 1 minus a sum; where the mass past the table is no longer below a
+    tail's rounding, a new table starts, so no length is clipped.  The cost
+    is one binomial draw a length up to the longest one drawn, whatever
+    `size` is.  lam is checked as :func:`_blocks` checks it, and size runs
+    from 1 to 2^63 - 1.
+    """
+    _positive("lam", lam)
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
+    _at_least("size", size, 1, _MOST_SAMPLES)
+    sampled, total, rest, k = [], 0, size, _first_length(lam)
+    while rest:
+        beyond, law = _law(lam, k)
+        for w, tail, after in law:
+            if tail * 2.0**-53 < beyond:
+                break  # P(K >= k), and every later tail, misses the mass past the table
+            if w > after and after * 2.0**-53 >= beyond:
+                c = rest - int(rng.binomial(rest, after / tail))
+            else:
+                c = int(rng.binomial(rest, w / tail))
+            if c:
+                sampled.append((k, c / size))
+                total += k * c
+                rest -= c
+                if not rest:
+                    break
+            k += 1
+    return _Tally(sampled, size, total)
+
+
+def _first_length(lam: float) -> int:
+    """The least k >= 1 whose pmf is a nonzero float, found by bisection
+    below the mode max(1, floor(lam)), up to which the pmf rises."""
+    zero, nonzero = 0, max(1, math.floor(lam))
+    while nonzero - zero > 1:
+        k = (zero + nonzero) // 2
+        if pmf(lam, k):
+            nonzero = k
+        else:
+            zero = k
+    return nonzero
+
+
+def _law(lam: float, k: int) -> tuple[float, Iterator[tuple[float, float, float]]]:
+    """The length law from k up to its last length J, scaled by the power
+    of two that puts its largest probability in [0.5, 2): a bound on the
+    mass past J, and (p(j), P(K >= j), P(K > j)) for j = k, ..., J.
+
+    J is the first length past the mode at which that bound, p(J) r / (1 - r)
+    for r = lam / (J + 1), is at most 2^-128: past the mode each
+    p(j + 1) / p(j) = lam / (j + 1) <= r < 1 falls.  The tails are summed
+    down from J over _SPAN lengths at a time, and only each span's lowest
+    tail is kept: a span's probabilities are formed again, and its tails
+    summed again from the same start, as the rows reach it.
+    """
+    peak = max(k, math.floor(lam), 1)
+    top = _poisson_weight(lam, peak, normalised=True)[1]
+
+    def weight(j: int) -> float:
+        m, e = _poisson_weight(lam, j, normalised=True)
+        return math.ldexp(m, e - top)
+
+    last = peak
+    while True:
+        r = lam / (last + 1)  # rounds to 1 only for a lam past 2^53
+        beyond = weight(last) * r / (1.0 - r) if r < 1.0 else math.inf
+        if beyond <= 2.0**-128:
+            break
+        last += 1
+
+    def span(start: int, after: float) -> tuple[list[float], list[float]]:
+        weights = [weight(j) for j in range(start, min(start + _SPAN, last + 1))]
+        return weights, list(itertools.accumulate(reversed(weights), initial=after))[::-1]
+
+    starts = range(k, last + 1, _SPAN)
+    afters = [0.0]
+    for start in reversed(starts[1:]):
+        afters.append(span(start, afters[-1])[1][0])
+
+    def rows() -> Iterator[tuple[float, float, float]]:
+        for start, after in zip(starts, reversed(afters)):
+            weights, tails = span(start, after)
+            yield from zip(weights, tails, tails[1:])
+
+    return beyond, rows()
+
+
 def estimate_from_lengths(d, lengths) -> np.ndarray:
     """Average of d^k over the given integer walk lengths k >= 0; d is a
     matrix or an :class:`influx.linalg.Operator`.  The shortest power comes
@@ -258,13 +364,13 @@ def monte_carlo_pwp(d, lam: float, samples: int, seed: int) -> np.ndarray:
     """Monte Carlo estimate of the exponential walk-weighting matrix; d is a
     matrix or an :class:`influx.linalg.Operator`, checked before any draw.
 
-    Draws `samples` lengths from the length law with a Philox generator
-    keyed by `seed`, as sample_lengths does, and averages the corresponding
-    matrix powers; only the count of each distinct length is kept.
-    Deterministic for a fixed (seed, samples) pair.
+    Draws how many of `samples` lengths from the length law take each
+    value, with a Philox generator keyed by `seed` (:func:`_draw_tally`),
+    and averages the corresponding matrix powers by those counts; samples
+    runs up to 2^63 - 1.  Deterministic for a fixed (seed, samples) pair.
     """
-    _at_least("samples", samples, 1)
-    return _dense(_operator(d), sampled=_tally(_blocks(lam, samples, make_rng(seed))).sampled)[1]
+    _at_least("samples", samples, 1, _MOST_SAMPLES)
+    return _dense(_operator(d), sampled=_draw_tally(lam, samples, make_rng(seed)).sampled)[1]
 
 
 def bernoulli_numbers(K: int) -> list[Fraction]:

@@ -22,6 +22,7 @@ from influx import errors
 from influx.cli import canonical_float, dumps_report, kendall_tau, main
 from influx import parse_edge_list
 from influx.linalg import _sliced_ell
+from influx.stochastic import _draw_tally
 
 LINE3 = "1,2,1.0\n2,3,1.0\n"
 
@@ -447,6 +448,28 @@ def test_a_closed_stdout_exits_2_in_a_real_process(line3, fds, err):
     # when fd 2 is, so run must not flush it
     proc = _real_process(["compare", line3], preexec_fn=lambda: [os.close(fd) for fd in fds])
     assert (proc.returncode, proc.stderr) == (2, err)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["compute", "--method", "pwp", "--lambda", "nan"], 2),
+    (["montecarlo", "--lambda", "1e19", "-N", "10"], 3),
+], ids=["usage", "numeric"])
+@pytest.mark.parametrize("read_only", [False, True], ids=["closed", "read-only"])
+def test_a_closed_stderr_keeps_the_exit_code_in_a_real_process(line3, argv, code, read_only):
+    # with fd 2 closed, Python makes sys.stderr None; a wrapper script that
+    # execs python can leave its own file open as fd 2, read-only, and then
+    # the error line raises EBADF inside main's except.  Either way the
+    # line is lost, not sent to stdout, and the code is the exit-code table's.
+    def close_stderr():
+        if read_only:
+            fd = os.open(os.devnull, os.O_RDONLY)
+            os.dup2(fd, 2)
+            os.close(fd)
+        else:
+            os.close(2)
+
+    proc = _real_process([*argv, line3], stdout=subprocess.PIPE, preexec_fn=close_stderr)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -901,6 +924,19 @@ def test_montecarlo_zero_samples_usage_error(line3, capsys):
     assert code == 2
 
 
+def test_montecarlo_refuses_more_samples_than_int64_holds(tmp_path, capsys):
+    # refused before the graph is read, as -N 0 is: the file is not there
+    code, out, err = run(capsys, "montecarlo", str(tmp_path / "absent.csv"), "-N", str(10**30))
+    assert (code, out, err) == (2, "", f"error: -N must be <= {2**63 - 1}, got {10**30}\n")
+
+
+def test_montecarlo_takes_a_trillion_samples_at_once(line3, capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "montecarlo", line3, "-N", str(10**12), "--seed", "0")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert json.loads(out)["samples"] == 10**12
+
+
 def test_montecarlo_deterministic(line3, capsys):
     a = run(capsys, "montecarlo", line3, "-N", "2000", "--seed", "9")[1]
     b = run(capsys, "montecarlo", line3, "-N", "2000", "--seed", "9")[1]
@@ -1002,11 +1038,12 @@ def test_montecarlo_infinite_z_score_exits_3(line3, capsys, monkeypatch):
 def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys, monkeypatch):
     # cmd_montecarlo draws its own tally of the lengths (it reports their
     # mean), so it must stay the same estimate as the library's
-    # monte_carlo_pwp, bit for bit, also where the sampled lengths skip a power
+    # monte_carlo_pwp, bit for bit, also where the sampled lengths skip a
+    # power, as they do at seed 34
     text = "1,2,0.5\n2,3,0.7\n3,1,0.9\n3,4,0.4\n4,2,0.3\n4,4,0.2\n"
     path = tmp_path / "g.csv"
     path.write_text(text)
-    assert (np.diff(np.unique(influx.sample_lengths(4.0, 100_000, influx.make_rng(0)))) > 1).any()
+    assert (np.diff([k for k, _ in _draw_tally(4.0, 100_000, influx.make_rng(34)).sampled]) > 1).any()
     estimates = []
     real = influx.cli._matrices
 
@@ -1016,10 +1053,11 @@ def test_montecarlo_estimate_is_monte_carlo_pwp(tmp_path, capsys, monkeypatch):
         return estimate, exact
 
     monkeypatch.setattr(influx.cli, "_matrices", recorded)
-    code, _, _ = run(capsys, "montecarlo", str(path), "--lambda", "4", "-N", "100000", "--emit-matrix")
+    code, _, _ = run(capsys, "montecarlo", str(path), "--lambda", "4", "-N", "100000", "--seed", "34",
+                     "--emit-matrix")
     assert code == 0
     d = influx.to_matrix(parse_edge_list(text))
-    assert np.array_equal(estimates[0], influx.monte_carlo_pwp(d, 4.0, 100_000, 0))
+    assert np.array_equal(estimates[0], influx.monte_carlo_pwp(d, 4.0, 100_000, 34))
 
 
 @pytest.mark.parametrize("lam", ["1e-300", "1e-8", "1e-4"])
@@ -1169,7 +1207,7 @@ def test_montecarlo_checks_tol_before_sampling(line3, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled before checking --tol")
 
-    monkeypatch.setattr(influx.cli, "_blocks", refuse)
+    monkeypatch.setattr(influx.cli, "_draw_tally", refuse)
     for tol, expected in zip(("0", "nan"), messages):
         assert run(capsys, "montecarlo", "--tol", tol, "-N", "30000000", line3) == expected
         assert expected[0] == 2 and f"tol must be finite and > 0, got {float(tol)!r}" in expected[2]

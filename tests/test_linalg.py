@@ -40,6 +40,7 @@ from influx import (
     to_operator,
 )
 from influx.linalg import SPARSE_CUTOFF, _dense, _SlicedEll, _sliced_ell
+from influx.stochastic import _draw_tally
 
 L2 = to_matrix(parse_edge_list("1,2,1"))
 L3 = to_matrix(parse_edge_list("1,2,1\n2,3,1"))
@@ -818,7 +819,7 @@ def test_montecarlo_forms_each_power_once(tmp_path, capsys, matmuls, products, s
         assert main(argv) == 0
         used = len(matmuls) + len(products) + len(steps)
         terms = pwp_matrix_report(d, lam)[1].terms_used
-        longest = int(influx.sample_lengths(lam, samples, influx.make_rng(seed)).max())
+        longest = _draw_tally(lam, samples, influx.make_rng(seed)).sampled[-1][0]
         assert d.shape == (n, n) and terms != longest
         assert used == max(terms, longest) - 1
         assert used < (terms - 1) + (longest - 1)
@@ -852,7 +853,7 @@ def test_montecarlo_takes_each_vector_product_once(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(influx.linalg, "_chain", chain)
     assert main(["montecarlo", str(path), "--lambda", "4", "-N", str(samples), "--seed", str(seed)]) == 0
     by_row, by_col = reports
-    longest = int(influx.sample_lengths(lam, samples, influx.make_rng(seed)).max())
+    longest = _draw_tally(lam, samples, influx.make_rng(seed)).sampled[-1][0]
     assert (by_row.terms_used > longest) == (scale == 1.0)
     assert products == {"matvec": max(by_row.terms_used, longest), "rmatvec": max(by_col.terms_used, longest)}
     monkeypatch.undo()

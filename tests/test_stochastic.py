@@ -3,6 +3,7 @@
 import decimal
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -40,7 +41,7 @@ from influx import (
 from influx.cli import main
 from influx.linalg import _poisson_weight, _sliced_ell
 import influx.stochastic
-from influx.stochastic import _BLOCK, POISSON_LAM_MAX, _blocks, _tally
+from influx.stochastic import _BLOCK, POISSON_LAM_MAX, _blocks, _draw_tally, _tally
 
 
 # -- pmf -------------------------------------------------------------------------
@@ -341,8 +342,8 @@ def _traced_peak(call) -> int:
 
 
 def test_monte_carlo_memory_does_not_grow_with_samples(tmp_path):
-    # the lengths are drawn a block at a time and only their counts kept:
-    # holding 2 000 000 of them would take 16 MB at least
+    # only the count of each length is drawn, never the lengths: holding
+    # 2 000 000 of them would take 16 MB at least
     path = tmp_path / "line3.csv"
     path.write_text(format_edge_list(build(Line(3))))
     d = to_matrix(build(Line(3)))
@@ -354,6 +355,129 @@ def test_monte_carlo_memory_does_not_grow_with_samples(tmp_path):
         run(20_000)  # loads what the first run imports, outside the measurement
         small, large = (_traced_peak(lambda: run(n)) for n in (20_000, 2_000_000))
         assert large - small <= 2**20, route
+
+
+# -- the drawn tally ----------------------------------------------------------------------
+
+def _counts(tally) -> dict[int, int]:
+    """The count of each length in a tally of at most 2^52 draws, exact."""
+    return {k: round(share * tally.size) for k, share in tally.sampled}
+
+
+def _bins(lam: float, n: int) -> list[tuple[int, float]]:
+    """Lengths cut into runs each expected to hold at least 5 of n draws, as
+    (first length, probability) pairs; the last run takes every length
+    from its first on."""
+    bins, first, mass = [], 1, 0.0
+    for k in range(1, int(lam + 40.0 * math.sqrt(lam) + 40.0)):
+        mass += pmf(lam, k)
+        if n * mass >= 5.0:
+            bins.append((first, mass))
+            first, mass = k + 1, 0.0
+    *bins, (start, last) = bins
+    return [*bins, (start, last + mass)]
+
+
+def _binned(counts: dict[int, int], bins) -> list[int]:
+    """counts summed over each of the runs of lengths that `bins` gives."""
+    starts = [start for start, _ in bins]
+    return [sum(c for k, c in counts.items() if lo <= k < hi) for lo, hi in zip(starts, [*starts[1:], math.inf])]
+
+
+def _pooled_z(statistics) -> float:
+    """(X^2 - df) / sqrt(2 df) of chi-square statistics pooled with their
+    degrees of freedom, about standard normal for a right law."""
+    x2, df = (sum(column) for column in zip(*statistics))
+    return (x2 - df) / math.sqrt(2.0 * df)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 0.3, 4.0, 30.0, 700.0])
+def test_drawn_tally_follows_the_length_law(lam):
+    # the chi-square of seven tallies of 100 000 draws against pmf, pooled;
+    # |z| < 4 misses a right law about once in 16 000 runs
+    n, statistics = 100_000, []
+    bins = _bins(lam, n)
+    for seed in range(7):
+        observed = _binned(_counts(_draw_tally(lam, n, make_rng(seed))), bins)
+        assert sum(observed) == n
+        statistics.append((sum((o - n * p) ** 2 / (n * p) for o, (_, p) in zip(observed, bins)), len(bins) - 1))
+    if len(bins) == 1:  # at 1e-300 p(2) is 5e-301: every draw is 1
+        assert lam == 1e-300 and bins[0][0] == 1
+        return
+    assert abs(_pooled_z(statistics)) < 4.0
+
+
+@pytest.mark.parametrize("lam", [0.3, 4.0, 30.0])
+def test_drawn_tally_is_the_tally_of_sample_lengths(lam):
+    # the two-sample chi-square of a drawn tally against one of as many
+    # per-walk lengths, over five seeds; the two are not the same draws
+    n, statistics = 200_000, []
+    bins = _bins(lam, n)
+    for seed in range(5):
+        drawn = _binned(_counts(_draw_tally(lam, n, make_rng(seed))), bins)
+        values, hits = np.unique(sample_lengths(lam, n, make_rng(seed)), return_counts=True)
+        walked = _binned(dict(zip(values.tolist(), hits.tolist())), bins)
+        statistics.append((sum((a - b) ** 2 / (a + b) for a, b in zip(drawn, walked) if a + b), len(bins) - 1))
+    assert abs(_pooled_z(statistics)) < 4.0
+
+
+def test_drawn_tally_keeps_a_length_whose_share_is_below_rounding_of_1():
+    # at 1e-17, p(1) / P(K >= 1) = 1 - 5e-18 is 1.0 as a float, so a draw of
+    # Binomial(N, 1.0) would put all 2^63 - 1 walks on length 1; about 46
+    # take length 2, and the complement draws them
+    size = 2**63 - 1
+    for seed in range(3):
+        (k1, share1), (k2, share2) = _draw_tally(1e-17, size, make_rng(seed)).sampled
+        assert (k1, k2) == (1, 2) and 10 < share2 * size < 100
+
+
+@given(
+    st.floats(min_value=0.0, max_value=750.0, exclude_min=True),
+    st.integers(1, 2**63 - 1),
+    st.integers(0, 2**64 - 1),
+)
+@example(1e-300, 2**63 - 1, 0)
+@example(5e-324, 2**63 - 1, 0)
+@example(709.78, 2**63 - 1, 0)
+@example(4.0, 1, 0)
+def test_drawn_tally_places_every_draw(lam, size, seed):
+    tally = _draw_tally(lam, size, make_rng(seed))
+    lengths, shares = zip(*tally.sampled)
+    assert tally.size == size and 1 <= lengths[0] and all(a < b for a, b in zip(lengths, lengths[1:]))
+    assert all(share > 0.0 for share in shares)
+    assert math.fsum(shares) == pytest.approx(1.0, rel=len(shares) * 2**-52)
+    assert lengths[0] * size <= tally.total <= lengths[-1] * size
+    if size <= 2**52:
+        counts = _counts(tally)
+        assert sum(counts.values()) == size and sum(k * c for k, c in counts.items()) == tally.total
+
+
+def test_drawn_tally_is_deterministic_for_a_seed():
+    assert _draw_tally(4.0, 10**6, make_rng(3)) == _draw_tally(4.0, 10**6, make_rng(3))
+    assert _draw_tally(4.0, 10**6, make_rng(3)) != _draw_tally(4.0, 10**6, make_rng(4))
+
+
+def test_drawn_tally_does_not_depend_on_the_law_table_s_span(monkeypatch):
+    # past _SPAN lengths the table is formed a span at a time, its tails
+    # summed in the same order
+    want = _draw_tally(300.0, 10**7, make_rng(1))
+    monkeypatch.setattr(influx.stochastic, "_SPAN", 7)
+    assert _draw_tally(300.0, 10**7, make_rng(1)) == want
+
+
+def test_monte_carlo_takes_a_trillion_samples_at_once():
+    d = to_matrix(build(Line(3)))
+    start = time.perf_counter()
+    estimate = monte_carlo_pwp(d, 4.0, 10**12, 0)
+    assert time.perf_counter() - start < 1.0
+    assert np.abs(estimate - pwp_matrix(d, 4.0)).max() < 1e-5
+
+
+def test_monte_carlo_refuses_more_samples_than_int64_holds():
+    with pytest.raises(ValueError, match=f"samples must be <= {2**63 - 1}, got {10**30}"):
+        monte_carlo_pwp(np.eye(2), 1.0, 10**30, 0)
+    with pytest.raises(ValueError, match=f"size must be <= {2**63 - 1}, got {2**63}"):
+        _draw_tally(1.0, 2**63, make_rng(0))
 
 
 # -- Monte Carlo estimator ----------------------------------------------------------------
@@ -371,7 +495,7 @@ def test_monte_carlo_identity_is_exact():
 
 def test_monte_carlo_single_draw():
     d = to_matrix(build(Line(4)))
-    k1 = int(sample_lengths(1.0, 1, make_rng(11))[0])
+    [(k1, _)] = _draw_tally(1.0, 1, make_rng(11)).sampled
     estimate = monte_carlo_pwp(d, 1.0, 1, seed=11)
     expected = np.linalg.matrix_power(d, k1)
     assert np.array_equal(estimate, expected)
@@ -388,7 +512,7 @@ def test_monte_carlo_checks_d_before_sampling(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled before checking d")
 
-    monkeypatch.setattr(influx.stochastic, "_blocks", refuse)
+    monkeypatch.setattr(influx.stochastic, "_draw_tally", refuse)
     with pytest.raises(DimensionMismatch):
         monte_carlo_pwp(np.ones((2, 3)), 1.0, 10**7, 0)
     with pytest.raises(ValueError, match="matrix entries must be finite"):
