@@ -182,25 +182,22 @@ class _Tally:
     total: int
 
 
-def _tally(blocks, least: int = 1) -> _Tally:
-    """The tally of the integer lengths >= least in `blocks`, arrays or
-    sequences, in memory bounded by a block and the distinct lengths."""
-    counts, rule = {}, f"integers >= {least}"
-    for block in blocks:
-        try:
-            values, hits = np.unique(_integers("sampled lengths", block, rule), return_counts=True)
-        except OverflowError:
-            raise ValueError(f"sampled lengths must be {rule}, got one past int64") from None
-        if values.size and values[0] < least:
-            raise ValueError(f"sampled lengths must be {rule}, got {values.tolist()[0]!r}")
-        for k, c in zip(values.tolist(), hits.tolist()):
-            counts[k] = counts.get(k, 0) + c
-    if not counts:
+def _tally(lengths, least: int = 1) -> _Tally:
+    """The tally of the integer lengths >= least in `lengths`, an array or
+    a sequence."""
+    rule = f"integers >= {least}"
+    try:
+        values, hits = np.unique(_integers("sampled lengths", lengths, rule), return_counts=True)
+    except OverflowError:
+        raise ValueError(f"sampled lengths must be {rule}, got one past int64") from None
+    if not values.size:
         raise ValueError("need at least one sampled length")
-    ks = sorted(counts)
-    size = sum(counts.values())
-    shares = (np.array([counts[k] for k in ks]) / size).tolist()
-    return _Tally(list(zip(ks, shares)), size, sum(k * c for k, c in counts.items()))
+    if values[0] < least:
+        raise ValueError(f"sampled lengths must be {rule}, got {values.tolist()[0]!r}")
+    ks, counts = values.tolist(), hits.tolist()
+    size = sum(counts)
+    shares = (hits / size).tolist()
+    return _Tally(list(zip(ks, shares)), size, sum(k * c for k, c in zip(ks, counts)))
 
 
 def _draw_tally(lam: float, size: int, rng: np.random.Generator) -> _Tally:
@@ -307,7 +304,7 @@ def estimate_from_lengths(d, lengths) -> np.ndarray:
     matrix or an :class:`influx.linalg.Operator`.  The shortest power comes
     by repeated squaring, and each later one up to the longest from the one
     before, by the power chain's step (see :func:`influx.linalg._chain`)."""
-    return _dense(d, sampled=_tally((lengths,), least=0).sampled)[1]
+    return _dense(d, sampled=_tally(lengths, least=0).sampled)[1]
 
 
 def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +316,7 @@ def estimate_and_exact(d, lam: float, lengths, tol: float = 1e-12) -> tuple[np.n
     for bit whenever the shortest length is 1, gaps between the lengths
     included.
     """
-    return _matrices(d, lam, _tally((lengths,)), tol)
+    return _matrices(d, lam, _tally(lengths), tol)
 
 
 def _matrices(d, lam: float, tally: _Tally, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +344,7 @@ def estimate_and_exact_vectors(
     of up to 1e5.  Raises like :func:`estimate_and_exact`, and NumericOverflow
     where m2 leaves the float range.
     """
-    return _sums(d, lam, _tally((lengths,)), tol)
+    return _sums(d, lam, _tally(lengths), tol)
 
 
 def _sums(d, lam: float, tally: _Tally, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -325,7 +325,7 @@ def test_sample_lengths_in_place_are_the_expressions_draws(lam):
             if not size:
                 continue
             rng = make_rng(seed)
-            tally = _tally(_blocks(lam, size, rng))
+            tally = _tally(np.concatenate(list(_blocks(lam, size, rng))))
             assert _state(rng) == _state(oracle)
             values, counts = np.unique(want, return_counts=True)
             assert tally.sampled == list(zip(values.tolist(), (counts / size).tolist()))
