@@ -10,8 +10,10 @@ matrix, which is exactly what monte_carlo_pwp does; averaging D^K 1 and
 (estimate_and_exact_vectors).  These averages need only how many of the N
 draws hit each length, a multinomial(N, p) vector, so monte_carlo_pwp and
 the montecarlo command draw those counts directly, one binomial a length
-(_draw_tally): neither their time nor their memory grows with N.
-sample_lengths draws the N lengths one by one, in blocks of _BLOCK.
+(_draw_tally): once N is past a few dozen walks a length of the law's
+table, neither their time nor their memory grows with N.  sample_lengths
+draws the N lengths one by one, in blocks of _BLOCK; _draw_tally does so
+below that N.
 
 Randomness comes from the Philox 4x64 counter-based generator (10 rounds,
 as implemented by numpy) keyed by the caller's seed, so every estimate is
@@ -41,8 +43,9 @@ POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max)
 # sample_lengths draws the walk lengths this many at a time
 _BLOCK = 8192
 
-# a tally's table of the length law holds this many lengths at a time
-_SPAN = 4096
+# a length of _draw_tally's chain of binomials costs about as much as
+# drawing this many walks one by one
+_WALKS_A_LENGTH = 32
 
 # the most walks a Monte Carlo run takes: numpy's binomial counts are int64
 _MOST_SAMPLES = 2**63 - 1
@@ -148,9 +151,7 @@ def _blocks(lam: float, size: int, rng: np.random.Generator) -> Iterator[np.ndar
     `size` Poisson draws would give, bit for bit.  lam and size are checked,
     and the uniforms skipped, before this returns.
     """
-    _positive("lam", lam)
-    if lam > POISSON_LAM_MAX:
-        raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
+    _sampled_lam(lam)
     _at_least("size", size, 0)
     uniforms = np.random.Generator(type(rng.bit_generator)())
     uniforms.bit_generator.state = rng.bit_generator.state
@@ -159,6 +160,13 @@ def _blocks(lam: float, size: int, rng: np.random.Generator) -> Iterator[np.ndar
         rng.random(out=rest[:size - start])
     return (_lengths(lam, uniforms.random(out=rest[:size - start]), rng)
             for start in range(0, size, _BLOCK))
+
+
+def _sampled_lam(lam: float) -> None:
+    """Check lam as numpy's Poisson draw needs it."""
+    _positive("lam", lam)
+    if lam > POISSON_LAM_MAX:
+        raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
 
 
 def _lengths(lam: float, rest: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -213,18 +221,24 @@ def _draw_tally(lam: float, size: int, rng: np.random.Generator) -> _Tally:
     the tail's own precision.  p(k) is pwp's series weight, and the tails
     are summed from the upper end of a table of them (:func:`_law`), never
     as 1 minus a sum; where the mass past the table is no longer below a
-    tail's rounding, a new table starts, so no length is clipped.  The cost
-    is one binomial draw a length up to the longest one drawn, whatever
-    `size` is.  lam is checked as :func:`_blocks` checks it, and size runs
-    from 1 to 2^63 - 1.
+    tail's rounding, a new table starts, so no length is clipped.
+
+    The table spans about 53 standard deviations of the law, sqrt(lam) each
+    past lam = 1, and a length of it costs about as much as _WALKS_A_LENGTH
+    walks drawn one by one.  So where `size` is below that many walks a
+    length, the walks are drawn one by one (:func:`sample_lengths`) and
+    tallied instead: the cost is that of the smaller of `size` walks and
+    one table, whatever `size` and lam are.  lam is checked as
+    :func:`_blocks` checks it; the callers check that size runs from 1 to
+    2^63 - 1.
     """
-    _positive("lam", lam)
-    if lam > POISSON_LAM_MAX:
-        raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
-    _at_least("size", size, 1, _MOST_SAMPLES)
-    sampled, total, rest, k = [], 0, size, _first_length(lam)
-    while rest:
-        beyond, law = _law(lam, k)
+    _sampled_lam(lam)
+    k = _first_length(lam)
+    last, beyond, law = _law(lam, k)
+    if size < _WALKS_A_LENGTH * (last - k + 1):
+        return _tally(sample_lengths(lam, size, rng))
+    sampled, total, rest = [], 0, size
+    while True:
         for w, tail, after in law:
             if tail * 2.0**-53 < beyond:
                 break  # P(K >= k), and every later tail, misses the mass past the table
@@ -237,9 +251,9 @@ def _draw_tally(lam: float, size: int, rng: np.random.Generator) -> _Tally:
                 total += k * c
                 rest -= c
                 if not rest:
-                    break
+                    return _Tally(sampled, size, total)
             k += 1
-    return _Tally(sampled, size, total)
+        _, beyond, law = _law(lam, k)
 
 
 def _first_length(lam: float) -> int:
@@ -255,17 +269,16 @@ def _first_length(lam: float) -> int:
     return nonzero
 
 
-def _law(lam: float, k: int) -> tuple[float, Iterator[tuple[float, float, float]]]:
+def _law(lam: float, k: int) -> tuple[int, float, Iterator[tuple[float, float, float]]]:
     """The length law from k up to its last length J, scaled by the power
-    of two that puts its largest probability in [0.5, 2): a bound on the
-    mass past J, and (p(j), P(K >= j), P(K > j)) for j = k, ..., J.
+    of two that puts its largest probability in [0.5, 2): J, a bound on the
+    mass past J, and (p(j), P(K >= j), P(K > j)) for j = k, ..., J, formed
+    only as they are read.
 
     J is the first length past the mode at which that bound, p(J) r / (1 - r)
     for r = lam / (J + 1), is at most 2^-128: past the mode each
-    p(j + 1) / p(j) = lam / (j + 1) <= r < 1 falls.  The tails are summed
-    down from J over _SPAN lengths at a time, and only each span's lowest
-    tail is kept: a span's probabilities are formed again, and its tails
-    summed again from the same start, as the rows reach it.
+    p(j + 1) / p(j) = lam / (j + 1) <= r < 1 falls, so the bound does too,
+    and J is found by doubling a step from the mode, then by bisection.
     """
     peak = max(k, math.floor(lam), 1)
     top = _poisson_weight(lam, peak, normalised=True)[1]
@@ -274,29 +287,27 @@ def _law(lam: float, k: int) -> tuple[float, Iterator[tuple[float, float, float]
         m, e = _poisson_weight(lam, j, normalised=True)
         return math.ldexp(m, e - top)
 
-    last = peak
-    while True:
-        r = lam / (last + 1)  # rounds to 1 only for a lam past 2^53
-        beyond = weight(last) * r / (1.0 - r) if r < 1.0 else math.inf
-        if beyond <= 2.0**-128:
-            break
-        last += 1
+    def bound(j: int) -> float:
+        r = lam / (j + 1)  # rounds to 1 only for a j within 2^-53 lam of lam
+        return weight(j) * r / (1.0 - r) if r < 1.0 else math.inf
 
-    def span(start: int, after: float) -> tuple[list[float], list[float]]:
-        weights = [weight(j) for j in range(start, min(start + _SPAN, last + 1))]
-        return weights, list(itertools.accumulate(reversed(weights), initial=after))[::-1]
-
-    starts = range(k, last + 1, _SPAN)
-    afters = [0.0]
-    for start in reversed(starts[1:]):
-        afters.append(span(start, afters[-1])[1][0])
+    over, step = peak - 1, 1  # the bound at `over` is taken to be above 2^-128
+    while bound(over + step) > 2.0**-128:
+        over, step = over + step, 2 * step
+    last = over + step
+    while last - over > 1:
+        j = (over + last) // 2
+        if bound(j) > 2.0**-128:
+            over = j
+        else:
+            last = j
 
     def rows() -> Iterator[tuple[float, float, float]]:
-        for start, after in zip(starts, reversed(afters)):
-            weights, tails = span(start, after)
-            yield from zip(weights, tails, tails[1:])
+        weights = [weight(j) for j in range(k, last + 1)]
+        tails = list(itertools.accumulate(reversed(weights), initial=0.0))[::-1]
+        yield from zip(weights, tails, tails[1:])
 
-    return beyond, rows()
+    return last, bound(last), rows()
 
 
 def estimate_from_lengths(d, lengths) -> np.ndarray:

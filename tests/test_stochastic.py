@@ -41,7 +41,16 @@ from influx import (
 from influx.cli import main
 from influx.linalg import _poisson_weight, _sliced_ell
 import influx.stochastic
-from influx.stochastic import _BLOCK, POISSON_LAM_MAX, _blocks, _draw_tally, _tally
+from influx.stochastic import (
+    _BLOCK,
+    _WALKS_A_LENGTH,
+    POISSON_LAM_MAX,
+    _blocks,
+    _draw_tally,
+    _first_length,
+    _law,
+    _tally,
+)
 
 
 # -- pmf -------------------------------------------------------------------------
@@ -440,6 +449,7 @@ def test_drawn_tally_keeps_a_length_whose_share_is_below_rounding_of_1():
 @example(5e-324, 2**63 - 1, 0)
 @example(709.78, 2**63 - 1, 0)
 @example(4.0, 1, 0)
+@example(1e6, 2**63 - 1, 0)
 def test_drawn_tally_places_every_draw(lam, size, seed):
     tally = _draw_tally(lam, size, make_rng(seed))
     lengths, shares = zip(*tally.sampled)
@@ -457,12 +467,50 @@ def test_drawn_tally_is_deterministic_for_a_seed():
     assert _draw_tally(4.0, 10**6, make_rng(3)) != _draw_tally(4.0, 10**6, make_rng(4))
 
 
-def test_drawn_tally_does_not_depend_on_the_law_table_s_span(monkeypatch):
-    # past _SPAN lengths the table is formed a span at a time, its tails
-    # summed in the same order
-    want = _draw_tally(300.0, 10**7, make_rng(1))
-    monkeypatch.setattr(influx.stochastic, "_SPAN", 7)
-    assert _draw_tally(300.0, 10**7, make_rng(1)) == want
+def _table_end(lam: float, k: int) -> tuple[int, float]:
+    """The law table's last length and the bound on the mass past it, by
+    stepping one length at a time from the mode (see _law)."""
+    peak = max(k, math.floor(lam), 1)
+    top = _poisson_weight(lam, peak, True)[1]
+    last = peak
+    while True:
+        r = lam / (last + 1)
+        m, e = _poisson_weight(lam, last, True)
+        beyond = math.ldexp(m, e - top) * r / (1.0 - r) if r < 1.0 else math.inf
+        if beyond <= 2.0**-128:
+            return last, beyond
+        last += 1
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-17, 0.3, 4.0, 30.0, 700.0, 709.78, 12345.6, 1e6])
+def test_law_table_ends_at_the_first_length_past_the_mode_whose_bound_is_below_2_to_the_minus_128(lam):
+    first = _first_length(lam)
+    for k in (first, first + 3, max(first, math.floor(lam)) + 5):
+        last, beyond, _ = _law(lam, k)
+        assert (last, beyond) == _table_end(lam, k)
+
+
+def test_drawn_tally_draws_each_walk_where_they_cost_less_than_the_table():
+    # at 4 the table runs from 1 to 52, so up to 32 * 52 - 1 walks are drawn
+    # one by one and tallied, and from there the counts are drawn
+    k = _first_length(4.0)
+    walks = _WALKS_A_LENGTH * (_law(4.0, k)[0] - k + 1)
+    assert walks == 1664
+    for seed in range(3):
+        assert _draw_tally(4.0, walks - 1, make_rng(seed)) == _tally(sample_lengths(4.0, walks - 1, make_rng(seed)))
+        assert _draw_tally(4.0, walks, make_rng(seed)) != _tally(sample_lengths(4.0, walks, make_rng(seed)))
+
+
+@pytest.mark.parametrize("lam", [1e12, POISSON_LAM_MAX])
+def test_monte_carlo_takes_a_vast_lambda_at_once(lam):
+    # the law's table spans about 53 sqrt(lam) lengths, 5e7 at 1e12, so a
+    # few walks are drawn one by one in its place; the estimate itself steps
+    # through every power between the shortest and longest length drawn
+    start = time.perf_counter()
+    assert np.array_equal(monte_carlo_pwp(np.eye(1), lam, 1, 0), np.eye(1))
+    for samples in (1, 1000):
+        assert _draw_tally(lam, samples, make_rng(0)).total >= samples * math.floor(lam - 10.0 * math.sqrt(lam))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_monte_carlo_takes_a_trillion_samples_at_once():
@@ -476,8 +524,6 @@ def test_monte_carlo_takes_a_trillion_samples_at_once():
 def test_monte_carlo_refuses_more_samples_than_int64_holds():
     with pytest.raises(ValueError, match=f"samples must be <= {2**63 - 1}, got {10**30}"):
         monte_carlo_pwp(np.eye(2), 1.0, 10**30, 0)
-    with pytest.raises(ValueError, match=f"size must be <= {2**63 - 1}, got {2**63}"):
-        _draw_tally(1.0, 2**63, make_rng(0))
 
 
 # -- Monte Carlo estimator ----------------------------------------------------------------
