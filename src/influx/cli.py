@@ -412,6 +412,7 @@ def cmd_generate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     _at_least("-N", args.samples, 1, _MOST_SAMPLES)
+    _at_least("--seed", args.seed, 0, 2**128 - 1)
     g = _load_graph(args.graph)
     d = to_operator(g)
     # lambda, tol and e^lambda - 1 before sampling; past its range lambda is

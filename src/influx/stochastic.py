@@ -12,8 +12,8 @@ draws hit each length, a multinomial(N, p) vector, so monte_carlo_pwp and
 the montecarlo command draw those counts directly, one binomial a length
 (_draw_tally): once N is past a few dozen walks a length of the law's
 table, neither their time nor their memory grows with N.  sample_lengths
-draws the N lengths one by one, in blocks of _BLOCK; _draw_tally does so
-below that N.
+draws the N lengths one by one into one buffer; _draw_tally does so below
+that N.
 
 Randomness comes from the Philox 4x64 counter-based generator (10 rounds,
 as implemented by numpy) keyed by the caller's seed, so every estimate is
@@ -40,7 +40,7 @@ TWO_PI = 2.0 * math.pi
 # numpy's Generator.poisson refuses a mean above this (its POISSON_LAM_MAX)
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
-# sample_lengths draws the walk lengths this many at a time
+# sample_lengths draws its Poisson counts this many at a time
 _BLOCK = 8192
 
 # a length of _draw_tally's chain of binomials costs about as much as
@@ -53,7 +53,7 @@ _MOST_SAMPLES = 2**63 - 1
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded Philox 4x64 generator; the package's one source of randomness."""
-    _at_least("seed", seed, 0)
+    _at_least("seed", seed, 0, 2**128 - 1)  # Philox takes a 128-bit key
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -130,36 +130,21 @@ def sample_lengths(lam: float, size: int, rng: np.random.Generator) -> np.ndarra
     -log1p(U (e^-lam - 1)) for U uniform on [0, 1), and the number of
     further arrivals in (T, lam] is Poisson(lam - T), so
     K = 1 + Poisson(lam - T) is zero-truncated Poisson(lam).  rng supplies
-    the `size` uniforms, then the `size` Poisson draws.  The lengths are
-    drawn in blocks of at most _BLOCK (see :func:`_blocks`) into one integer
-    array of `size`, beside which only a block's arrays are held.
-    """
-    blocks = _blocks(lam, size, rng)
-    lengths = np.empty(size, dtype=np.int64)
-    for start, block in zip(range(0, size, _BLOCK), blocks):
-        lengths[start:start + _BLOCK] = block
-    return lengths
-
-
-def _blocks(lam: float, size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """sample_lengths' draws, in order, as blocks of at most _BLOCK lengths.
-
-    A copy of rng, made from its state, supplies the `size` uniforms a block
-    at a time; rng first skips them, drawing into the block's buffer, then
-    supplies the Poisson draws.  So each length, and rng's state once the
-    blocks are drawn, is what one draw of all `size` uniforms and then all
-    `size` Poisson draws would give, bit for bit.  lam and size are checked,
-    and the uniforms skipped, before this returns.
+    the `size` uniforms, then the `size` Poisson draws.  One buffer of
+    `size` floats takes the uniforms and becomes lam - T in place; each
+    block of _BLOCK Poisson draws is written over its own floats, read as
+    integers, so beside the buffer only a block is held.
     """
     _sampled_lam(lam)
     _at_least("size", size, 0)
-    uniforms = np.random.Generator(type(rng.bit_generator)())
-    uniforms.bit_generator.state = rng.bit_generator.state
-    rest = np.empty(min(size, _BLOCK))
+    rest = rng.random(size)
+    np.add(lam, np.log1p(np.multiply(rest, math.expm1(-lam), out=rest), out=rest), out=rest)
+    # rounding may put the first arrival a hair past lam
+    lengths = np.maximum(rest, 0.0, out=rest).view(np.int64)
     for start in range(0, size, _BLOCK):
-        rng.random(out=rest[:size - start])
-    return (_lengths(lam, uniforms.random(out=rest[:size - start]), rng)
-            for start in range(0, size, _BLOCK))
+        lengths[start:start + _BLOCK] = rng.poisson(rest[start:start + _BLOCK])
+    lengths += 1
+    return lengths
 
 
 def _sampled_lam(lam: float) -> None:
@@ -167,16 +152,6 @@ def _sampled_lam(lam: float) -> None:
     _positive("lam", lam)
     if lam > POISSON_LAM_MAX:
         raise ValueError(f"lam must be <= {POISSON_LAM_MAX!r} to sample lengths, got {lam!r}")
-
-
-def _lengths(lam: float, rest: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """1 + Poisson(lam - T) for each uniform U in `rest`, which becomes
-    lam - T in place (see :func:`sample_lengths`)."""
-    np.add(lam, np.log1p(np.multiply(rest, math.expm1(-lam), out=rest), out=rest), out=rest)
-    # rounding may put the first arrival a hair past lam
-    lengths = rng.poisson(np.maximum(rest, 0.0, out=rest))
-    lengths += 1
-    return lengths
 
 
 @dataclass(frozen=True)
@@ -229,8 +204,8 @@ def _draw_tally(lam: float, size: int, rng: np.random.Generator) -> _Tally:
     length, the walks are drawn one by one (:func:`sample_lengths`) and
     tallied instead: the cost is that of the smaller of `size` walks and
     one table, whatever `size` and lam are.  lam is checked as
-    :func:`_blocks` checks it; the callers check that size runs from 1 to
-    2^63 - 1.
+    :func:`sample_lengths` checks it; the callers check that size runs from
+    1 to 2^63 - 1.
     """
     _sampled_lam(lam)
     k = _first_length(lam)

@@ -930,6 +930,12 @@ def test_montecarlo_refuses_more_samples_than_int64_holds(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: -N must be <= {2**63 - 1}, got {10**30}\n")
 
 
+def test_montecarlo_refuses_a_seed_past_the_philox_key(tmp_path, capsys):
+    # refused before the graph is read, as -N is: the file is not there
+    code, out, err = run(capsys, "montecarlo", str(tmp_path / "absent.csv"), "--seed", str(2**128))
+    assert (code, out, err) == (2, "", f"error: --seed must be <= {2**128 - 1}, got {2**128}\n")
+
+
 def test_montecarlo_takes_a_trillion_samples_at_once(line3, capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "montecarlo", line3, "-N", str(10**12), "--seed", "0")

@@ -492,9 +492,13 @@ def test_integer_parameters_accept_numpy_integers(entry, tmp_path):
     call(np.int64(max(least, 2)), tmp_path)
 
 
-def test_seed_past_philox_key_keeps_numpy_message():
-    with pytest.raises(ValueError, match="less than 2\\*\\*128"):
-        influx.make_rng(2**128)
+def test_seed_past_philox_key_is_refused_naming_the_seed():
+    # Philox takes a 128-bit key; numpy's own refusal named no parameter
+    for call in (influx.make_rng, lambda seed: influx.monte_carlo_pwp(L3, 1.0, 10, seed)):
+        with pytest.raises(ValueError) as exc:
+            call(2**128)
+        assert str(exc.value) == f"seed must be <= {2**128 - 1}, got {2**128}"
+    influx.make_rng(2**128 - 1)
 
 
 @pytest.mark.parametrize("lam", [800.0, 1e308])

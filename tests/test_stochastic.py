@@ -5,6 +5,7 @@ import json
 import math
 import time
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction
 
@@ -45,7 +46,6 @@ from influx.stochastic import (
     _BLOCK,
     _WALKS_A_LENGTH,
     POISSON_LAM_MAX,
-    _blocks,
     _draw_tally,
     _first_length,
     _law,
@@ -331,14 +331,6 @@ def test_sample_lengths_in_place_are_the_expressions_draws(lam):
             got = sample_lengths(lam, size, rng)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert _state(rng) == _state(oracle)
-            if not size:
-                continue
-            rng = make_rng(seed)
-            tally = _tally(np.concatenate(list(_blocks(lam, size, rng))))
-            assert _state(rng) == _state(oracle)
-            values, counts = np.unique(want, return_counts=True)
-            assert tally.sampled == list(zip(values.tolist(), (counts / size).tolist()))
-            assert (tally.size, tally.total) == (size, sum(want.tolist()))
 
 
 def _traced_peak(call) -> int:
@@ -364,6 +356,15 @@ def test_monte_carlo_memory_does_not_grow_with_samples(tmp_path):
         run(20_000)  # loads what the first run imports, outside the measurement
         small, large = (_traced_peak(lambda: run(n)) for n in (20_000, 2_000_000))
         assert large - small <= 2**20, route
+
+
+def test_sample_lengths_hold_eight_bytes_a_length():
+    # the lengths are written over the uniforms' buffer a block at a time,
+    # so beside it only a block is held; one Poisson draw of the whole
+    # buffer would hold 16 bytes a length
+    size = 2_000_000
+    sample_lengths(1.0, 10, make_rng(0))  # loads what the first draw imports, outside the measurement
+    assert _traced_peak(lambda: sample_lengths(1.0, size, make_rng(0))) <= 8 * size + 2**20
 
 
 # -- the drawn tally ----------------------------------------------------------------------
@@ -488,6 +489,43 @@ def test_law_table_ends_at_the_first_length_past_the_mode_whose_bound_is_below_2
     for k in (first, first + 3, max(first, math.floor(lam)) + 5):
         last, beyond, _ = _law(lam, k)
         assert (last, beyond) == _table_end(lam, k)
+
+
+def test_drawn_tally_starts_a_new_table_where_the_mass_past_it_counts(monkeypatch):
+    # no run reaches a restart by chance: the mass past a table is below
+    # 2^-128 of its peak, and a restart waits for a tail below 2^53 times
+    # that.  So the first table claims 2^-80, as a shorter one would: at 4,
+    # its tail falls below 2^-27 at length 22, with a few hundred of 10^12
+    # walks left, and the second table, from that length on, places them
+    law, tables, probabilities, rng = _law, [], [], make_rng(0)
+
+    def short_first_table(lam, k):
+        tables.append(k)
+        last, beyond, rows = law(lam, k)
+        return last, 2.0**-80 if len(tables) == 1 else beyond, rows
+
+    def binomial(n, p):
+        probabilities.append(p)
+        return rng.binomial(n, p)
+
+    monkeypatch.setattr(influx.stochastic, "_law", short_first_table)
+    lam, size, first = 4.0, 10**12, _first_length(4.0)
+    tally = _draw_tally(lam, size, types.SimpleNamespace(binomial=binomial))
+    counts = _counts(tally)
+    lengths = list(counts)
+    assert len(tables) == 2 and tables[0] == first < tables[1] <= lengths[-1]
+    assert all(a < b for a, b in zip(lengths, lengths[1:]))
+    assert tally.size == sum(counts.values()) == size
+    assert tally.total == sum(k * c for k, c in counts.items())
+    assert math.fsum(share for _, share in tally.sampled) == pytest.approx(1.0, rel=len(lengths) * 2**-52)
+    # the i-th binomial places the walks left at length first + i, before
+    # the restart and after it: its probability is P(K = k | K >= k), or
+    # P(K > k | K >= k) where the complement is drawn
+    pmfs = [pmf(lam, k) for k in range(first, first + len(probabilities) + 60)]
+    for i, p in enumerate(probabilities):
+        tail = math.fsum(pmfs[i:])
+        placed, past = pmfs[i] / tail, math.fsum(pmfs[i + 1:]) / tail
+        assert p == pytest.approx(placed, rel=1e-9) or p == pytest.approx(past, rel=1e-9)
 
 
 def test_drawn_tally_draws_each_walk_where_they_cost_less_than_the_table():
