@@ -36,11 +36,9 @@ from .graph import (
     DirectInfluenceGraph,
     Edge,
     format_edge_list,
-    format_matrix_text,
     from_matrix,
     is_column_stochastic,
     parse_edge_list,
-    read_matrix_text,
     to_matrix,
     to_operator,
     web_normalize,
@@ -132,7 +130,6 @@ __all__ = [
     "exp_plus",
     "exp_plus_vectors",
     "format_edge_list",
-    "format_matrix_text",
     "from_matrix",
     "influence_dependence",
     "is_column_stochastic",
@@ -153,7 +150,6 @@ __all__ = [
     "pwp_matrix",
     "pwp_matrix_report",
     "rank_vertices",
-    "read_matrix_text",
     "rho_sum",
     "sample_lengths",
     "to_matrix",

@@ -14,13 +14,12 @@ class InfluenceError(Exception):
 
 
 class MalformedLine(InfluenceError):
-    """A line that does not read as what its format `expected` there, by
-    default an edge list's "source,target,weight"."""
+    """An edge-list line that does not read as "source,target,weight"."""
 
     exit_code = 2
 
-    def __init__(self, line_no: int, text: str, expected: str = "'source,target,weight'"):
-        super().__init__(f"line {line_no}: expected {expected}, got {text!r}")
+    def __init__(self, line_no: int, text: str):
+        super().__init__(f"line {line_no}: expected 'source,target,weight', got {text!r}")
         self.line_no = line_no
         self.text = text
 

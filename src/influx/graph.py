@@ -1,6 +1,6 @@
 """Weighted directed graphs of direct influences and their matrix encoding.
 
-Vertices are numbered 1..n in every file format and report.  The matrix
+Vertices are numbered 1..n in the edge list and every report.  The matrix
 encoding puts the weight of the edge j -> i at row i, column j, so column j
 collects everything vertex j acts on directly and row i collects everything
 acting directly on vertex i.  It is taken on the graph's edge columns as an
@@ -122,10 +122,15 @@ def _newlines(text: str) -> str:
 
 def _lines(text) -> list[str]:
     r"""A string's lines, broken only at "\n", "\r\n" and "\r", or an
-    iterable's items with one such line end taken off each."""
+    iterable's items with one such line end taken off each; an item that is
+    not a str, such as each int of a bytes, is a ValueError."""
     if isinstance(text, str):
         return _newlines(text).split("\n")
-    return [line.removesuffix("\n").removesuffix("\r") for line in text]
+    lines = list(text)
+    for line in lines:
+        if not isinstance(line, str):
+            raise ValueError(f"an edge list line must be a str, got {type(line).__name__} {line!r}")
+    return [line.removesuffix("\n").removesuffix("\r") for line in lines]
 
 
 def _skipped(line: str) -> bool:
@@ -279,40 +284,3 @@ def format_edge_list(g: DirectInfluenceGraph) -> str:
     """Canonical edge-list text: one "source,target,weight" line per edge."""
     return "".join(f"{e.source},{e.target},{e.weight!r}\n" for e in g.edges)
 
-
-def format_matrix_text(d: np.ndarray) -> str:
-    """Matrix file format: first line n, then n comma-separated rows."""
-    d = _square(d)
-    lines = [str(d.shape[0])]
-    for row in d:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def read_matrix_text(text: str) -> np.ndarray:
-    """Parse the matrix format of :func:`format_matrix_text`.  Lines end and
-    are skipped as in :func:`parse_edge_list`, each other line holds what
-    an edge list's data line may, and errors name the text's own lines."""
-    lines = [(i, line) for i, line in enumerate(_lines(text), 1) if not _skipped(line)]
-    line_no, head = lines[0] if lines else (1, "")
-    try:
-        n = int(head) if _only(head, _DATA) else -1
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise MalformedLine(line_no, head, "a matrix row count n >= 0")
-    if len(lines) != n + 1:
-        raise MalformedLine(lines[-1][0], str(len(lines) - 1), f"{n} matrix rows")
-    d = np.zeros((n, n))
-    row = f"a matrix row of {n} comma-separated numbers"
-    for i, (line_no, line) in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != n or not _only(line, _DATA):
-            raise MalformedLine(line_no, line, row)
-        try:
-            d[i] = [float(p) for p in parts]
-        except ValueError:
-            raise MalformedLine(line_no, line, row) from None
-        if not np.all(np.isfinite(d[i])):
-            raise NonFiniteWeight(float(d[i][~np.isfinite(d[i])][0]), line_no=line_no)
-    return d

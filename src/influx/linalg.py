@@ -58,6 +58,10 @@ SPARSE_CUTOFF = 0.5
 # a row this takes a product from 130 ms (chunks of n rows) to 77 ms.
 GATHER_ENTRIES = 2**16
 
+# The lam of a pass over the powers with no series, only sampled sums: no
+# number a caller can pass, so every caller's lam goes through _checked.
+_NO_SERIES = object()
+
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -72,8 +76,11 @@ class SeriesReport:
 
 
 def _square(a) -> np.ndarray:
-    """The package's one matrix check: 2-D, square and finite."""
-    a = np.asarray(a, dtype=float)
+    """The package's one matrix check: real, 2-D, square and finite."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"expected a real matrix, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -444,14 +451,14 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
-def _chain(first, k: int, step, norm: float, lam: float | None, tol: float, normalised: bool, sampled=(),
+def _chain(first, k: int, step, norm: float, lam, tol: float, normalised: bool, sampled=(),
            squares: bool = False):
     """The package's one loop over the powers, with or without a series:
     sum_{k>=1} w_k P_k with P_k = first, P_{k+1} = step(P_k) and
     w_k = lam^k / k! (divided by e^lam - 1 when normalised), and along the
     same pass sum_k v P_k over the ascending (k, v) pairs in `sampled`, and
     with `squares` sum_k v P_k^2, entry by entry, too.  `first` is P_k: k is
-    1 with a series; with lam None there is none, and the pass adds only
+    1 with a series; with lam _NO_SERIES there is none, and the pass adds only
     the sampled terms, micmac's d^k as the one pair (k, 1.0).  Returns
     (series sum or None, sampled sum or None, squares sum or None, report).
 
@@ -486,7 +493,7 @@ def _chain(first, k: int, step, norm: float, lam: float | None, tol: float, norm
     where there is a series, else as a matrix power.
     """
     sampled = list(sampled)
-    series = lam is not None
+    series = lam is not _NO_SERIES
     q = first  # P_k = 2^s q
     spare, total = np.empty_like(q), np.zeros_like(q) if series else None
     # with no series from -0.0, the identity of +: one term sums to itself
@@ -560,31 +567,32 @@ def _checked(lam: float, tol: float, normalised: bool) -> None:
         _expm1(lam)
 
 
-def _dense(d, lam: float | None = None, tol: float = math.nan, normalised: bool = True, sampled=()):
+def _dense(d, lam=_NO_SERIES, tol: float = math.nan, normalised: bool = True, sampled=()):
     """The series over the powers of d, a matrix or an Operator, and the
-    sampled sum, or with lam None that sum alone; see :func:`_chain`."""
-    if lam is not None:
+    sampled sum, or with lam _NO_SERIES that sum alone; see :func:`_chain`."""
+    if lam is not _NO_SERIES:
         _checked(lam, tol, normalised)
     op = _operator(d)
     start, step, leave = _stepper(op)
     norm = op.abs_sum(1)  # bounds d P_k, and P_k d = d P_k as powers of d commute
-    k = 1 if lam is not None else sampled[0][0]
+    k = sampled[0][0] if lam is _NO_SERIES else 1
     sums = _chain(start(k), k, step, norm, lam, tol, normalised, sampled)
     return *(None if a is None else leave(a) for a in sums[:2]), sums[3]
 
 
-def _vectors(d, lam: float | None = None, tol: float = math.nan, normalised: bool = True, sampled=()):
+def _vectors(d, lam=_NO_SERIES, tol: float = math.nan, normalised: bool = True, sampled=()):
     """The series over d^k 1 and 1 d^k (see :func:`exp_plus_vectors`), none
-    with lam None, and their sums over `sampled`, with a series their sums
-    of squares too (see :func:`_chain`), as (series sums, sampled sums,
+    with lam _NO_SERIES, and their sums over `sampled`, with a series their
+    sums of squares too (see :func:`_chain`), as (series sums, sampled sums,
     sums of squares, report), each a (row sums, column sums) pair or Nones."""
-    if lam is not None:
+    series = lam is not _NO_SERIES
+    if series:
         _checked(lam, tol, normalised)
     op = _operator(d)
     ones = np.ones(op.n)
     sides = [
         _chain(product(ones), 1, lambda v, out, product=product: product(v), op.abs_sum(axis),
-               lam, tol, normalised, sampled, squares=lam is not None)
+               lam, tol, normalised, sampled, squares=series)
         for product, axis in ((op.matvec, 1), (op.rmatvec, 0))
     ]
     totals, estimates, seconds, (by_row, by_col) = zip(*sides)

@@ -151,9 +151,7 @@ def omega_sum(g: DirectInfluenceGraph, i: int, j: int, k: int) -> float:
 def damped_matrix(g: DirectInfluenceGraph, p: float) -> np.ndarray:
     """p * repaired(D) + (1 - p) * E_n for the graph's direct matrix D."""
     _damping(p)
-    dbar = pagerank_repair(to_matrix(g))
-    n = g.n
-    return p * dbar + (1.0 - p) / n
+    return p * pagerank_repair(to_matrix(g)) + (1.0 - p) / max(1, g.n)  # max: an empty g is 0 x 0
 
 
 def rho_sum(g: DirectInfluenceGraph, i: int, j: int, k: int, p: float = 0.86) -> float:

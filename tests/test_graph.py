@@ -20,11 +20,9 @@ from influx import (
     MalformedLine,
     NonFiniteWeight,
     format_edge_list,
-    format_matrix_text,
     from_matrix,
     is_column_stochastic,
     parse_edge_list,
-    read_matrix_text,
     to_matrix,
     web_normalize,
 )
@@ -213,16 +211,11 @@ def test_an_iterable_of_lines_loses_one_line_end_a_line():
     assert (err.value.line_no, err.value.text) == (2, "2,3\n,0.5")
 
 
-@pytest.mark.parametrize("text, message", [
-    ("2\r\n1,2\r3,4\nx\n", "line 4: expected 2 matrix rows, got '3'"),
-    ("2\n1,\x0c2\n3,4\n", "line 2: expected a matrix row of 2 comma-separated numbers, got '1,\\x0c2'"),
-    ("1\n1_0\n", "line 2: expected a matrix row of 1 comma-separated numbers, got '1_0'"),
-    ("\x0b2\n1,2\n3,4\n", "line 1: expected a matrix row count n >= 0, got '\\x0b2'"),
-], ids=["CR and CRLF", "form feed", "underscore", "vertical tab in n"])
-def test_matrix_text_lines_follow_the_edge_list_rule(text, message):
-    with pytest.raises(MalformedLine) as err:
-        read_matrix_text(text)
-    assert str(err.value) == message
+@pytest.mark.parametrize("text, named", [(b"1,2,0.5\n", "int 49"), ([1, 2], "int 1")],
+                         ids=["bytes", "list of ints"])
+def test_a_line_that_is_not_a_str_is_refused_naming_its_type(text, named):
+    with pytest.raises(ValueError, match=f"^an edge list line must be a str, got {named}$"):
+        parse_edge_list(text)
 
 
 def test_graph_rejects_bad_edges_directly():
@@ -571,66 +564,19 @@ def test_negative_entries_rejected():
     assert not is_column_stochastic(d, 1e-12)
 
 
-# -- file formats --------------------------------------------------------------
+# -- the edge-list format -------------------------------------------------------
 
 def test_edge_list_format_round_trip():
     g = parse_edge_list("1,2,0.1\n3,1,-2.5\n2,2,1.0")
     assert parse_edge_list(format_edge_list(g)) == g
 
 
-def test_matrix_text_round_trip():
-    rng = np.random.default_rng(3)
-    d = rng.uniform(-3, 3, (4, 4))
-    text = format_matrix_text(d)
-    assert text.splitlines()[0] == "4"
-    assert np.array_equal(read_matrix_text(text), d)
-
-
-@pytest.mark.parametrize("fn", [from_matrix, format_matrix_text])
+@pytest.mark.parametrize("fn", [from_matrix])
 def test_matrix_functions_reject_non_square(fn):
     with pytest.raises(ValueError):
         fn(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         fn(np.zeros(3))
-
-
-def test_matrix_text_bad_input():
-    with pytest.raises(MalformedLine):
-        read_matrix_text("2\n1.0,2.0\n")  # missing a row
-    with pytest.raises(MalformedLine):
-        read_matrix_text("2\n1.0,2.0\n3.0\n")  # short row
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("2\n1,2\n3\n", "line 3: expected a matrix row of 2 comma-separated numbers, got '3'"),
-        ("2\n1,x\n3,4\n", "line 2: expected a matrix row of 2 comma-separated numbers, got '1,x'"),
-        ("-1\n", "line 1: expected a matrix row count n >= 0, got '-1'"),
-        ("two\n", "line 1: expected a matrix row count n >= 0, got 'two'"),
-        ("# nothing\n", "line 1: expected a matrix row count n >= 0, got ''"),
-        ("2\n1,2\n", "line 2: expected 2 matrix rows, got '1'"),
-        ("1\n1\n2\n", "line 3: expected 1 matrix rows, got '2'"),
-        ("# c\n\n2\n1,2\n3\n", "line 5: expected a matrix row of 2 comma-separated numbers, got '3'"),
-        ("# c\n\n2\n1,2\n", "line 4: expected 2 matrix rows, got '1'"),
-        ("# c\n-1\n", "line 2: expected a matrix row count n >= 0, got '-1'"),
-    ],
-    ids=["short row", "bad number", "negative n", "n not a number", "no lines", "too few rows",
-         "too many rows", "short row after comments", "too few rows after comments",
-         "negative n after a comment"],
-)
-def test_matrix_text_errors_name_the_matrix_format(text, message):
-    with pytest.raises(MalformedLine) as err:
-        read_matrix_text(text)
-    assert str(err.value) == message
-
-
-def test_matrix_text_names_the_non_finite_weight():
-    # the edge-list parser's message for the same fault, not the whole row
-    with pytest.raises(NonFiniteWeight, match="^line 2: weight nan is not finite$"):
-        read_matrix_text("2\n1,nan\n0,0\n")
-    with pytest.raises(NonFiniteWeight, match="^line 3: weight -inf is not finite$"):
-        read_matrix_text("2\n0,0\n-inf,nan\n")
 
 
 def test_edge_list_errors_keep_their_message():

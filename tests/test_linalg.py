@@ -327,6 +327,12 @@ def test_non_finite_entry_rejected_at_entry(kernel, bad):
         kernel(d)
 
 
+def test_a_complex_matrix_is_refused():
+    # numpy would warn and go on with the real part
+    with pytest.raises(ValueError, match="^expected a real matrix, got dtype complex128$"):
+        pwp(np.array([[0.5j, 0.25]] * 2))
+
+
 def test_mat_pow_overflow_is_typed():
     d = np.array([[0.0, 1e200], [1e200, 0.0]])
     with pytest.raises(NumericOverflow):
@@ -397,6 +403,29 @@ def test_e_plus_lambda_overflow_is_typed_everywhere(call):
 def test_lambda_and_tol_must_be_finite_and_positive(call, bad):
     with pytest.raises(ValueError, match="finite and > 0"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pwp(L2, None),
+        lambda: exp_plus_vectors(L2, None),
+        lambda: influx.estimate_and_exact(L2, None, [1, 2]),
+        lambda: exp_plus(L2, None),
+        lambda: pwp_matrix(L2, None),
+        lambda: pwp_matrix_report(L2, None),
+        lambda: influx.estimate_and_exact_vectors(L2, None, [1, 2]),
+    ],
+    ids=["pwp", "exp_plus_vectors", "estimate_and_exact", "exp_plus", "pwp_matrix", "pwp_matrix_report",
+         "estimate_and_exact_vectors"],
+)
+def test_lambda_none_is_refused_as_pmf_refuses_it(call):
+    # no lam a caller passes means "no series": None is checked before any product
+    with pytest.raises(TypeError) as want:
+        influx.pmf(None, 1)
+    with pytest.raises(type(want.value)) as got:
+        call()
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, -1])

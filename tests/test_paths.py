@@ -370,6 +370,12 @@ def test_damped_matrix_p_must_lie_inside_unit_interval(p):
     assert str(exc.value) == f"p must lie strictly inside (0, 1), got {p}"
 
 
+def test_damped_matrix_of_an_empty_graph_is_empty():
+    # as pagerank and pagerank_repair answer n = 0
+    m = damped_matrix(DirectInfluenceGraph(0), 0.86)
+    assert m.shape == (0, 0) and m.dtype == float
+
+
 def test_rho_converges_to_stationary_column():
     # long powers of the damped matrix approach the rank-one limit, whose
     # every column is the stationary vector
