@@ -579,9 +579,56 @@ def test_matrix_functions_reject_non_square(fn):
         fn(np.zeros(3))
 
 
+def test_edge_list_text_round_trips_weights_bit_for_bit():
+    # repr is the shortest text that reads back as the same float
+    rng = np.random.default_rng(3)
+    d = rng.uniform(-3, 3, (4, 4))
+    d[2, 3], d[3, 0] = 5e-324, -1.7976931348623157e308
+    assert np.array_equal(to_matrix(parse_edge_list(format_edge_list(from_matrix(d)), n=4)), d)
+    # a -0.0 edge is an edge, and keeps its sign
+    (edge,) = parse_edge_list(format_edge_list(parse_edge_list("1,2,-0.0"))).edges
+    assert edge.weight == 0.0 and math.copysign(1.0, edge.weight) == -1.0
+
+
 def test_edge_list_errors_keep_their_message():
     with pytest.raises(MalformedLine, match="^line 1: expected 'source,target,weight', got '1,2'$"):
         parse_edge_list("1,2\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,0.5\n3\n", "line 2: expected 'source,target,weight', got '3'"),
+        ("1,2,abc\n", "line 1: expected 'source,target,weight', got '1,2,abc'"),
+        ("1.5,2,1.0\n", "line 1: expected 'source,target,weight', got '1.5,2,1.0'"),
+        ("1,2,0.5,7\n", "line 1: expected 'source,target,weight', got '1,2,0.5,7'"),
+        ("1,,0.5\n", "line 1: expected 'source,target,weight', got '1,,0.5'"),
+        ("# c\n\n1,2,0.5\n3\n", "line 4: expected 'source,target,weight', got '3'"),
+        ("1,2,0.5\r\n2,3\r\n", "line 2: expected 'source,target,weight', got '2,3'"),
+        ("# c\n1,2,0.5\n\n2;3;0.5\n", "line 4: expected 'source,target,weight', got '2;3;0.5'"),
+    ],
+    ids=["short line", "bad weight", "non-integer vertex", "four fields", "empty field",
+         "short line after comments", "CRLF", "semicolons after a blank line"],
+)
+def test_edge_list_errors_name_the_file_line_and_the_one_format(text, message):
+    with pytest.raises(MalformedLine) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,nan\n", "line 1: weight nan is not finite"),
+        ("2,1,1\n1,2,-inf\n", "line 2: weight -inf is not finite"),
+        ("# c\n1,2,1e999\n", "line 2: weight inf is not finite"),
+    ],
+    ids=["nan", "-inf on line 2", "overflow after a comment"],
+)
+def test_edge_list_names_the_non_finite_weight(text, message):
+    with pytest.raises(NonFiniteWeight) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
